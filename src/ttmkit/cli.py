@@ -13,7 +13,6 @@ failure (divergence, unsettled trajectory, insufficient learning).
 import argparse
 import logging
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -330,22 +329,20 @@ def _analyze_trajectory(frames, dt, meta, tol, window):
     return row
 
 
-def _sweep_point(task):
-    """Full pipeline for one sweep point (runs in a worker process)."""
-    (lam, beta, omega0, j, gamma, coupling, depth, n_mats, dt, learn_steps,
-     cutoff_tol, initial, steps, tol, window) = task
+def _sweep_point(args, lam, beta, omega0, j, gamma, dt):
+    """Full pipeline for one sweep point."""
     params = SpinBosonParams(
         omega0=omega0, j_coupling=j, lam=lam, gamma=gamma, beta=beta,
-        coupling_op=COUPLING_OPS[coupling],
+        coupling_op=COUPLING_OPS[args.coupling],
     )
-    grid = TimeGrid(dt=dt, n_steps=learn_steps)
-    trajs = gen_heom(params, HeomConfig(depth=depth, n_matsubara=n_mats), grid)
+    config = HeomConfig(depth=args.heom_depth, n_matsubara=args.heom_matsubara)
+    trajs = gen_heom(params, config, TimeGrid(dt=dt, n_steps=args.learn_steps))
     full = maps_to_tensors(extract_maps(trajs))
-    cutoff = choose_cutoff(full, cutoff_tol)
-    rho0 = _parse_initial(initial, params.dim)
-    frames = propagate(full.truncated(cutoff), cutoff, rho0, steps)
+    cutoff = choose_cutoff(full, args.cutoff_tol)
+    rho0 = _parse_initial(args.initial, params.dim)
+    frames = propagate(full.truncated(cutoff), cutoff, rho0, args.steps)
     meta = {"lambda": lam, "beta": beta, "omega0": omega0, "j": j}
-    return _analyze_trajectory(frames, dt, meta, tol, window)
+    return _analyze_trajectory(frames, dt, meta, args.tol, args.window)
 
 
 def cmd_analyze(args):
@@ -362,17 +359,8 @@ def cmd_analyze(args):
             points = [(float(x), beta) for x in args.sweep_lambda.split(",")]
         else:
             points = [(lam, float(x)) for x in args.sweep_beta.split(",")]
-        tasks = [
-            (pl, pb, omega0, j, gamma, args.coupling, args.heom_depth,
-             args.heom_matsubara, dt, args.learn_steps, args.cutoff_tol,
-             args.initial, args.steps, args.tol, args.window)
-            for pl, pb in points
-        ]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(pool.map(_sweep_point, tasks))
-        else:
-            rows = [_sweep_point(task) for task in tasks]
+        rows = [_sweep_point(args, pl, pb, omega0, j, gamma, dt)
+                for pl, pb in points]
     else:
         if not args.trajectories:
             raise ConfigurationError(
@@ -466,8 +454,6 @@ def build_parser():
     p_ana.add_argument("--tol", type=float, default=1e-9,
                        help="equilibrium per-step tolerance")
     p_ana.add_argument("--window", type=int, default=50)
-    p_ana.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for sweep points")
     _add_model_arguments(p_ana)
     p_ana.add_argument("--out", required=True)
     p_ana.set_defaults(func=cmd_analyze)

@@ -14,7 +14,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import NumericalError, SchemaError
 from .tensors import TransferTensorSequence
 from .trajectories import BasisTrajectorySet, TimeGrid
 from .kernels import KernelSequence
@@ -55,7 +55,11 @@ def _atomic_write_text(path, text):
 
 
 def _dump_json(path, doc):
-    _atomic_write_text(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path}: non-finite value, not written") from exc
+    _atomic_write_text(path, text + "\n")
 
 
 def _header(kind, dim, dt, n_steps):
@@ -199,7 +203,6 @@ def save_tensors(path, tensors, profile=None, truncation=None, meta=None):
     """
     doc = _header("tensors", tensors.dim, tensors.dt, len(tensors))
     doc["cutoff"] = len(tensors)
-    doc["assumed_tti"] = bool(tensors.assumed_tti)
     if profile is not None:
         doc["markovianity_profile"] = [float(x) for x in profile]
     doc["truncation_error"] = None if truncation is None else float(truncation)
@@ -228,12 +231,7 @@ def load_tensors(path):
     tensors = np.empty((count, d2, d2), dtype=complex)
     for s, entry in enumerate(raw):
         tensors[s] = _decode_matrix(entry, (d2, d2), f"{path}: tensor {s + 1}")
-    seq = TransferTensorSequence(
-        dim=dim,
-        dt=float(doc["dt"]),
-        tensors=tensors,
-        assumed_tti=bool(doc.get("assumed_tti", True)),
-    )
+    seq = TransferTensorSequence(dim=dim, dt=float(doc["dt"]), tensors=tensors)
     return seq, doc
 
 

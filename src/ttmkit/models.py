@@ -150,11 +150,6 @@ def bath_correlation(t, lam, gamma, beta, n_matsubara=1000):
     return np.tensordot(coeffs, decay, axes=(0, 0))
 
 
-def energy_from_wavenumber(value_cm, unit_cm):
-    """Energy in cm^-1 -> dimensionless, given the unit scale in cm^-1."""
-    return value_cm / unit_cm
-
-
 def beta_from_kelvin(temperature_k, unit_cm):
     """Temperature in Kelvin -> dimensionless inverse temperature."""
     if temperature_k <= 0:

@@ -9,6 +9,10 @@ so that rho(t_m) = sum_{s=1}^{K} T_s rho(t_{m-s}) continues the dynamics
 with a finite memory depth K. Under time-translation invariance of the
 bath influence this is an identity, and the discarded tail norm bounds
 the truncation error per step.
+
+Propagation, map reconstruction and peeling are all this one memory
+recursion: peeling runs it on the inverse power series, since
+E(z) = (1 - T(z))^-1.
 """
 
 from dataclasses import dataclass, field
@@ -17,6 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, InsufficientLearningError
 from .liouville import superop_norm
+from .maps import DynamicalMapSequence
 
 
 @dataclass(frozen=True)
@@ -31,15 +36,11 @@ class TransferTensorSequence:
         Grid step the tensors were learned on.
     tensors : ndarray, shape (N, D^2, D^2)
         ``tensors[s - 1]`` is T_s.
-    assumed_tti : bool
-        Records that learning assumed a time-translation-invariant
-        memory (separable initial bath, no driving).
     """
 
     dim: int
     dt: float
     tensors: np.ndarray = field(repr=False)
-    assumed_tti: bool = True
 
     def __post_init__(self):
         tensors = np.asarray(self.tensors, dtype=complex)
@@ -67,8 +68,23 @@ class TransferTensorSequence:
             dim=self.dim,
             dt=self.dt,
             tensors=self.tensors[:k_cutoff].copy(),
-            assumed_tti=self.assumed_tti,
         )
+
+
+def _recurse(kernel, frames, start):
+    """Fill ``frames[m] = sum_{s=1}^{min(m, K)} kernel[s-1] @ frames[m-s]``.
+
+    ``frames`` has shape (n, D^2, B) and is filled in place for
+    m >= ``start``, so B columns move through the recursion together.
+    Each step is one matmul of the stacked [K_K ... K_1] against the
+    contiguous history ``frames[m - depth:m]``.
+    """
+    k, d2, _ = kernel.shape
+    stacked = kernel[::-1].transpose(1, 0, 2).reshape(d2, k * d2)
+    for m in range(start, frames.shape[0]):
+        depth = min(m, k)
+        history = frames[m - depth:m].reshape(depth * d2, -1)
+        frames[m] = stacked[:, (k - depth) * d2:] @ history
 
 
 def maps_to_tensors(seq):
@@ -76,18 +92,14 @@ def maps_to_tensors(seq):
 
     The sequence must contain at least E_0 and E_1; E_0 is checked to
     be the identity (the container construction already enforces it).
+    The inverse series F = 1 - T obeys F_n = sum_{s=1}^{n} (-E_s) F_{n-s}.
     """
     if seq.n_steps < 1:
         raise DimensionError("map sequence must reach at least t_1")
-    maps = seq.maps
-    n = seq.n_steps
-    tensors = np.empty_like(maps[1:])
-    for s in range(1, n + 1):
-        acc = maps[s].copy()
-        for m in range(1, s):
-            acc -= tensors[s - m - 1] @ maps[m]
-        tensors[s - 1] = acc
-    return TransferTensorSequence(dim=seq.dim, dt=seq.dt, tensors=tensors)
+    inverse = np.empty_like(seq.maps)
+    inverse[0] = np.eye(inverse.shape[1])
+    _recurse(-seq.maps[1:], inverse, 1)
+    return TransferTensorSequence(dim=seq.dim, dt=seq.dt, tensors=-inverse[1:])
 
 
 def tensors_to_maps(tensors, n_steps=None):
@@ -102,16 +114,9 @@ def tensors_to_maps(tensors, n_steps=None):
     if n_steps < 1:
         raise DimensionError("n_steps must be at least 1")
     d2 = tensors.dim * tensors.dim
-    t_arr = tensors.tensors
     maps = np.empty((n_steps + 1, d2, d2), dtype=complex)
     maps[0] = np.eye(d2)
-    for n in range(1, n_steps + 1):
-        acc = np.zeros((d2, d2), dtype=complex)
-        for s in range(1, min(n, len(tensors)) + 1):
-            acc += t_arr[s - 1] @ maps[n - s]
-        maps[n] = acc
-    from .maps import DynamicalMapSequence
-
+    _recurse(tensors.tensors, maps, 1)
     return DynamicalMapSequence(dim=tensors.dim, dt=tensors.dt, maps=maps)
 
 
@@ -121,7 +126,7 @@ def markovianity_profile(tensors):
     A memoryless evolution has everything beyond s = 1 at the numerical
     floor; the decay of the tail is the memory fingerprint.
     """
-    return np.array([superop_norm(t) for t in tensors.tensors])
+    return np.linalg.norm(tensors.tensors, 2, axis=(1, 2))
 
 
 def truncation_error(tensors, k_cutoff):
@@ -154,10 +159,7 @@ def choose_cutoff(tensors, tol):
             f"tol = {tol:.3g}; extend the learning window",
             tail_norms=norms,
         )
-    k = len(norms)
-    while k > 1 and norms[k - 1] < tol:
-        k -= 1
-    return max(k, 1)
+    return int(np.flatnonzero(norms >= tol).max(initial=0)) + 1
 
 
 def propagate(tensors, k_cutoff, seed, n_total):
@@ -195,13 +197,8 @@ def propagate(tensors, k_cutoff, seed, n_total):
         raise DimensionError(
             f"seed supplies {n_seed} frames but only {n_total + 1} requested"
         )
-    t_arr = tensors.tensors[:k_cutoff]
     out = np.empty((n_total + 1, d, d), dtype=complex)
     out[:n_seed] = seed
-    for m in range(n_seed, n_total + 1):
-        depth = min(m, k_cutoff)
-        acc = np.zeros(d * d, dtype=complex)
-        for s in range(1, depth + 1):
-            acc += t_arr[s - 1] @ out[m - s].reshape(-1)
-        out[m] = acc.reshape(d, d)
+    _recurse(tensors.tensors[:k_cutoff], out.reshape(n_total + 1, d * d, 1),
+             n_seed)
     return out

@@ -4,12 +4,19 @@ These deliberately avoid the library's own kernel path: the
 second-order memory tensor is assembled from the bath correlation
 function by direct quadrature, so agreement with the extracted kernel
 is a genuine cross-check rather than a reimplementation.
+
+The ``reference_*`` functions are the direct nested-loop forms of the
+memory recursion (one 4x4 product per lag and step), kept as the
+oracle for the batched recursion in ``ttmkit.tensors``.
 """
 
 import numpy as np
 
+from ttmkit.errors import DimensionError
 from ttmkit.liouville import spost, spre, unitary_superop
+from ttmkit.maps import DynamicalMapSequence
 from ttmkit.models import bath_correlation_modes
+from ttmkit.tensors import TransferTensorSequence
 
 
 def _free_propagators(h, times):
@@ -78,3 +85,92 @@ def second_order_kernel_series(n_tensors, dt, h, q, lam, gamma, beta,
         t_s = second_order_memory_tensor(s, dt, h, q, coeffs, rates, nodes)
         out.append(t_s / dt**2)
     return np.array(out)
+
+
+def reference_maps_to_tensors(seq):
+    """Learn transfer tensors from a dynamical map sequence.
+
+    The sequence must contain at least E_0 and E_1; E_0 is checked to
+    be the identity (the container construction already enforces it).
+    """
+    if seq.n_steps < 1:
+        raise DimensionError("map sequence must reach at least t_1")
+    maps = seq.maps
+    n = seq.n_steps
+    tensors = np.empty_like(maps[1:])
+    for s in range(1, n + 1):
+        acc = maps[s].copy()
+        for m in range(1, s):
+            acc -= tensors[s - m - 1] @ maps[m]
+        tensors[s - 1] = acc
+    return TransferTensorSequence(dim=seq.dim, dt=seq.dt, tensors=tensors)
+
+
+def reference_tensors_to_maps(tensors, n_steps=None):
+    """Rebuild the map sequence generated by a tensor family.
+
+    With ``n_steps`` equal to the tensor count (the default) this is
+    the exact inverse of :func:`reference_maps_to_tensors`; larger values
+    extrapolate with the finite memory.
+    """
+    if n_steps is None:
+        n_steps = len(tensors)
+    if n_steps < 1:
+        raise DimensionError("n_steps must be at least 1")
+    d2 = tensors.dim * tensors.dim
+    t_arr = tensors.tensors
+    maps = np.empty((n_steps + 1, d2, d2), dtype=complex)
+    maps[0] = np.eye(d2)
+    for n in range(1, n_steps + 1):
+        acc = np.zeros((d2, d2), dtype=complex)
+        for s in range(1, min(n, len(tensors)) + 1):
+            acc += t_arr[s - 1] @ maps[n - s]
+        maps[n] = acc
+    return DynamicalMapSequence(dim=tensors.dim, dt=tensors.dt, maps=maps)
+
+
+def reference_propagate(tensors, k_cutoff, seed, n_total):
+    """Propagate a state with the first ``k_cutoff`` tensors.
+
+    Parameters
+    ----------
+    tensors : TransferTensorSequence
+    k_cutoff : int
+        Memory depth K; only T_1 .. T_K are used.
+    seed : ndarray
+        Either a single (D, D) initial state or an (m, D, D) history
+        occupying t_0 .. t_{m-1}. During warm-up (fewer than K past
+        states known) the recursion runs over the history available,
+        which reproduces the learning-window maps exactly.
+    n_total : int
+        Final step index; the result holds t_0 .. t_{n_total}.
+
+    Returns
+    -------
+    ndarray, shape (n_total + 1, D, D)
+    """
+    if not 1 <= k_cutoff <= len(tensors):
+        raise DimensionError(f"cutoff {k_cutoff} outside 1..{len(tensors)}")
+    d = tensors.dim
+    seed = np.asarray(seed, dtype=complex)
+    if seed.shape == (d, d):
+        seed = seed[None]
+    if seed.ndim != 3 or seed.shape[1:] != (d, d):
+        raise DimensionError(
+            f"seed shape {seed.shape} does not match dim {d}"
+        )
+    n_seed = seed.shape[0]
+    if n_seed > n_total + 1:
+        raise DimensionError(
+            f"seed supplies {n_seed} frames but only {n_total + 1} requested"
+        )
+    t_arr = tensors.tensors[:k_cutoff]
+    out = np.empty((n_total + 1, d, d), dtype=complex)
+    out[:n_seed] = seed
+    for m in range(n_seed, n_total + 1):
+        depth = min(m, k_cutoff)
+        acc = np.zeros(d * d, dtype=complex)
+        for s in range(1, depth + 1):
+            acc += t_arr[s - 1] @ out[m - s].reshape(-1)
+        out[m] = acc.reshape(d, d)
+    return out

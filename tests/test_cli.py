@@ -104,6 +104,20 @@ def test_analyze_file_mode(heom_run, tmp_path):
     assert 0.0 <= float(row["theta"]) <= np.pi / 2
 
 
+def test_analyze_sweep_mode(tmp_path):
+    out = tmp_path / "sweep.tsv"
+    assert run(["analyze", "--sweep-lambda", "0.1,0.5", "--heom-depth", "3",
+                "--learn-steps", "300", "--cutoff-tol", "1e-5",
+                "--steps", "3000", "--out", out]) == 0
+    lines = out.read_text().splitlines()
+    header = lines[0].lstrip("# ").split("\t")
+    rows = [dict(zip(header, line.split("\t"))) for line in lines[1:]]
+    assert [row["status"] for row in rows] == ["ok", "ok"]
+    assert [float(row["lambda"]) for row in rows] == [0.1, 0.5]
+    # the deviation from the canonical state grows with the coupling
+    assert 0.0 < float(rows[0]["theta"]) < float(rows[1]["theta"])
+
+
 def test_analyze_flags_degenerate_equilibrium(lindblad_run, tmp_path):
     # a unital model relaxes to the maximally mixed state, which has no
     # axis to compare against the canonical one; that is reported, not

@@ -26,7 +26,7 @@ from ttmkit import (
     tls_hamiltonian,
     write_table,
 )
-from ttmkit.errors import SchemaError
+from ttmkit.errors import NumericalError, SchemaError
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -66,10 +66,12 @@ def test_tensor_roundtrip_and_diagnostics(trajs, tmp_path):
     back, doc = load_tensors(path)
     assert len(back) == 5
     assert np.array_equal(back.tensors, tensors.tensors[:5])
-    assert back.assumed_tti is True
     assert doc["cutoff"] == 5
     assert doc["truncation_error"] == pytest.approx(profile[5])
     assert len(doc["markovianity_profile"]) == len(tensors)
+    # documents written before the assumed_tti key was dropped still load
+    path.write_text(json.dumps(dict(doc, assumed_tti=True)))
+    assert np.array_equal(load_tensors(path)[0].tensors, back.tensors)
 
 
 def test_tensor_payload_is_cutoff_times_d4(trajs, tmp_path):
@@ -157,6 +159,16 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         save_state_trajectory(target, np.zeros((2, 2, 2)), dt=0.1)
     monkeypatch.undo()
+    assert not target.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_frame_is_refused_without_a_file(tmp_path):
+    target = tmp_path / "run.json"
+    frames = np.zeros((3, 2, 2), dtype=complex)
+    frames[2, 0, 0] = np.nan
+    with pytest.raises(NumericalError, match="run.json"):
+        save_state_trajectory(target, frames, dt=0.1)
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
 

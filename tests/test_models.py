@@ -11,7 +11,6 @@ from ttmkit.liouville import SIGMA_X, SIGMA_Z
 from ttmkit.models import (
     bath_correlation_modes,
     beta_from_kelvin,
-    energy_from_wavenumber,
     matsubara_tail,
     time_from_fs,
 )
@@ -112,4 +111,3 @@ def test_unit_conversions():
     assert abs(1.0 / beta - 208.51) < 0.01
     # hbar / (1 cm^-1) is about 5.3 ps
     assert abs(time_from_fs(5308.8, 1.0) - 1.0) < 1e-12
-    assert abs(energy_from_wavenumber(100.0, 50.0) - 2.0) < 1e-14

@@ -3,15 +3,23 @@
 import numpy as np
 import pytest
 
+from oracles import (
+    reference_maps_to_tensors,
+    reference_propagate,
+    reference_tensors_to_maps,
+)
+
 from ttmkit import (
     SIGMA_X,
     SIGMA_Z,
+    HeomConfig,
     SpinBosonParams,
     TimeGrid,
     TransferTensorSequence,
     choose_cutoff,
     extract_maps,
     gen_dephasing_analytic,
+    gen_heom,
     gen_lindblad,
     maps_to_tensors,
     markovianity_profile,
@@ -103,6 +111,51 @@ def test_history_seed_continues_midstream():
     full = propagate(tensors, len(tensors), rho0, 50)
     resumed = propagate(tensors, len(tensors), full[:20], 50)
     assert np.abs(resumed - full).max() < 1e-12
+
+
+def _hierarchy_maps():
+    """D = 2 maps of a small hierarchy with a genuine memory tail."""
+    params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=0.5, gamma=1.0,
+                             beta=1.0)
+    trajs = gen_heom(params, HeomConfig(depth=4, n_matsubara=1),
+                     TimeGrid(dt=0.05, n_steps=240))
+    return extract_maps(trajs)
+
+
+def _random_maps():
+    """D = 3 maps of a random tensor family whose norms sum below one."""
+    shape = (40, 9, 9)
+    rng = np.random.default_rng(31)
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    raw /= np.linalg.norm(raw, 2, axis=(1, 2))[:, None, None]
+    weights = 0.25 * 0.5 ** np.arange(shape[0])
+    weights[0] = 0.7
+    tensors = TransferTensorSequence(dim=3, dt=0.1,
+                                     tensors=weights[:, None, None] * raw)
+    return reference_tensors_to_maps(tensors)
+
+
+@pytest.mark.parametrize("make_maps", [_hierarchy_maps, _random_maps],
+                         ids=["hierarchy-d2", "random-d3"])
+def test_batched_recursion_matches_reference_loops(make_maps):
+    seq = make_maps()
+    n = seq.n_steps
+    d = seq.dim
+    tensors = maps_to_tensors(seq)
+    ref = reference_maps_to_tensors(seq)
+    assert np.abs(tensors.tensors - ref.tensors).max() <= 1e-10
+
+    maps = tensors_to_maps(ref, 3 * n)
+    ref_maps = reference_tensors_to_maps(ref, 3 * n)
+    assert np.abs(maps.maps - ref_maps.maps).max() <= 1e-10
+
+    rng = np.random.default_rng(5)
+    rho0 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    history = reference_propagate(ref, n, rho0, 9)
+    for cutoff, seed in [(n, rho0), (n // 3, rho0), (n // 3, history)]:
+        frames = propagate(ref, cutoff, seed, 3 * n)
+        expected = reference_propagate(ref, cutoff, seed, 3 * n)
+        assert np.abs(frames - expected).max() <= 1e-10
 
 
 def _synthetic_tail(norms):
