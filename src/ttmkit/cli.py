@@ -143,12 +143,8 @@ def _parse_initial(spec, dim):
         raise SchemaError(f"{spec}: not valid JSON ({exc})")
     if not isinstance(doc, dict) or "state" not in doc:
         raise SchemaError(f"{spec}: expected an object with a 'state' matrix")
-    arr = np.asarray(doc["state"], dtype=float)
-    if arr.ndim != 3 or arr.shape != (dim, dim, 2):
-        raise SchemaError(
-            f"{spec}: state must be a {dim}x{dim} matrix of [re, im] pairs"
-        )
-    return validate_state(arr[..., 0] + 1j * arr[..., 1])
+    return validate_state(fileio.decode_array(doc["state"], (dim, dim), spec,
+                                              "state"))
 
 
 def cmd_generate(args):
@@ -212,7 +208,7 @@ def cmd_propagate(args):
     allowed = 1e-6 * (np.arange(args.steps + 1) / 100.0 + 1.0)
     drift = float(traces.max())
     summary = {
-        "final_state": fileio._encode_matrix(frames[-1]),
+        "final_state": fileio.encode_array(frames[-1]),
         "max_trace_drift": drift,
     }
     fileio.save_state_trajectory(

@@ -1,10 +1,13 @@
 """On-disk formats: JSON documents for arrays, TSV tables for series.
 
 Every document carries the same header block (format version, kind,
-dimension, grid step, vectorization convention, unit note). Complex
-matrices are nested arrays of [re, im] pairs. Floats are emitted with
-Python's shortest-roundtrip repr, so files parse back bit-exact and
-reruns are byte-identical. All writes go through a temp file in the
+dimension, grid step, vectorization convention, unit note). Every
+complex payload goes through one codec, :func:`encode_array` and
+:func:`decode_array`: the array's own nesting with [re, im] pairs as
+the leaves, decoded in a single call that checks the exact shape and
+refuses non-finite entries. Floats are emitted with Python's
+shortest-roundtrip repr in compact JSON, so files parse back bit-exact
+and reruns are byte-identical. All writes go through a temp file in the
 target directory followed by an atomic rename.
 """
 
@@ -24,20 +27,30 @@ VECTORIZATION = "row-major"
 UNITS_NOTE = "dimensionless, hbar=1, energy in J"
 
 
-def _encode_matrix(m):
-    m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+def encode_array(a):
+    """JSON form of a complex array: its nesting with [re, im] leaves."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
-def _decode_matrix(obj, shape, what):
+def decode_array(obj, shape, path, field):
+    """Complex array of ``shape`` from the JSON form of :func:`encode_array`.
+
+    Raises :class:`SchemaError` naming ``path`` and ``field`` unless
+    ``obj`` is a finite numeric array of shape ``shape + (2,)``.
+    """
+    expected = tuple(shape) + (2,)
     try:
         arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{what}: not a numeric matrix") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[:2] != shape:
+        raise SchemaError(f"{path}: {field} is not a numeric array") from exc
+    if arr.shape != expected:
         raise SchemaError(
-            f"{what}: expected shape {shape} of [re, im] pairs, got {arr.shape}"
+            f"{path}: {field} has shape {arr.shape}, expected {expected} "
+            "([re, im] pairs)"
         )
+    if not np.isfinite(arr).all():
+        raise SchemaError(f"{path}: {field} holds a non-finite value")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -56,7 +69,7 @@ def _atomic_write_text(path, text):
 
 def _dump_json(path, doc):
     try:
-        text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
+        text = json.dumps(doc, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NumericalError(f"{path}: non-finite value, not written") from exc
     _atomic_write_text(path, text + "\n")
@@ -110,7 +123,7 @@ def save_basis_trajectories(path, trajs, meta=None):
         {
             "row": i,
             "col": j,
-            "frames": [_encode_matrix(f) for f in trajs.data[i * dim + j]],
+            "frames": encode_array(trajs.data[i * dim + j]),
         }
         for i in range(dim)
         for j in range(dim)
@@ -145,15 +158,9 @@ def load_basis_trajectories(path):
         if not (0 <= i < dim and 0 <= j < dim) or (i, j) in seen:
             raise SchemaError(f"{path}: bad or repeated basis label ({i}, {j})")
         seen.add((i, j))
-        if len(frames) != n_steps + 1:
-            raise SchemaError(
-                f"{path}: trajectory ({i}, {j}) has {len(frames)} frames, "
-                f"expected {n_steps + 1}"
-            )
-        for k, frame in enumerate(frames):
-            data[i * dim + j, k] = _decode_matrix(
-                frame, (dim, dim), f"{path}: frame {k} of ({i}, {j})"
-            )
+        data[i * dim + j] = decode_array(
+            frames, (n_steps + 1, dim, dim), path, f"frames of ({i}, {j})"
+        )
     grid = TimeGrid(dt=float(doc["dt"]), n_steps=n_steps)
     return BasisTrajectorySet(dim=dim, grid=grid, data=data), doc.get("meta", {})
 
@@ -167,7 +174,7 @@ def save_state_trajectory(path, frames, dt, meta=None, summary=None):
         doc["meta"] = meta
     if summary:
         doc["summary"] = summary
-    doc["frames"] = [_encode_matrix(f) for f in frames]
+    doc["frames"] = encode_array(frames)
     _dump_json(path, doc)
 
 
@@ -185,12 +192,8 @@ def load_state_trajectory(path):
         raise SchemaError(f"{path}: content {doc.get('content')!r} is not 'state'")
     dim = int(doc["dim"])
     n_steps = int(doc["n_steps"])
-    frames_raw = doc.get("frames")
-    if not isinstance(frames_raw, list) or len(frames_raw) != n_steps + 1:
-        raise SchemaError(f"{path}: expected {n_steps + 1} frames")
-    frames = np.empty((n_steps + 1, dim, dim), dtype=complex)
-    for k, frame in enumerate(frames_raw):
-        frames[k] = _decode_matrix(frame, (dim, dim), f"{path}: frame {k}")
+    frames = decode_array(doc.get("frames"), (n_steps + 1, dim, dim), path,
+                          "frames")
     return frames, float(doc["dt"]), doc.get("meta", {})
 
 
@@ -208,7 +211,7 @@ def save_tensors(path, tensors, profile=None, truncation=None, meta=None):
     doc["truncation_error"] = None if truncation is None else float(truncation)
     if meta:
         doc["meta"] = meta
-    doc["tensors"] = [_encode_matrix(t) for t in tensors.tensors]
+    doc["tensors"] = encode_array(tensors.tensors)
     _dump_json(path, doc)
 
 
@@ -224,13 +227,8 @@ def load_tensors(path):
     doc = _load_checked(path, "tensors")
     dim = int(doc["dim"])
     count = int(doc["n_steps"])
-    raw = doc.get("tensors")
-    if not isinstance(raw, list) or len(raw) != count:
-        raise SchemaError(f"{path}: expected {count} tensors")
     d2 = dim * dim
-    tensors = np.empty((count, d2, d2), dtype=complex)
-    for s, entry in enumerate(raw):
-        tensors[s] = _decode_matrix(entry, (d2, d2), f"{path}: tensor {s + 1}")
+    tensors = decode_array(doc.get("tensors"), (count, d2, d2), path, "tensors")
     seq = TransferTensorSequence(dim=dim, dt=float(doc["dt"]), tensors=tensors)
     return seq, doc
 
@@ -240,8 +238,8 @@ def save_kernel(path, kernel, meta=None):
     doc = _header("kernel", kernel.dim, kernel.dt, len(kernel))
     if meta:
         doc["meta"] = meta
-    doc["liouvillian"] = _encode_matrix(kernel.liouvillian)
-    doc["kernels"] = [_encode_matrix(k) for k in kernel.kernels]
+    doc["liouvillian"] = encode_array(kernel.liouvillian)
+    doc["kernels"] = encode_array(kernel.kernels)
     _dump_json(path, doc)
 
 
@@ -257,13 +255,8 @@ def load_kernel(path):
     dim = int(doc["dim"])
     count = int(doc["n_steps"])
     d2 = dim * dim
-    liou = _decode_matrix(doc.get("liouvillian"), (d2, d2), f"{path}: liouvillian")
-    raw = doc.get("kernels")
-    if not isinstance(raw, list) or len(raw) != count:
-        raise SchemaError(f"{path}: expected {count} kernel samples")
-    kernels = np.empty((count, d2, d2), dtype=complex)
-    for s, entry in enumerate(raw):
-        kernels[s] = _decode_matrix(entry, (d2, d2), f"{path}: kernel {s + 1}")
+    liou = decode_array(doc.get("liouvillian"), (d2, d2), path, "liouvillian")
+    kernels = decode_array(doc.get("kernels"), (count, d2, d2), path, "kernels")
     kernel = KernelSequence(
         dim=dim, dt=float(doc["dt"]), liouvillian=liou, kernels=kernels
     )

@@ -106,17 +106,16 @@ def lindblad_superop(h, jump_ops, rates):
     return gen
 
 
-def gen_lindblad(h, jump_ops, rates, grid, substeps=None):
+def gen_lindblad(h, jump_ops, rates, grid):
     """Basis trajectories of a Lindblad equation on ``grid``.
 
     Integrates the vectorized equation with the classical 4th-order
     one-step method. The substep is at most dt/10 and is shrunk further
-    if stiff rates demand it; passing ``substeps`` overrides the floor.
+    if stiff rates demand it.
     """
     gen = lindblad_superop(h, jump_ops, rates)
     dim = np.asarray(h).shape[0]
-    if substeps is None:
-        substeps = _stability_substeps(gen, grid.dt, floor=10)
+    substeps = _stability_substeps(gen, grid.dt, floor=10)
     step = step_matrix(gen, grid.dt, substeps)
     data = np.empty((dim * dim, grid.n_steps + 1, dim, dim), dtype=complex)
     data[:, 0] = _basis_stack(dim)

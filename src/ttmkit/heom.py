@@ -15,7 +15,6 @@ once.
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -39,15 +38,10 @@ class HeomConfig:
     n_matsubara : int
         Matsubara modes kept alongside the Drude pole; the neglected
         tail acts through the time-local correction.
-    integrator_dt : float or None
-        Internal substep. ``None`` picks a stability-based value; an
-        explicit value may subdivide further but never exceeds the
-        grid step.
     """
 
     depth: int
     n_matsubara: int
-    integrator_dt: float = None
 
     def __post_init__(self):
         if self.depth < 0:
@@ -56,23 +50,21 @@ class HeomConfig:
             raise ConfigurationError(
                 f"n_matsubara must be nonnegative, got {self.n_matsubara}"
             )
-        if self.integrator_dt is not None and not self.integrator_dt > 0:
-            raise ConfigurationError("integrator_dt must be positive")
 
     def refined(self):
         """The next-larger truncation used by the convergence check."""
-        return HeomConfig(self.depth + 2, self.n_matsubara + 1, self.integrator_dt)
+        return HeomConfig(self.depth + 2, self.n_matsubara + 1)
 
 
 def _multi_indices(n_modes, depth):
-    """All mode occupation tuples with total excitation <= depth."""
-    out = [
-        idx
-        for idx in product(range(depth + 1), repeat=n_modes)
-        if sum(idx) <= depth
+    """All mode occupation tuples with total excitation <= depth, sorted."""
+    if n_modes == 0:
+        return [()]
+    return [
+        (n,) + rest
+        for n in range(depth + 1)
+        for rest in _multi_indices(n_modes - 1, depth - n)
     ]
-    out.sort()
-    return out
 
 
 def hierarchy_generator(h, q_op, coeffs, rates, tail, depth):
@@ -126,7 +118,7 @@ def gen_heom(params, cfg, grid):
     params : SpinBosonParams
         Model definition (two-level system plus Drude-Lorentz bath).
     cfg : HeomConfig
-        Truncation and substep settings.
+        Truncation settings.
     grid : TimeGrid
         Output sampling grid.
 
@@ -145,10 +137,7 @@ def gen_heom(params, cfg, grid):
     tail = matsubara_tail(params.lam, params.gamma, params.beta, cfg.n_matsubara)
     gen = hierarchy_generator(h, q_op, coeffs, rates, tail, cfg.depth)
 
-    floor = 1
-    if cfg.integrator_dt is not None:
-        floor = max(1, int(np.ceil(grid.dt / cfg.integrator_dt)))
-    substeps = _stability_substeps(gen, grid.dt, floor=floor)
+    substeps = _stability_substeps(gen, grid.dt, floor=1)
     step = step_matrix(gen, grid.dt, substeps)
 
     blk = dim * dim

@@ -144,11 +144,13 @@ def validate_state(rho, atol=1e-8, psd_tol=1e-8):
     """Check that ``rho`` is a physical density matrix.
 
     Returns the array unchanged; raises :class:`DimensionError` on a
-    non-square input and ``ValueError`` on an unphysical one.
+    non-square input and ``ValueError`` on a non-finite or unphysical one.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("state has non-finite entries")
     if np.abs(rho - rho.conj().T).max() > atol:
         raise ValueError("state is not Hermitian")
     if abs(rho.trace() - 1.0) > atol:

@@ -148,6 +148,17 @@ def test_bad_initial_spec_is_exit_2(lindblad_run, tmp_path):
                 "e12", "--steps", "10", "--out", tmp_path / "s.json"]) == 2
 
 
+def test_non_finite_initial_state_is_exit_2(lindblad_run, tmp_path):
+    initial = tmp_path / "nan.json"
+    initial.write_text(json.dumps(
+        {"state": [[[np.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+    ))
+    out = tmp_path / "s.json"
+    assert run(["propagate", lindblad_run / "tensors.json", "--initial",
+                initial, "--steps", "10", "--out", out]) == 2
+    assert not out.exists()
+
+
 def test_insufficient_learning_is_exit_3(tmp_path):
     traj = tmp_path / "traj.json"
     assert run(["generate", "--model", "heom", "--dt", "0.05", "--steps", "20",

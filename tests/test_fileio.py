@@ -123,6 +123,8 @@ def test_header_fields_present(trajs, tmp_path):
     lambda d: d["trajectories"].pop(),
     lambda d: d["trajectories"][0].update(row=5),
     lambda d: d["trajectories"][0]["frames"][0][0].pop(),
+    lambda d: d["trajectories"][0]["frames"][1][0][1].__setitem__(0, None),
+    lambda d: d["trajectories"][0]["frames"][1][0][1].__setitem__(1, np.inf),
 ])
 def test_corrupted_documents_are_rejected(trajs, tmp_path, mutate):
     path = tmp_path / "trajs.json"
@@ -132,6 +134,40 @@ def test_corrupted_documents_are_rejected(trajs, tmp_path, mutate):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):
         load_basis_trajectories(path)
+
+
+def _state_doc(trajs, path):
+    save_state_trajectory(path, trajs.data[0], dt=0.1)
+    return load_state_trajectory, "frames"
+
+
+def _tensors_doc(trajs, path):
+    save_tensors(path, maps_to_tensors(extract_maps(trajs)))
+    return load_tensors, "tensors"
+
+
+def _kernel_doc(trajs, path):
+    tensors = maps_to_tensors(extract_maps(trajs))
+    liou = extract_liouvillian(tensors.tensors[0], tensors.dt,
+                               known_h=tls_hamiltonian(1.0, 0.4))
+    save_kernel(path, extract_kernel(tensors, liou))
+    return load_kernel, "kernels"
+
+
+@pytest.mark.parametrize("write", [_state_doc, _tensors_doc, _kernel_doc])
+@pytest.mark.parametrize("mutate", [
+    lambda payload: payload.pop(),
+    lambda payload: payload[-1][0][0].__setitem__(0, None),
+], ids=["one-sample-short", "null-entry"])
+def test_payload_shape_and_finiteness_are_checked(trajs, tmp_path, write,
+                                                  mutate):
+    path = tmp_path / "doc.json"
+    load, field = write(trajs, path)
+    doc = json.loads(path.read_text())
+    mutate(doc[field])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=field):
+        load(path)
 
 
 def test_unreadable_and_invalid_files_are_schema_errors(tmp_path):

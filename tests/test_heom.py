@@ -1,7 +1,10 @@
 """Hierarchy integrator checks against closed-form limits."""
 
+from itertools import product
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from ttmkit import (
     HeomConfig,
@@ -14,6 +17,7 @@ from ttmkit import (
 )
 from ttmkit.errors import ConfigurationError, DivergenceError
 from ttmkit import heom as heom_module
+from ttmkit.models import bath_correlation_modes, matsubara_tail
 
 
 def test_pure_dephasing_matches_quadrature():
@@ -47,14 +51,34 @@ def test_structural_defects_stay_at_zero():
     assert np.abs(traces - traces[:, :1]).max() < 1e-10
 
 
-def test_explicit_substep_changes_nothing():
+def test_stepping_matches_exact_exponential():
     params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=0.1, gamma=1.0,
                              beta=0.5)
     grid = TimeGrid(dt=0.1, n_steps=20)
-    auto = gen_heom(params, HeomConfig(depth=3, n_matsubara=1), grid)
-    fine = gen_heom(params, HeomConfig(depth=3, n_matsubara=1,
-                                       integrator_dt=0.002), grid)
-    assert np.abs(auto.data - fine.data).max() < 1e-9
+    trajs = gen_heom(params, HeomConfig(depth=3, n_matsubara=1), grid)
+    coeffs, rates = bath_correlation_modes(params.lam, params.gamma,
+                                           params.beta, 1)
+    tail = matsubara_tail(params.lam, params.gamma, params.beta, 1)
+    gen = heom_module.hierarchy_generator(params.hamiltonian,
+                                          params.coupling_op, coeffs, rates,
+                                          tail, 3)
+    step = expm(gen * grid.dt)
+    state = np.zeros((gen.shape[0], 4), dtype=complex)
+    state[:4] = np.eye(4)
+    deviation = 0.0
+    for k in range(1, grid.n_steps + 1):
+        state = step @ state
+        exact = state[:4].T.reshape(4, 2, 2)
+        deviation = max(deviation, np.abs(trajs.data[:, k] - exact).max())
+    assert deviation < 1e-10
+
+
+@pytest.mark.parametrize("n_modes", range(6))
+def test_multi_indices_match_brute_force_filter(n_modes):
+    for depth in range(9):
+        brute = sorted(idx for idx in product(range(depth + 1), repeat=n_modes)
+                       if sum(idx) <= depth)
+        assert heom_module._multi_indices(n_modes, depth) == brute
 
 
 def test_convergence_report_with_refined_truncation():
@@ -88,7 +112,6 @@ def test_divergence_guard_reports_step(monkeypatch):
 @pytest.mark.parametrize("kwargs", [
     {"depth": -1, "n_matsubara": 0},
     {"depth": 2, "n_matsubara": -1},
-    {"depth": 2, "n_matsubara": 1, "integrator_dt": 0.0},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ConfigurationError):

@@ -150,6 +150,8 @@ def test_validate_state_normalizes_and_checks():
     assert abs(np.trace(rho) - 1.0) < 1e-14
     with pytest.raises(ValueError):
         validate_state(np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex))
+    with pytest.raises(ValueError, match="non-finite"):
+        validate_state(np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex))
 
 
 def test_bloch_vector_of_pauli_eigenstates():
