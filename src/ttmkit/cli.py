@@ -200,27 +200,38 @@ def cmd_learn(args):
     return 0
 
 
-def cmd_propagate(args):
-    tensors, doc = fileio.load_tensors(args.tensors)
-    rho0 = _parse_initial(args.initial, tensors.dim)
-    frames = propagate(tensors, len(tensors), rho0, args.steps)
+def _propagate_checked(tensors, k_cutoff, rho0, steps, out=None, meta=None):
+    """Propagated frames, refused if the trace drifts.
+
+    The drift |tr rho(t_m) - 1| may reach 1e-6 plus 1e-6 per 100 steps.
+    With ``out`` the frames are written there first, so a failing run
+    still leaves its product behind.
+    """
+    frames = propagate(tensors, k_cutoff, rho0, steps)
     traces = np.abs(np.einsum("kii->k", frames) - 1.0)
-    allowed = 1e-6 * (np.arange(args.steps + 1) / 100.0 + 1.0)
     drift = float(traces.max())
-    summary = {
-        "final_state": fileio.encode_array(frames[-1]),
-        "max_trace_drift": drift,
-    }
-    fileio.save_state_trajectory(
-        args.out, frames, tensors.dt, meta=doc.get("meta", {}), summary=summary,
-    )
-    log.info("wrote %s (%d steps, max trace drift %.3e)",
-             args.out, args.steps, drift)
-    if bool(np.any(traces > allowed)):
+    if out is not None:
+        summary = {
+            "final_state": fileio.encode_array(frames[-1]),
+            "max_trace_drift": drift,
+        }
+        fileio.save_state_trajectory(out, frames, tensors.dt, meta=meta,
+                                     summary=summary)
+        log.info("wrote %s (%d steps, max trace drift %.3e)",
+                 out, steps, drift)
+    if bool(np.any(traces > 1e-6 * (np.arange(steps + 1) / 100.0 + 1.0))):
         raise NumericalError(
             f"trace drift {drift:.3e} beyond tolerance; tensors are "
             "inaccurate or the cutoff is too aggressive"
         )
+    return frames
+
+
+def cmd_propagate(args):
+    tensors, doc = fileio.load_tensors(args.tensors)
+    rho0 = _parse_initial(args.initial, tensors.dim)
+    _propagate_checked(tensors, len(tensors), rho0, args.steps, out=args.out,
+                       meta=doc.get("meta", {}))
     return 0
 
 
@@ -266,30 +277,24 @@ def cmd_kernel(args):
             pairs = _parse_elements(args.elements, tensors.dim)
         else:
             d = tensors.dim
-            pairs = [
-                ((a, b), (c, e))
-                for a in range(d) for b in range(d)
-                for c in range(d) for e in range(d)
-            ]
+            pairs = [((a, b), (c, e)) for a, b, c, e in np.ndindex((d,) * 4)]
         columns = ["s", "time"]
-        series = []
         for src, dst in pairs:
             label = f"{src[0]}{src[1]}to{dst[0]}{dst[1]}"
             columns += [f"re_{label}", f"im_{label}"]
-            series.append(kernel_element_series(kernel, src, dst)[1])
-        times = tensors.dt * np.arange(1, len(kernel) + 1)
-        rows = []
-        for s in range(len(kernel)):
-            row = [s + 1, float(times[s])]
-            for values in series:
-                row += [float(values[s].real), float(values[s].imag)]
-            rows.append(row)
+        values = np.stack([kernel_element_series(kernel, src, dst)[1]
+                           for src, dst in pairs], axis=-1)
+        table = np.column_stack([
+            tensors.dt * np.arange(1, len(kernel) + 1),
+            np.stack([values.real, values.imag], -1).reshape(len(kernel), -1),
+        ])
+        rows = [[s, *row] for s, row in enumerate(table.tolist(), start=1)]
         fileio.write_table(args.table, columns, rows)
         log.info("wrote %s (%d elements)", args.table, len(pairs))
     return 0
 
 
-def _analyze_trajectory(frames, dt, meta, tol, window):
+def _analyze_trajectory(frames, meta, tol, window):
     """One sweep row: equilibrium detection plus the deviation angle."""
     row = {
         "lambda": meta.get("lambda", float("nan")),
@@ -336,9 +341,10 @@ def _sweep_point(args, lam, beta, omega0, j, gamma, dt):
     full = maps_to_tensors(extract_maps(trajs))
     cutoff = choose_cutoff(full, args.cutoff_tol)
     rho0 = _parse_initial(args.initial, params.dim)
-    frames = propagate(full.truncated(cutoff), cutoff, rho0, args.steps)
+    frames = _propagate_checked(full.truncated(cutoff), cutoff, rho0,
+                                args.steps)
     meta = {"lambda": lam, "beta": beta, "omega0": omega0, "j": j}
-    return _analyze_trajectory(frames, dt, meta, args.tol, args.window)
+    return _analyze_trajectory(frames, meta, args.tol, args.window)
 
 
 def cmd_analyze(args):
@@ -363,10 +369,8 @@ def cmd_analyze(args):
                 "need trajectory files or --sweep-lambda/--sweep-beta"
             )
         for path in args.trajectories:
-            frames, dt, meta = fileio.load_state_trajectory(path)
-            rows.append(
-                _analyze_trajectory(frames, dt, meta, args.tol, args.window)
-            )
+            frames, _, meta = fileio.load_state_trajectory(path)
+            rows.append(_analyze_trajectory(frames, meta, args.tol, args.window))
     columns = ["lambda", "beta", "theta", "settled_at", "residual", "status"]
     fileio.write_table(
         args.out,

@@ -12,6 +12,7 @@ target directory followed by an atomic rename.
 """
 
 import json
+import math
 import os
 import tempfile
 
@@ -87,6 +88,15 @@ def _header(kind, dim, dt, n_steps):
     }
 
 
+# JSON yields exact Python types, so ``type(v) is int`` also refuses bools.
+_HEADER_FIELDS = (
+    ("dim", lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    ("dt", lambda v: type(v) in (int, float) and 0 < v < math.inf,
+     "a finite positive number"),
+    ("n_steps", lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+)
+
+
 def _load_checked(path, kind):
     try:
         with open(path) as handle:
@@ -106,9 +116,11 @@ def _load_checked(path, kind):
         raise SchemaError(f"{path}: kind {doc.get('kind')!r}, expected {kind!r}")
     if doc.get("vectorization") != VECTORIZATION:
         raise SchemaError(f"{path}: unsupported vectorization convention")
-    for key in ("dim", "dt", "n_steps"):
+    for key, valid, want in _HEADER_FIELDS:
         if key not in doc:
             raise SchemaError(f"{path}: missing header field {key!r}")
+        if not valid(doc[key]):
+            raise SchemaError(f"{path}: {key} {doc[key]!r} is not {want}")
     return doc
 
 
@@ -142,8 +154,8 @@ def load_basis_trajectories(path):
     doc = _load_checked(path, "trajectory")
     if doc.get("content") != "basis":
         raise SchemaError(f"{path}: content {doc.get('content')!r} is not 'basis'")
-    dim = int(doc["dim"])
-    n_steps = int(doc["n_steps"])
+    dim = doc["dim"]
+    n_steps = doc["n_steps"]
     entries = doc.get("trajectories")
     if not isinstance(entries, list) or len(entries) != dim * dim:
         raise SchemaError(f"{path}: expected {dim * dim} basis trajectories")
@@ -151,12 +163,13 @@ def load_basis_trajectories(path):
     seen = set()
     for entry in entries:
         try:
-            i, j = int(entry["row"]), int(entry["col"])
-            frames = entry["frames"]
+            i, j, frames = entry["row"], entry["col"], entry["frames"]
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"{path}: malformed trajectory entry") from exc
-        if not (0 <= i < dim and 0 <= j < dim) or (i, j) in seen:
-            raise SchemaError(f"{path}: bad or repeated basis label ({i}, {j})")
+        if (type(i) is not int or type(j) is not int
+                or not (0 <= i < dim and 0 <= j < dim) or (i, j) in seen):
+            raise SchemaError(
+                f"{path}: bad or repeated basis label ({i!r}, {j!r})")
         seen.add((i, j))
         data[i * dim + j] = decode_array(
             frames, (n_steps + 1, dim, dim), path, f"frames of ({i}, {j})"
@@ -190,8 +203,8 @@ def load_state_trajectory(path):
     doc = _load_checked(path, "trajectory")
     if doc.get("content") != "state":
         raise SchemaError(f"{path}: content {doc.get('content')!r} is not 'state'")
-    dim = int(doc["dim"])
-    n_steps = int(doc["n_steps"])
+    dim = doc["dim"]
+    n_steps = doc["n_steps"]
     frames = decode_array(doc.get("frames"), (n_steps + 1, dim, dim), path,
                           "frames")
     return frames, float(doc["dt"]), doc.get("meta", {})
@@ -225,8 +238,8 @@ def load_tensors(path):
         The full document, for access to diagnostics and meta.
     """
     doc = _load_checked(path, "tensors")
-    dim = int(doc["dim"])
-    count = int(doc["n_steps"])
+    dim = doc["dim"]
+    count = doc["n_steps"]
     d2 = dim * dim
     tensors = decode_array(doc.get("tensors"), (count, d2, d2), path, "tensors")
     seq = TransferTensorSequence(dim=dim, dt=float(doc["dt"]), tensors=tensors)
@@ -252,8 +265,8 @@ def load_kernel(path):
     meta : dict
     """
     doc = _load_checked(path, "kernel")
-    dim = int(doc["dim"])
-    count = int(doc["n_steps"])
+    dim = doc["dim"]
+    count = doc["n_steps"]
     d2 = dim * dim
     liou = decode_array(doc.get("liouvillian"), (d2, d2), path, "liouvillian")
     kernels = decode_array(doc.get("kernels"), (count, d2, d2), path, "kernels")

@@ -1,7 +1,8 @@
 """Reference trajectory generators: unitary, Lindblad, exact dephasing.
 
-Each generator feeds the complete operator basis through its dynamics
-and returns a :class:`~ttmkit.trajectories.BasisTrajectorySet`. The
+Each generator builds the stack of dynamical maps E_k (E_0 = identity)
+and stores it with :meth:`~ttmkit.trajectories.BasisTrajectorySet.from_maps`,
+which lays it out as the evolved operator basis. The
 hierarchy integrator for the non-perturbative bath lives in
 :mod:`ttmkit.heom`.
 """
@@ -10,14 +11,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConfigurationError, DimensionError
-from .liouville import basis_element, spre, spost
+from .liouville import spre, spost, unitary_superop
 from .trajectories import BasisTrajectorySet, TimeGrid
-
-
-def _basis_stack(dim):
-    return np.stack(
-        [basis_element(dim, i, j) for i in range(dim) for j in range(dim)]
-    )
 
 
 def _rk4_matrix(gen, h):
@@ -60,15 +55,11 @@ def gen_unitary(h, grid):
         raise DimensionError(f"hamiltonian must be square, got shape {h.shape}")
     if not np.allclose(h, h.conj().T, atol=1e-12 * max(1.0, np.abs(h).max())):
         raise DimensionError("hamiltonian must be Hermitian")
-    dim = h.shape[0]
     energies, modes = np.linalg.eigh(h)
-    basis = _basis_stack(dim)
-    data = np.empty((dim * dim, grid.n_steps + 1, dim, dim), dtype=complex)
-    data[:, 0] = basis
-    for k, t in enumerate(grid.times[1:], start=1):
-        u = (modes * np.exp(-1j * energies * t)) @ modes.conj().T
-        data[:, k] = np.einsum("ab,nbc,dc->nad", u, basis, u.conj())
-    return BasisTrajectorySet(dim=dim, grid=grid, data=data)
+    phases = np.exp(-1j * energies * grid.times[:, None])
+    maps = unitary_superop((modes * phases[:, None, :]) @ modes.conj().T)
+    maps[0] = np.eye(h.shape[0] ** 2)
+    return BasisTrajectorySet.from_maps(grid, maps)
 
 
 def lindblad_superop(h, jump_ops, rates):
@@ -114,16 +105,13 @@ def gen_lindblad(h, jump_ops, rates, grid):
     if stiff rates demand it.
     """
     gen = lindblad_superop(h, jump_ops, rates)
-    dim = np.asarray(h).shape[0]
     substeps = _stability_substeps(gen, grid.dt, floor=10)
     step = step_matrix(gen, grid.dt, substeps)
-    data = np.empty((dim * dim, grid.n_steps + 1, dim, dim), dtype=complex)
-    data[:, 0] = _basis_stack(dim)
-    emap = np.eye(dim * dim, dtype=complex)
+    maps = np.empty((grid.n_steps + 1,) + gen.shape, dtype=complex)
+    maps[0] = np.eye(gen.shape[0])
     for k in range(1, grid.n_steps + 1):
-        emap = step @ emap
-        data[:, k] = emap.T.reshape(dim * dim, dim, dim)
-    return BasisTrajectorySet(dim=dim, grid=grid, data=data)
+        maps[k] = step @ maps[k - 1]
+    return BasisTrajectorySet.from_maps(grid, maps)
 
 
 def dephasing_exponent(t, lam, gamma, beta, epsrel=1e-10):
@@ -206,20 +194,18 @@ def gen_dephasing_analytic(params, grid, epsrel=1e-10):
         )
     q = np.diag(q_rot).real
 
-    basis = _basis_stack(dim)
-    rotated = np.einsum("ba,nbc,cd->nad", modes.conj(), basis, modes)
     gap = energies[:, None] - energies[None, :]
     damp = (q[:, None] - q[None, :]) ** 2
     shift = (q[:, None] ** 2 - q[None, :] ** 2)
 
-    data = np.empty((dim * dim, grid.n_steps + 1, dim, dim), dtype=complex)
-    data[:, 0] = basis
+    # Elementwise factors in the eigenbasis, as a diagonal superoperator.
+    factors = np.ones((grid.n_steps + 1, dim, dim), dtype=complex)
     for k, t in enumerate(grid.times[1:], start=1):
         reg = dephasing_exponent(t, params.lam, params.gamma, params.beta,
                                  epsrel=epsrel)
         img = dephasing_phase(t, params.lam, params.gamma)
-        factor = np.exp(-1j * gap * t - damp * reg - 1j * shift * img)
-        data[:, k] = np.einsum(
-            "ab,nbc,dc->nad", modes, factor[None, :, :] * rotated, modes.conj()
-        )
-    return BasisTrajectorySet(dim=dim, grid=grid, data=data)
+        factors[k] = np.exp(-1j * gap * t - damp * reg - 1j * shift * img)
+    rotate = unitary_superop(modes)
+    maps = (rotate * factors.reshape(-1, 1, dim * dim)) @ rotate.conj().T
+    maps[0] = np.eye(dim * dim)
+    return BasisTrajectorySet.from_maps(grid, maps)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .generators import _basis_stack, _stability_substeps, step_matrix
+from .generators import _stability_substeps, step_matrix
 from .liouville import spre, spost
 from .models import bath_correlation_modes, matsubara_tail
 from .trajectories import BasisTrajectorySet
@@ -143,8 +143,8 @@ def gen_heom(params, cfg, grid):
     blk = dim * dim
     state = np.zeros((gen.shape[0], blk), dtype=complex)
     state[:blk, :] = np.eye(blk)
-    data = np.empty((blk, grid.n_steps + 1, dim, dim), dtype=complex)
-    data[:, 0] = _basis_stack(dim)
+    maps = np.empty((grid.n_steps + 1, blk, blk), dtype=complex)
+    maps[0] = state[:blk]
     for k in range(1, grid.n_steps + 1):
         state = step @ state
         peak = float(np.abs(state).max())
@@ -155,8 +155,8 @@ def gen_heom(params, cfg, grid):
                 step=k,
                 time=k * grid.dt,
             )
-        data[:, k] = state[:blk].T.reshape(blk, dim, dim)
-    return BasisTrajectorySet(dim=dim, grid=grid, data=data)
+        maps[k] = state[:blk]
+    return BasisTrajectorySet.from_maps(grid, maps)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .liouville import PAULI, basis_element, liouvillian_superop, superop_norm
+from .liouville import liouvillian_superop, superop_norm
 from .tensors import TransferTensorSequence
 
 
@@ -43,34 +43,20 @@ class LiouvillianFit:
     residual_norm: float
 
 
-def _hermitian_basis(dim):
-    """Orthogonal traceless Hermitian basis (generalized Pauli set)."""
-    if dim == 2:
-        return list(PAULI)
-    out = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            sym = basis_element(dim, i, j) + basis_element(dim, j, i)
-            asym = -1j * basis_element(dim, i, j) + 1j * basis_element(dim, j, i)
-            out.append(sym)
-            out.append(asym)
-    for level in range(1, dim):
-        diag = np.zeros(dim)
-        diag[:level] = 1.0
-        diag[level] = -level
-        out.append(np.diag(diag * np.sqrt(2.0 / (level * (level + 1)))).astype(complex))
-    return out
-
-
 def extract_liouvillian(t1, dt, known_h=None, details=False):
     """Coherent generator consistent with the first transfer tensor.
 
     With ``known_h`` the commutator superoperator of that Hamiltonian
-    is returned directly. Otherwise the raw estimate i (T_1 - 1)/dt is
-    projected (real least squares) onto the span of commutator
-    superoperators; the orthogonal remainder is dissipative content
-    plus O(dt) kernel contamination and is available through
-    ``details=True``.
+    is returned directly. Otherwise the raw estimate R = i (T_1 - 1)/dt
+    is projected (least squares) onto the commutator superoperators of
+    traceless Hermitian matrices. In closed form the projection is the
+    Hermitian traceless part of
+
+        x[a, c] = (sum_b R[ab, cb] - sum_b R[bc, ba]) / (2 D),
+
+    the adjoint of rho -> [h, rho] applied to R. The orthogonal
+    remainder is dissipative content plus O(dt) kernel contamination
+    and is available through ``details=True``.
 
     Returns
     -------
@@ -90,33 +76,18 @@ def extract_liouvillian(t1, dt, known_h=None, details=False):
             raise DimensionError(
                 f"known_h shape {known_h.shape} does not match dim {dim}"
             )
-        superop = liouvillian_superop(known_h)
-        if not details:
-            return superop
-        resid = raw - superop
-        return superop, LiouvillianFit(
-            hamiltonian=known_h,
-            residual=resid,
-            residual_norm=superop_norm(resid),
-        )
-    basis = _hermitian_basis(dim)
-    columns = np.stack(
-        [liouvillian_superop(g).reshape(-1) for g in basis], axis=1
-    )
-    target = raw.reshape(-1)
-    # Force real coefficients by stacking real and imaginary parts.
-    lhs = np.vstack([columns.real, columns.imag])
-    rhs = np.concatenate([target.real, target.imag])
-    coeff, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    h_fit = sum(c * g for c, g in zip(coeff, basis))
-    superop = liouvillian_superop(h_fit)
+        h = known_h
+    else:
+        r4 = raw.reshape(dim, dim, dim, dim)
+        x = (np.einsum("abcb->ac", r4) - np.einsum("bcba->ac", r4)) / (2 * dim)
+        h = 0.5 * (x + x.conj().T)
+        h -= np.trace(h) / dim * np.eye(dim)
+    superop = liouvillian_superop(h)
     if not details:
         return superop
     resid = raw - superop
     return superop, LiouvillianFit(
-        hamiltonian=h_fit,
-        residual=resid,
-        residual_norm=superop_norm(resid),
+        hamiltonian=h, residual=resid, residual_norm=superop_norm(resid)
     )
 
 
@@ -190,7 +161,7 @@ def kernel_to_tensors(kernel):
 
 def kernel_norms(kernel):
     """Spectral norm of each kernel sample (decay diagnostic)."""
-    return np.array([superop_norm(k) for k in kernel.kernels])
+    return np.linalg.norm(kernel.kernels, 2, axis=(1, 2))
 
 
 def kernel_element_series(kernel, source, target):

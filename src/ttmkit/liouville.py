@@ -80,11 +80,13 @@ def liouvillian_superop(h):
 
 
 def unitary_superop(u):
-    """Conjugation superoperator rho -> u rho u^dagger."""
+    """Conjugation superoperator rho -> u rho u^dagger, or a stack of them."""
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {u.shape}")
-    return np.kron(u, u.conj())
+    if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
+        raise DimensionError(f"expected square matrices, got shape {u.shape}")
+    d2 = u.shape[-1] ** 2
+    out = np.einsum("...ab,...cd->...acbd", u, u.conj())
+    return out.reshape(u.shape[:-2] + (d2, d2))
 
 
 def superop_norm(s):
@@ -95,23 +97,35 @@ def superop_norm(s):
     return float(np.linalg.norm(s, 2))
 
 
+def _superop_stack(s):
+    """Complex (..., D^2, D^2) stack ``s`` and its 4-index view.
+
+    The view is indexed [..., out_row, out_col, in_row, in_col].
+    """
+    s = np.asarray(s, dtype=complex)
+    dim = round(np.sqrt(s.shape[-1])) if s.ndim >= 2 else 0
+    if s.ndim < 2 or dim * dim != s.shape[-1] or s.shape[-2] != s.shape[-1]:
+        raise DimensionError(f"superoperator shape {s.shape} is not (D^2, D^2)")
+    return s, s.reshape(s.shape[:-2] + (dim,) * 4)
+
+
 def dagger_flip(s):
     """Superoperator conjugated by the adjoint map, A -> (S(A^+))^+.
 
     A superoperator preserves Hermiticity iff ``dagger_flip(s) == s``.
+    Stacks (extra leading axes) are flipped one superoperator at a time.
     """
-    s = np.asarray(s, dtype=complex)
-    dim2 = s.shape[0]
-    dim = round(np.sqrt(dim2))
-    if dim * dim != dim2 or s.shape != (dim2, dim2):
-        raise DimensionError(f"superoperator shape {s.shape} is not (D^2, D^2)")
-    s4 = s.reshape(dim, dim, dim, dim)
-    return s4.transpose(1, 0, 3, 2).conj().reshape(dim2, dim2)
+    s, s4 = _superop_stack(s)
+    return np.einsum("...abcd->...badc", s4).conj().reshape(s.shape)
 
 
 def hermiticity_defect(s):
-    """Max deviation of a superoperator from preserving Hermiticity."""
-    return float(np.abs(np.asarray(s, dtype=complex) - dagger_flip(s)).max())
+    """Max deviation of a superoperator from preserving Hermiticity.
+
+    Returns a float, or one value per superoperator of a stack.
+    """
+    s = np.asarray(s, dtype=complex)
+    return np.abs(s - dagger_flip(s)).max(axis=(-2, -1))
 
 
 def trace_defect(s):
@@ -119,25 +133,21 @@ def trace_defect(s):
 
     The trace functional in vectorized form is the row vector
     ``vec(I)^T``; trace preservation means it is a left fixed point.
+    Returns a float, or one value per superoperator of a stack.
     """
-    s = np.asarray(s, dtype=complex)
-    dim = round(np.sqrt(s.shape[0]))
-    tr_row = np.eye(dim, dtype=complex).reshape(-1)
-    return float(np.abs(tr_row @ s - tr_row).max())
+    s, s4 = _superop_stack(s)
+    tr_row = np.eye(s4.shape[-1], dtype=complex).reshape(-1)
+    return np.abs(tr_row @ s - tr_row).max(axis=-1)
 
 
 def choi_matrix(s):
     """Choi matrix of a superoperator under the row-major convention.
 
     The map is completely positive iff the returned matrix is positive
-    semidefinite.
+    semidefinite. Stacks give one Choi matrix per superoperator.
     """
-    s = np.asarray(s, dtype=complex)
-    dim = round(np.sqrt(s.shape[0]))
-    if s.shape != (dim * dim, dim * dim):
-        raise DimensionError(f"superoperator shape {s.shape} is not (D^2, D^2)")
-    s4 = s.reshape(dim, dim, dim, dim)  # [out_row, out_col, in_row, in_col]
-    return s4.transpose(2, 0, 3, 1).reshape(dim * dim, dim * dim)
+    s, s4 = _superop_stack(s)
+    return np.einsum("...abcd->...cadb", s4).reshape(s.shape)
 
 
 def validate_state(rho, atol=1e-8, psd_tol=1e-8):

@@ -2,7 +2,10 @@
 
 Because every trajectory starts from a matrix unit, the map at time t_k
 simply has the vectorized frame k of trajectory (i, j) as its column
-i*D + j; extraction is a transpose, not an inversion.
+i*D + j; extraction is a copy of
+:attr:`~ttmkit.trajectories.BasisTrajectorySet.maps`, the one place that
+layout is read (generators write it through
+:meth:`~ttmkit.trajectories.BasisTrajectorySet.from_maps`).
 """
 
 from dataclasses import dataclass, field
@@ -71,11 +74,8 @@ def extract_maps(trajs, tol=1e-10):
             f"adjoint symmetry violated by {sym:.3g}; trajectories do not "
             "come from a linear Hermiticity-preserving evolution"
         )
-    d2 = trajs.dim * trajs.dim
-    n_frames = trajs.grid.n_steps + 1
-    # data[alpha, k] reshaped so column alpha of maps[k] is vec(frame).
-    maps = trajs.data.reshape(d2, n_frames, d2).transpose(1, 2, 0).copy()
-    maps[0] = np.eye(d2)
+    maps = trajs.maps.copy()
+    maps[0] = np.eye(trajs.dim * trajs.dim)
     return DynamicalMapSequence(dim=trajs.dim, dt=trajs.grid.dt, maps=maps)
 
 
@@ -101,15 +101,10 @@ class MapValidationReport:
 
 def validate_maps(seq):
     """Trace, Hermiticity and complete-positivity diagnostics per step."""
-    n = seq.maps.shape[0]
-    tr = np.empty(n)
-    he = np.empty(n)
-    ch = np.empty(n)
-    for k in range(n):
-        tr[k] = trace_defect(seq.maps[k])
-        he[k] = hermiticity_defect(seq.maps[k])
-        choi = choi_matrix(seq.maps[k])
-        ch[k] = float(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T)).min())
+    choi = choi_matrix(seq.maps)
+    herm_choi = 0.5 * (choi + choi.conj().swapaxes(-2, -1))
     return MapValidationReport(
-        trace_defects=tr, hermiticity_defects=he, choi_min_eigs=ch
+        trace_defects=trace_defect(seq.maps),
+        hermiticity_defects=hermiticity_defect(seq.maps),
+        choi_min_eigs=np.linalg.eigvalsh(herm_choi).min(axis=-1),
     )

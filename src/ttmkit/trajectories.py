@@ -1,9 +1,10 @@
 """Time grids and basis-trajectory containers.
 
 A basis trajectory set holds the evolution of every matrix unit
-|i><j| of the system space on a uniform time grid. Feeding the full
-operator basis through the dynamics is what makes the later map
-extraction a plain reshape instead of a fit.
+|i><j| of the system space on a uniform time grid, so the dynamical
+maps are a reshape of it, not a fit: frame k of |i><j| is column
+i*D + j of E_k. Only :meth:`BasisTrajectorySet.from_maps` and
+:attr:`BasisTrajectorySet.maps` know that layout.
 """
 
 from dataclasses import dataclass, field
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .liouville import basis_element
+from .liouville import hermiticity_defect
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,26 @@ class BasisTrajectorySet:
             )
         object.__setattr__(self, "data", data)
 
+    @classmethod
+    def from_maps(cls, grid, maps):
+        """Basis trajectories of the maps E_k (E_0 the identity)."""
+        maps = np.asarray(maps, dtype=complex)
+        d2 = maps.shape[-1]
+        dim = round(np.sqrt(d2))
+        if maps.ndim != 3 or maps.shape[1] != d2 or dim * dim != d2:
+            raise DimensionError(f"map stack shape {maps.shape} is not "
+                                 "(n_steps + 1, D^2, D^2)")
+        data = maps.transpose(2, 0, 1).copy().reshape(d2, -1, dim, dim)
+        return cls(dim=dim, grid=grid, data=data)
+
+    @property
+    def maps(self):
+        """Read-only (n_steps + 1, D^2, D^2) view of the maps E_k."""
+        d2 = self.dim * self.dim
+        view = self.data.reshape(d2, -1, d2).transpose(1, 2, 0)
+        view.flags.writeable = False
+        return view
+
     def element(self, i, j):
         """Trajectory of the basis element |i><j|, shape (n_steps+1, D, D)."""
         if not (0 <= i < self.dim and 0 <= j < self.dim):
@@ -69,11 +90,7 @@ class BasisTrajectorySet:
 
     def initial_defect(self):
         """Max deviation of frame 0 from the exact operator basis."""
-        d = self.dim
-        expected = np.stack(
-            [basis_element(d, i, j) for i in range(d) for j in range(d)]
-        )
-        return float(np.abs(self.data[:, 0] - expected).max())
+        return float(np.abs(self.maps[0] - np.eye(self.dim * self.dim)).max())
 
     def dagger_defect(self):
         """Max violation of the (i,j) <-> (j,i) adjoint symmetry.
@@ -81,10 +98,7 @@ class BasisTrajectorySet:
         Linearity of the dynamics forces the |j><i| trajectory to be the
         elementwise adjoint of the |i><j| one at every time.
         """
-        d = self.dim
-        sw = self.data.reshape(d, d, -1, d, d)
-        flipped = sw.transpose(1, 0, 2, 4, 3).conj().reshape(self.data.shape)
-        return float(np.abs(self.data - flipped).max())
+        return float(hermiticity_defect(self.maps).max())
 
     def evolve_state(self, rho0):
         """Trajectory of an arbitrary initial matrix by linearity."""

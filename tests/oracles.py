@@ -5,16 +5,29 @@ second-order memory tensor is assembled from the bath correlation
 function by direct quadrature, so agreement with the extracted kernel
 is a genuine cross-check rather than a reimplementation.
 
-The ``reference_*`` functions are the direct nested-loop forms of the
-memory recursion (one 4x4 product per lag and step), kept as the
-oracle for the batched recursion in ``ttmkit.tensors``.
+The ``reference_*`` functions are the direct forms of code the library
+now runs batched or in closed form, kept as oracles for it: the
+nested-loop memory recursion (one 4x4 product per lag and step) behind
+``ttmkit.tensors``, the per-superoperator diagnostics behind
+``ttmkit.maps.validate_maps`` and the stack helpers of
+``ttmkit.liouville``, the frame-layout basis checks behind
+``BasisTrajectorySet.initial_defect``/``dagger_defect``, and the least
+squares over the generalized Pauli basis behind the fitted
+``ttmkit.kernels.extract_liouvillian``.
 """
 
 import numpy as np
 
 from ttmkit.errors import DimensionError
-from ttmkit.liouville import spost, spre, unitary_superop
-from ttmkit.maps import DynamicalMapSequence
+from ttmkit.liouville import (
+    PAULI,
+    basis_element,
+    liouvillian_superop,
+    spost,
+    spre,
+    unitary_superop,
+)
+from ttmkit.maps import DynamicalMapSequence, MapValidationReport
 from ttmkit.models import bath_correlation_modes
 from ttmkit.tensors import TransferTensorSequence
 
@@ -174,3 +187,84 @@ def reference_propagate(tensors, k_cutoff, seed, n_total):
             acc += t_arr[s - 1] @ out[m - s].reshape(-1)
         out[m] = acc.reshape(d, d)
     return out
+
+
+def reference_superop_diagnostics(s):
+    """Trace defect, Hermiticity defect and Choi matrix of one superoperator.
+
+    Also returns the adjoint-conjugated superoperator the Hermiticity
+    defect compares against.
+    """
+    d2 = s.shape[0]
+    d = round(np.sqrt(d2))
+    s4 = s.reshape(d, d, d, d)  # [out_row, out_col, in_row, in_col]
+    flipped = s4.transpose(1, 0, 3, 2).conj().reshape(d2, d2)
+    tr_row = np.eye(d, dtype=complex).reshape(-1)
+    trace = float(np.abs(tr_row @ s - tr_row).max())
+    choi = s4.transpose(2, 0, 3, 1).reshape(d2, d2)
+    return trace, float(np.abs(s - flipped).max()), choi, flipped
+
+
+def reference_validate_maps(seq):
+    """Map diagnostics computed one step at a time."""
+    n = seq.maps.shape[0]
+    tr = np.empty(n)
+    he = np.empty(n)
+    ch = np.empty(n)
+    for k in range(n):
+        tr[k], he[k], choi, _ = reference_superop_diagnostics(seq.maps[k])
+        ch[k] = float(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T)).min())
+    return MapValidationReport(
+        trace_defects=tr, hermiticity_defects=he, choi_min_eigs=ch
+    )
+
+
+def reference_basis_defects(trajs):
+    """Initial-frame and adjoint-pairing defects read in the frame layout."""
+    d = trajs.dim
+    expected = np.stack(
+        [basis_element(d, i, j) for i in range(d) for j in range(d)]
+    )
+    initial = float(np.abs(trajs.data[:, 0] - expected).max())
+    sw = trajs.data.reshape(d, d, -1, d, d)
+    flipped = sw.transpose(1, 0, 2, 4, 3).conj().reshape(trajs.data.shape)
+    return initial, float(np.abs(trajs.data - flipped).max())
+
+
+def _generalized_pauli_basis(dim):
+    """Orthogonal traceless Hermitian basis (generalized Pauli set)."""
+    if dim == 2:
+        return list(PAULI)
+    out = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            out.append(basis_element(dim, i, j) + basis_element(dim, j, i))
+            out.append(-1j * basis_element(dim, i, j)
+                       + 1j * basis_element(dim, j, i))
+    for level in range(1, dim):
+        diag = np.zeros(dim)
+        diag[:level] = 1.0
+        diag[level] = -level
+        out.append(np.diag(diag * np.sqrt(2.0 / (level * (level + 1))))
+                   .astype(complex))
+    return out
+
+
+def reference_fit_hamiltonian(t1, dt):
+    """Traceless Hermitian h whose commutator best matches i (T_1 - 1)/dt.
+
+    Real least squares over the generalized Pauli coefficients.
+    """
+    d2 = t1.shape[0]
+    dim = round(np.sqrt(d2))
+    raw = 1j * (t1 - np.eye(d2)) / dt
+    basis = _generalized_pauli_basis(dim)
+    columns = np.stack(
+        [liouvillian_superop(g).reshape(-1) for g in basis], axis=1
+    )
+    target = raw.reshape(-1)
+    # Force real coefficients by stacking real and imaginary parts.
+    lhs = np.vstack([columns.real, columns.imag])
+    rhs = np.concatenate([target.real, target.imag])
+    coeff, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    return sum(c * g for c, g in zip(coeff, basis))

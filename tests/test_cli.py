@@ -1,13 +1,14 @@
 """Command-line pipeline: formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from ttmkit import load_state_trajectory, load_tensors
+from ttmkit import cli, load_state_trajectory, load_tensors
 from ttmkit.cli import main
 
 
@@ -118,6 +119,24 @@ def test_analyze_sweep_mode(tmp_path):
     assert 0.0 < float(rows[0]["theta"]) < float(rows[1]["theta"])
 
 
+@pytest.mark.parametrize("command", ["propagate", "sweep"])
+def test_trace_drift_is_exit_3(lindblad_run, tmp_path, monkeypatch, command):
+    # both commands propagate through the same drift check, so an
+    # inaccurate propagation fails the sweep just as it fails propagate
+    propagate = cli.propagate
+    monkeypatch.setattr(cli, "propagate",
+                        lambda *args: propagate(*args) * 1.01)
+    out = tmp_path / "out"
+    if command == "propagate":
+        argv = ["propagate", lindblad_run / "tensors.json", "--steps", "50"]
+    else:
+        # settles (exit 0) without the perturbation
+        argv = ["analyze", "--sweep-lambda", "0.1", "--heom-depth", "2",
+                "--learn-steps", "100", "--cutoff-tol", "1e-4",
+                "--steps", "3000"]
+    assert run(argv + ["--out", out]) == 3
+
+
 def test_analyze_flags_degenerate_equilibrium(lindblad_run, tmp_path):
     # a unital model relaxes to the maximally mixed state, which has no
     # axis to compare against the canonical one; that is reported, not
@@ -191,7 +210,12 @@ def test_wavenumber_units_roundtrip(tmp_path):
 
 
 def test_installed_entry_point_runs():
+    # the child imports the same ttmkit as this process, installed or not
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [package_root,
+                                         os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "ttmkit.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "generate" in proc.stdout

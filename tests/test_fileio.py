@@ -26,6 +26,7 @@ from ttmkit import (
     tls_hamiltonian,
     write_table,
 )
+from ttmkit.cli import main
 from ttmkit.errors import NumericalError, SchemaError
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -122,6 +123,8 @@ def test_header_fields_present(trajs, tmp_path):
     lambda d: d.pop("dt"),
     lambda d: d["trajectories"].pop(),
     lambda d: d["trajectories"][0].update(row=5),
+    lambda d: d["trajectories"][0].update(row="x"),
+    lambda d: d["trajectories"][1].update(col=1.5),
     lambda d: d["trajectories"][0]["frames"][0][0].pop(),
     lambda d: d["trajectories"][0]["frames"][1][0][1].__setitem__(0, None),
     lambda d: d["trajectories"][0]["frames"][1][0][1].__setitem__(1, np.inf),
@@ -168,6 +171,25 @@ def test_payload_shape_and_finiteness_are_checked(trajs, tmp_path, write,
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match=field):
         load(path)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("dim", "two"), ("dim", 2.5), ("dim", 2.0), ("dim", True), ("dim", 0),
+    ("dt", "abc"), ("dt", None), ("dt", True), ("dt", 0), ("dt", -0.1),
+    ("dt", float("nan")), ("dt", float("inf")),
+    ("n_steps", -1), ("n_steps", 8.0), ("n_steps", "8"), ("n_steps", False),
+])
+def test_header_types_and_ranges_are_checked(trajs, tmp_path, key, value):
+    path = tmp_path / "header.json"
+    _tensors_doc(trajs, path)
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=f"header.json: {key} "):
+        load_tensors(path)
+    assert main(["propagate", str(path), "--steps", "3",
+                 "--out", str(tmp_path / "run.json")]) == 2
+    assert not (tmp_path / "run.json").exists()
 
 
 def test_unreadable_and_invalid_files_are_schema_errors(tmp_path):

@@ -23,7 +23,7 @@ from ttmkit import (
     vectorize,
 )
 from ttmkit.errors import DimensionError
-from oracles import second_order_kernel_series
+from oracles import reference_fit_hamiltonian, second_order_kernel_series
 
 H_FIG = tls_hamiltonian(1.0, 0.0)
 BATH = dict(lam=0.05, gamma=1.0, beta=4.79)
@@ -109,6 +109,20 @@ def test_fitted_liouvillian_recovers_hamiltonian():
     # lies outside the commutator span and stays behind as the residual
     assert fit.residual_norm < dt * np.abs(liouvillian_superop(h)).max() ** 2
     assert np.abs(superop - liouvillian_superop(h)).max() < 1e-4
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_closed_form_fit_matches_least_squares(dim):
+    rng = np.random.default_rng(300 + dim)
+    d2 = dim * dim
+    dt = 0.05
+    for _ in range(20):
+        t1 = np.eye(d2) + 0.1 * (rng.normal(size=(d2, d2))
+                                 + 1j * rng.normal(size=(d2, d2)))
+        superop, fit = extract_liouvillian(t1, dt, details=True)
+        h_ref = reference_fit_hamiltonian(t1, dt)
+        assert np.abs(fit.hamiltonian - h_ref).max() <= 1e-12
+        assert np.abs(superop - liouvillian_superop(h_ref)).max() <= 1e-12
 
 
 def test_fitted_liouvillian_flags_dissipation(heom_tensors):

@@ -22,6 +22,7 @@ from ttmkit import (
 )
 from ttmkit.errors import DimensionError
 from ttmkit.liouville import dagger_flip, hermiticity_defect, trace_defect
+from oracles import reference_superop_diagnostics
 
 
 def random_unitary(rng, d):
@@ -136,6 +137,39 @@ def test_trace_defect_detects_leak():
     s = unitary_superop(u)
     assert trace_defect(s) < 1e-14
     assert trace_defect(0.9 * s) > 0.05
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stack_helpers_match_per_superop_reference(dim):
+    rng = np.random.default_rng(40 + dim)
+    d2 = dim * dim
+    stack = (rng.normal(size=(3, 2, d2, d2))
+             + 1j * rng.normal(size=(3, 2, d2, d2)))
+    flat = stack.reshape(-1, d2, d2)
+    ref = [reference_superop_diagnostics(s) for s in flat]
+    lead = stack.shape[:2]
+    assert np.abs(trace_defect(stack)
+                  - np.reshape([r[0] for r in ref], lead)).max() <= 1e-12
+    assert np.abs(hermiticity_defect(stack)
+                  - np.reshape([r[1] for r in ref], lead)).max() <= 1e-12
+    assert np.abs(choi_matrix(stack).reshape(flat.shape)
+                  - np.stack([r[2] for r in ref])).max() <= 1e-12
+    assert np.abs(dagger_flip(stack).reshape(flat.shape)
+                  - np.stack([r[3] for r in ref])).max() <= 1e-12
+    # a single superoperator still gives plain floats
+    assert isinstance(trace_defect(flat[0]), float)
+    assert isinstance(hermiticity_defect(flat[0]), float)
+    us = np.stack([random_unitary(rng, dim) for _ in range(4)])
+    assert np.abs(unitary_superop(us)
+                  - np.stack([np.kron(u, u.conj()) for u in us])).max() <= 1e-12
+
+
+def test_stack_helpers_reject_non_superoperator_shapes():
+    for bad in (np.zeros(4), np.zeros((2, 3, 3)), np.zeros((4, 9))):
+        with pytest.raises(DimensionError):
+            hermiticity_defect(bad)
+    with pytest.raises(DimensionError):
+        unitary_superop(np.zeros((5, 2, 3)))
 
 
 def test_choi_matrix_of_unitary_is_rank_one():

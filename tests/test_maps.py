@@ -16,6 +16,7 @@ from ttmkit import (
     vectorize,
 )
 from ttmkit.errors import DimensionError
+from oracles import reference_validate_maps
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -93,3 +94,27 @@ def test_validation_flags_nonpositive_map():
     report = validate_maps(bad)
     assert report.choi_min_eigs[3] < -0.5
     assert report.trace_defects[3] < 1e-12
+
+
+def _random_sequence(dim):
+    rng = np.random.default_rng(7 * dim)
+    d2 = dim * dim
+    maps = np.empty((6, d2, d2), dtype=complex)
+    maps[0] = np.eye(d2)
+    maps[1:] = np.eye(d2) + 0.3 * (rng.normal(size=(5, d2, d2))
+                                   + 1j * rng.normal(size=(5, d2, d2)))
+    return DynamicalMapSequence(dim=dim, dt=0.1, maps=maps)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _random_sequence(2),
+    lambda: _random_sequence(3),
+    lambda: extract_maps(_lindblad_trajs()),
+], ids=["random-d2", "random-d3", "lindblad"])
+def test_validate_maps_matches_per_frame_reference(make):
+    seq = make()
+    got = validate_maps(seq)
+    want = reference_validate_maps(seq)
+    for name in ("trace_defects", "hermiticity_defects", "choi_min_eigs"):
+        assert getattr(got, name).shape == (seq.maps.shape[0],)
+        assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 1e-12

@@ -6,6 +6,7 @@ import pytest
 from ttmkit import BasisTrajectorySet, TimeGrid, gen_unitary
 from ttmkit.errors import DimensionError
 from ttmkit.liouville import SIGMA_X
+from oracles import reference_basis_defects
 
 
 def test_time_grid_times():
@@ -59,3 +60,58 @@ def test_evolve_state_is_linear_combination():
     np.testing.assert_allclose(traces, 1.0, atol=1e-12)
     herm = np.abs(frames - frames.conj().transpose(0, 2, 1)).max()
     assert herm < 1e-12
+
+
+def _random_maps(rng, dim, n_steps):
+    d2 = dim * dim
+    maps = (rng.normal(size=(n_steps + 1, d2, d2))
+            + 1j * rng.normal(size=(n_steps + 1, d2, d2)))
+    maps[0] = np.eye(d2)
+    return maps
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_from_maps_round_trip_is_exact(dim):
+    rng = np.random.default_rng(dim)
+    grid = TimeGrid(dt=0.1, n_steps=5)
+    maps = _random_maps(rng, dim, grid.n_steps)
+    trajs = BasisTrajectorySet.from_maps(grid, maps)
+    assert np.array_equal(trajs.maps, maps)
+    again = BasisTrajectorySet.from_maps(grid, trajs.maps)
+    assert np.array_equal(again.data, trajs.data)
+    assert not np.shares_memory(again.data, trajs.data)
+    # column i*D + j of E_k is frame k of |i><j|
+    i, j = dim - 1, 0
+    assert np.array_equal(trajs.element(i, j)[3].reshape(-1),
+                          maps[3][:, i * dim + j])
+
+
+def test_maps_view_is_read_only_and_tracks_data():
+    trajs = gen_unitary(SIGMA_X, TimeGrid(dt=0.05, n_steps=4))
+    view = trajs.maps
+    with pytest.raises(ValueError):
+        view[1, 0, 0] = 0.0
+    trajs.data[2, 1, 0, 1] += 1.0
+    assert view[1, 1, 2] == trajs.data[2, 1, 0, 1]
+
+
+def test_from_maps_rejects_bad_shapes():
+    grid = TimeGrid(dt=0.1, n_steps=2)
+    with pytest.raises(DimensionError):
+        BasisTrajectorySet.from_maps(grid, np.zeros((3, 3, 3)))
+    with pytest.raises(DimensionError):
+        BasisTrajectorySet.from_maps(grid, np.zeros((3, 4, 5)))
+    with pytest.raises(DimensionError):
+        BasisTrajectorySet.from_maps(grid, np.zeros((5, 4, 4)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_basis_defects_match_frame_layout_reference(dim):
+    rng = np.random.default_rng(10 + dim)
+    grid = TimeGrid(dt=0.1, n_steps=4)
+    trajs = BasisTrajectorySet.from_maps(grid, _random_maps(rng, dim, 4))
+    trajs.data[:, 0] += 1e-3 * rng.normal(size=trajs.data[:, 0].shape)
+    initial, dagger = reference_basis_defects(trajs)
+    assert initial > 0 and dagger > 0
+    assert abs(trajs.initial_defect() - initial) <= 1e-12
+    assert abs(trajs.dagger_defect() - dagger) <= 1e-12
