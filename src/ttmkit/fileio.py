@@ -156,6 +156,10 @@ def load_basis_trajectories(path):
         raise SchemaError(f"{path}: content {doc.get('content')!r} is not 'basis'")
     dim = doc["dim"]
     n_steps = doc["n_steps"]
+    try:
+        grid = TimeGrid(dt=float(doc["dt"]), n_steps=n_steps)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
     entries = doc.get("trajectories")
     if not isinstance(entries, list) or len(entries) != dim * dim:
         raise SchemaError(f"{path}: expected {dim * dim} basis trajectories")
@@ -174,7 +178,6 @@ def load_basis_trajectories(path):
         data[i * dim + j] = decode_array(
             frames, (n_steps + 1, dim, dim), path, f"frames of ({i}, {j})"
         )
-    grid = TimeGrid(dt=float(doc["dt"]), n_steps=n_steps)
     return BasisTrajectorySet(dim=dim, grid=grid, data=data), doc.get("meta", {})
 
 

@@ -7,24 +7,39 @@ kept in the renormalized convention (raising and lowering factors
 sqrt((n_k+1)|c_k|) and sqrt(n_k/|c_k|)) so their entries stay O(1) and
 the divergence guard only trips on genuine instability.
 
-The full hierarchy is one linear, time-independent system, so a grid
-step is a fixed matrix: the classical 4th-order substep polynomial
-raised to the substep count. All D^2 basis columns ride through it at
-once.
+The full hierarchy is one linear, time-independent system x' = G x, so
+a grid step is the fixed matrix exp(G dt). G couples each auxiliary
+only to its tier neighbours and is a fraction of a percent full, so
+exp(G dt) is formed exactly from its sparse form with ``expm_multiply``
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011), acting on
+blocks of identity columns. All D^2 basis columns then ride through
+the dense step at once.
 """
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import expm_multiply
 
 from .errors import ConfigurationError, DivergenceError
-from .generators import _stability_substeps, step_matrix
+# Unused here: perfbench/test_perfbench.py requires both names in ttmkit.heom.
+from .generators import _stability_substeps, step_matrix  # noqa: F401
 from .liouville import spre, spost
 from .models import bath_correlation_modes, matsubara_tail
 from .trajectories import BasisTrajectorySet
 
+log = logging.getLogger(__name__)
+
 DIVERGENCE_GUARD = 1e6
+
+# Identity columns per expm_multiply call when forming exp(G dt). At
+# N = 1820 on one Xeon vCPU, blocks of 128 built the step in 2.5-5.1 s;
+# the whole identity in one call took 3.4-6.6 s and 157 MB more memory.
+COLUMN_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -110,8 +125,27 @@ def hierarchy_generator(h, q_op, coeffs, rates, tail, depth):
     return gen
 
 
+def _step_propagator(gen_dt):
+    """Dense exp(gen_dt) of a sparse ``gen_dt``, COLUMN_BLOCK columns at a time."""
+    n = gen_dt.shape[0]
+    step = np.empty((n, n), dtype=complex)
+    for start in range(0, n, COLUMN_BLOCK):
+        width = min(COLUMN_BLOCK, n - start)
+        columns = np.zeros((n, width), dtype=complex)
+        columns[start + np.arange(width), np.arange(width)] = 1.0
+        step[:, start:start + width] = expm_multiply(gen_dt, columns)
+    return step
+
+
 def gen_heom(params, cfg, grid):
     """Open-system basis trajectories from the hierarchy integrator.
+
+    The grid step exp(G dt) of the hierarchy generator G is formed once,
+    exactly to double precision, from G's sparse form; every frame is
+    then one dense product with the stacked auxiliary state. A DEBUG
+    record on this module's logger reports the hierarchy size, the
+    generator's nonzeros, the build and stepping times and the peak
+    auxiliary entry.
 
     Parameters
     ----------
@@ -128,6 +162,7 @@ def gen_heom(params, cfg, grid):
         If any hierarchy entry exceeds the divergence guard, naming the
         offending step.
     """
+    started = time.perf_counter()
     h = params.hamiltonian
     q_op = params.coupling_op
     dim = params.dim
@@ -135,16 +170,18 @@ def gen_heom(params, cfg, grid):
         params.lam, params.gamma, params.beta, cfg.n_matsubara
     )
     tail = matsubara_tail(params.lam, params.gamma, params.beta, cfg.n_matsubara)
-    gen = hierarchy_generator(h, q_op, coeffs, rates, tail, cfg.depth)
-
-    substeps = _stability_substeps(gen, grid.dt, floor=1)
-    step = step_matrix(gen, grid.dt, substeps)
+    gen_dt = sparse.csr_array(
+        hierarchy_generator(h, q_op, coeffs, rates, tail, cfg.depth)
+    ) * grid.dt
+    step = _step_propagator(gen_dt)
+    built = time.perf_counter()
 
     blk = dim * dim
-    state = np.zeros((gen.shape[0], blk), dtype=complex)
+    state = np.zeros((gen_dt.shape[0], blk), dtype=complex)
     state[:blk, :] = np.eye(blk)
     maps = np.empty((grid.n_steps + 1, blk, blk), dtype=complex)
     maps[0] = state[:blk]
+    run_peak = 1.0
     for k in range(1, grid.n_steps + 1):
         state = step @ state
         peak = float(np.abs(state).max())
@@ -155,7 +192,14 @@ def gen_heom(params, cfg, grid):
                 step=k,
                 time=k * grid.dt,
             )
+        run_peak = max(run_peak, peak)
         maps[k] = state[:blk]
+    log.debug(
+        "hierarchy: %d rows (%d ADOs), %d nonzeros; step propagator built "
+        "in %.3f s, %d steps in %.3f s, peak auxiliary entry %.3g",
+        gen_dt.shape[0], gen_dt.shape[0] // blk, gen_dt.nnz, built - started,
+        grid.n_steps, time.perf_counter() - built, run_peak,
+    )
     return BasisTrajectorySet.from_maps(grid, maps)
 
 

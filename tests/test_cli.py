@@ -209,13 +209,28 @@ def test_wavenumber_units_roundtrip(tmp_path):
     assert doc["dt"] == pytest.approx(1.0, rel=1e-3)
 
 
-def test_installed_entry_point_runs():
+def run_module(*argv):
     # the child imports the same ttmkit as this process, installed or not
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [package_root,
                                          os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "ttmkit.cli", "--help"],
+    return subprocess.run([sys.executable, "-m", "ttmkit.cli",
+                           *map(str, argv)],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def test_installed_entry_point_runs():
+    proc = run_module("--help")
     assert proc.returncode == 0
     assert "generate" in proc.stdout
+
+
+def test_verbose_generate_logs_the_hierarchy(tmp_path):
+    args = ["generate", "--model", "heom", "--dt", "0.1", "--steps", "3",
+            "--heom-depth", "2", "--heom-matsubara", "1"]
+    quiet = run_module(*args, "--out", tmp_path / "a.json")
+    verbose = run_module("-v", *args, "--out", tmp_path / "b.json")
+    assert quiet.returncode == verbose.returncode == 0
+    assert "hierarchy:" not in quiet.stderr
+    assert "DEBUG hierarchy: 24 rows (6 ADOs)" in verbose.stderr

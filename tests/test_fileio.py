@@ -115,6 +115,13 @@ def test_header_fields_present(trajs, tmp_path):
     assert "units" in doc and "dim" in doc and "dt" in doc
 
 
+def _initial_frames_only(doc):
+    # consistent, but the frames span no time step
+    doc["n_steps"] = 0
+    for entry in doc["trajectories"]:
+        entry["frames"] = entry["frames"][:1]
+
+
 @pytest.mark.parametrize("mutate", [
     lambda d: d.pop("format_version"),
     lambda d: d.update(format_version=99),
@@ -128,6 +135,7 @@ def test_header_fields_present(trajs, tmp_path):
     lambda d: d["trajectories"][0]["frames"][0][0].pop(),
     lambda d: d["trajectories"][0]["frames"][1][0][1].__setitem__(0, None),
     lambda d: d["trajectories"][0]["frames"][1][0][1].__setitem__(1, np.inf),
+    _initial_frames_only,
 ])
 def test_corrupted_documents_are_rejected(trajs, tmp_path, mutate):
     path = tmp_path / "trajs.json"
@@ -135,8 +143,9 @@ def test_corrupted_documents_are_rejected(trajs, tmp_path, mutate):
     doc = json.loads(path.read_text())
     mutate(doc)
     path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="trajs.json: "):
         load_basis_trajectories(path)
+    assert main(["learn", str(path), "--out", str(tmp_path / "t.json")]) == 2
 
 
 def _state_doc(trajs, path):

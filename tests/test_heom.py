@@ -1,5 +1,7 @@
 """Hierarchy integrator checks against closed-form limits."""
 
+import logging
+import re
 from itertools import product
 
 import numpy as np
@@ -51,17 +53,24 @@ def test_structural_defects_stay_at_zero():
     assert np.abs(traces - traces[:, :1]).max() < 1e-10
 
 
-def test_stepping_matches_exact_exponential():
-    params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=0.1, gamma=1.0,
+@pytest.mark.parametrize("lam,gamma,dt,n_steps,depth,n_matsubara", [
+    (0.1, 1.0, 0.1, 20, 3, 1),
+    (2.0, 1.0, 0.05, 40, 6, 2),  # stiff, like C4 (N = 336)
+    (8.0, 5.0, 0.01, 40, 6, 2),  # stiff, like the top C6 point
+], ids=["weak", "stiff-c4", "stiff-c6"])
+def test_stepping_matches_exact_exponential(lam, gamma, dt, n_steps, depth,
+                                            n_matsubara):
+    params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=lam, gamma=gamma,
                              beta=0.5)
-    grid = TimeGrid(dt=0.1, n_steps=20)
-    trajs = gen_heom(params, HeomConfig(depth=3, n_matsubara=1), grid)
+    grid = TimeGrid(dt=dt, n_steps=n_steps)
+    trajs = gen_heom(params, HeomConfig(depth=depth, n_matsubara=n_matsubara),
+                     grid)
     coeffs, rates = bath_correlation_modes(params.lam, params.gamma,
-                                           params.beta, 1)
-    tail = matsubara_tail(params.lam, params.gamma, params.beta, 1)
+                                           params.beta, n_matsubara)
+    tail = matsubara_tail(params.lam, params.gamma, params.beta, n_matsubara)
     gen = heom_module.hierarchy_generator(params.hamiltonian,
                                           params.coupling_op, coeffs, rates,
-                                          tail, 3)
+                                          tail, depth)
     step = expm(gen * grid.dt)
     state = np.zeros((gen.shape[0], 4), dtype=complex)
     state[:4] = np.eye(4)
@@ -70,7 +79,43 @@ def test_stepping_matches_exact_exponential():
         state = step @ state
         exact = state[:4].T.reshape(4, 2, 2)
         deviation = max(deviation, np.abs(trajs.data[:, k] - exact).max())
-    assert deviation < 1e-10
+    assert deviation < 1e-12
+
+
+def test_generation_ignores_the_global_random_state():
+    # expm_multiply's norm estimates draw from numpy's global generator;
+    # reruns of `ttm generate` must still be byte-identical
+    params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=8.0, gamma=5.0,
+                             beta=0.5)
+    runs = []
+    for seed in (0, 2024):
+        np.random.seed(seed)
+        runs.append(gen_heom(params, HeomConfig(depth=6, n_matsubara=2),
+                             TimeGrid(dt=0.01, n_steps=5)).data)
+    assert np.array_equal(runs[0], runs[1])
+
+
+def test_generation_logs_size_cost_and_peak(caplog):
+    params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=0.1, gamma=1.0,
+                             beta=0.5)
+    with caplog.at_level(logging.DEBUG, logger="ttmkit.heom"):
+        gen_heom(params, HeomConfig(depth=3, n_matsubara=1),
+                 TimeGrid(dt=0.1, n_steps=10))
+    (record,) = [r for r in caplog.records if r.name == "ttmkit.heom"]
+    assert record.levelno == logging.DEBUG
+    coeffs, rates = bath_correlation_modes(params.lam, params.gamma,
+                                           params.beta, 1)
+    tail = matsubara_tail(params.lam, params.gamma, params.beta, 1)
+    nnz = np.count_nonzero(heom_module.hierarchy_generator(
+        params.hamiltonian, params.coupling_op, coeffs, rates, tail, 3))
+    # C(3 + 2, 2) = 10 ADOs of 2 x 2 blocks
+    match = re.fullmatch(
+        rf"hierarchy: 40 rows \(10 ADOs\), {nnz} nonzeros; step propagator "
+        r"built in (\S+) s, 10 steps in (\S+) s, peak auxiliary entry (\S+)",
+        record.getMessage())
+    assert match, record.getMessage()
+    build_s, step_s, peak = map(float, match.groups())
+    assert build_s >= 0 and step_s >= 0 and peak >= 1.0
 
 
 @pytest.mark.parametrize("n_modes", range(6))
