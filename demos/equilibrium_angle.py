@@ -1,23 +1,22 @@
 """Equilibrium pointer basis rotating with the coupling strength.
 
-For a biased-and-tunneling two-level system in a fast bath, the
-stationary state of the learned memory recursion is the fixed point
-rho* = sum_s T_s rho*, read off from the unit eigenvector of the
-summed tensors. At weak coupling rho* is diagonal in the canonical
-(Boltzmann) basis; as the coupling grows it aligns with the coupling
-operator instead. The Bloch-axis angle theta between the two bases
-tracks that crossover and saturates at pi/4, the angle between the
-system axis (z + x) and the coupling axis (z). One mid-strength case
-is also propagated out until it settles, to show that the dynamics
-really lands on the fixed point.
+For a biased-and-tunneling two-level system in a fast bath, the state
+the learned memory recursion relaxes to is its fixed point
+rho* = sum_s T_s rho*, which ``stationary_state`` reads straight off
+the learned tensors, with no propagation. At weak coupling rho* is
+diagonal in the canonical (Boltzmann) basis; as the coupling grows it
+aligns with the coupling operator instead. The Bloch-axis angle theta
+between the two bases tracks that crossover and saturates at pi/4, the
+angle between the system axis (z + x) and the coupling axis (z). One
+mid-strength case is also propagated out until it settles, to show
+that the dynamics really lands on the fixed point.
 """
 import numpy as np
 
 from ttmkit import (HeomConfig, SpinBosonParams, TimeGrid, canonical_state,
                     detect_equilibrium, extract_maps, gen_heom,
                     maps_to_tensors, noncanonical_angle, propagate,
-                    tls_hamiltonian)
-from ttmkit.liouville import devectorize
+                    stationary_state, tls_hamiltonian)
 
 DT = 0.01
 LEARN = 200
@@ -35,20 +34,12 @@ def learn(lam, depth):
     return maps_to_tensors(extract_maps(trajs))
 
 
-def fixed_point(tensors):
-    total = tensors.tensors.sum(axis=0)
-    w, v = np.linalg.eig(total)
-    rho = devectorize(v[:, np.argmax(-np.abs(w - 1.0))])
-    rho = rho / np.trace(rho)
-    return 0.5 * (rho + rho.conj().T)
-
-
 print("coupling sweep at beta = 0.5 (gamma = 5 bath):")
 print("  lambda   depth   theta      theta/(pi/4)")
 cases = {}
 for lam, depth in [(0.05, 4), (0.2, 5), (1.0, 7), (8.0, 12)]:
     cases[lam] = learn(lam, depth)
-    meas = noncanonical_angle(fixed_point(cases[lam]), reference)
+    meas = noncanonical_angle(stationary_state(cases[lam]), reference)
     print(f"  {lam:6.2f}   {depth:5d}   {meas.theta:.5f}    "
           f"{meas.theta / (np.pi / 4):.4f}")
 print("\nthe angle climbs from ~0 (canonical equilibrium) toward pi/4")
@@ -59,6 +50,6 @@ tensors = cases[0.2]
 rho0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 frames = propagate(tensors, len(tensors), rho0, 9000)
 report = detect_equilibrium(frames, tol=1e-9, window=200)
-gap = np.abs(report.state - fixed_point(tensors)).max()
+gap = np.abs(report.state - stationary_state(tensors)).max()
 print(f"\nlambda = 0.2 propagated to t = {9000 * DT:.0f}: settled at frame "
       f"{report.settled_at}, |settled - fixed point| = {gap:.1e}")

@@ -7,7 +7,8 @@ and stderr carry only logs. Internally everything is dimensionless
 this boundary and nowhere else.
 
 Exit codes: 0 success, 2 validation or schema failure, 3 numerical
-failure (divergence, unsettled trajectory, insufficient learning).
+failure (divergence, unsettled trajectory, insufficient learning, no
+unique fixed point).
 """
 
 import argparse
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .generators import gen_dephasing_analytic, gen_lindblad, gen_unitary
 from .heom import HeomConfig, gen_heom
-from .liouville import SIGMA_X, SIGMA_Z, validate_state
+from .liouville import SIGMA_X, SIGMA_Z, validate_state, vectorize
 from .maps import extract_maps
 from .models import (
     SpinBosonParams,
@@ -41,6 +42,7 @@ from .tensors import (
     maps_to_tensors,
     markovianity_profile,
     propagate,
+    stationary_state,
     truncation_error,
 )
 from .kernels import extract_kernel, extract_liouvillian, kernel_element_series
@@ -97,22 +99,6 @@ def _convert_units(args):
     )
 
 
-def _model_meta(args, omega0, j, lam, gamma, beta):
-    meta = {
-        "model": args.model,
-        "omega0": omega0,
-        "j": j,
-        "lambda": lam,
-        "gamma": gamma,
-        "beta": beta,
-        "coupling": args.coupling,
-    }
-    if args.model == "heom":
-        meta["heom_depth"] = args.heom_depth
-        meta["heom_matsubara"] = args.heom_matsubara
-    return meta
-
-
 def _parse_initial(spec, dim):
     """Initial state from a label (e11, plus, mixed) or a JSON file."""
     if spec.startswith("e") and len(spec) == 3 and spec[1:].isdigit():
@@ -147,7 +133,8 @@ def _parse_initial(spec, dim):
                                               "state"))
 
 
-def cmd_generate(args):
+def _generate(args):
+    """Reference basis trajectories and their model meta from the flags."""
     omega0, j, lam, gamma, beta, dt = _convert_units(args)
     grid = TimeGrid(dt=dt, n_steps=args.steps)
     coupling = COUPLING_OPS[args.coupling]
@@ -169,69 +156,73 @@ def cmd_generate(args):
                 depth=args.heom_depth, n_matsubara=args.heom_matsubara
             )
             trajs = gen_heom(params, cfg, grid)
-    meta = _model_meta(args, omega0, j, lam, gamma, beta)
+    meta = {
+        "model": args.model,
+        "omega0": omega0,
+        "j": j,
+        "lambda": lam,
+        "gamma": gamma,
+        "beta": beta,
+        "coupling": args.coupling,
+    }
+    if args.model == "heom":
+        meta["heom_depth"] = args.heom_depth
+        meta["heom_matsubara"] = args.heom_matsubara
+    return trajs, meta
+
+
+def cmd_generate(args):
+    trajs, meta = _generate(args)
     fileio.save_basis_trajectories(args.out, trajs, meta=meta)
     log.info("wrote %s (%d basis trajectories, %d steps, dt=%g)",
-             args.out, trajs.dim**2, grid.n_steps, grid.dt)
+             args.out, trajs.dim**2, trajs.grid.n_steps, trajs.grid.dt)
     return 0
+
+
+def _learn(trajs, cutoff_k, cutoff_tol):
+    """Kept tensors, full markovianity profile and truncation error."""
+    full = maps_to_tensors(extract_maps(trajs))
+    profile = markovianity_profile(full)
+    if cutoff_k is None:
+        cutoff_k = choose_cutoff(full, cutoff_tol)
+    kept = full.truncated(cutoff_k)
+    trunc = truncation_error(full, cutoff_k) if cutoff_k < len(full) else None
+    return kept, profile, trunc
 
 
 def cmd_learn(args):
     trajs, meta = fileio.load_basis_trajectories(args.trajectory)
-    maps = extract_maps(trajs)
-    full = maps_to_tensors(maps)
-    profile = markovianity_profile(full)
-    if args.cutoff_k is not None:
-        if not 1 <= args.cutoff_k <= len(full):
-            raise ConfigurationError(
-                f"--cutoff-k {args.cutoff_k} outside 1..{len(full)}"
-            )
-        cutoff = args.cutoff_k
-    else:
-        cutoff = choose_cutoff(full, args.cutoff_tol)
-    trunc = truncation_error(full, cutoff) if cutoff < len(full) else None
+    kept, profile, trunc = _learn(trajs, args.cutoff_k, args.cutoff_tol)
     fileio.save_tensors(
-        args.out, full.truncated(cutoff), profile=profile, truncation=trunc,
-        meta=meta,
+        args.out, kept, profile=profile, truncation=trunc, meta=meta,
     )
     log.info("learned %d tensors, kept K=%d, truncation error %s",
-             len(full), cutoff,
+             len(profile), len(kept),
              "n/a" if trunc is None else f"{trunc:.3e}")
     return 0
-
-
-def _propagate_checked(tensors, k_cutoff, rho0, steps, out=None, meta=None):
-    """Propagated frames, refused if the trace drifts.
-
-    The drift |tr rho(t_m) - 1| may reach 1e-6 plus 1e-6 per 100 steps.
-    With ``out`` the frames are written there first, so a failing run
-    still leaves its product behind.
-    """
-    frames = propagate(tensors, k_cutoff, rho0, steps)
-    traces = np.abs(np.einsum("kii->k", frames) - 1.0)
-    drift = float(traces.max())
-    if out is not None:
-        summary = {
-            "final_state": fileio.encode_array(frames[-1]),
-            "max_trace_drift": drift,
-        }
-        fileio.save_state_trajectory(out, frames, tensors.dt, meta=meta,
-                                     summary=summary)
-        log.info("wrote %s (%d steps, max trace drift %.3e)",
-                 out, steps, drift)
-    if bool(np.any(traces > 1e-6 * (np.arange(steps + 1) / 100.0 + 1.0))):
-        raise NumericalError(
-            f"trace drift {drift:.3e} beyond tolerance; tensors are "
-            "inaccurate or the cutoff is too aggressive"
-        )
-    return frames
 
 
 def cmd_propagate(args):
     tensors, doc = fileio.load_tensors(args.tensors)
     rho0 = _parse_initial(args.initial, tensors.dim)
-    _propagate_checked(tensors, len(tensors), rho0, args.steps, out=args.out,
-                       meta=doc.get("meta", {}))
+    frames = propagate(tensors, len(tensors), rho0, args.steps)
+    traces = np.abs(np.einsum("kii->k", frames) - 1.0)
+    drift = float(traces.max())
+    summary = {
+        "final_state": fileio.encode_array(frames[-1]),
+        "max_trace_drift": drift,
+    }
+    fileio.save_state_trajectory(args.out, frames, tensors.dt,
+                                 meta=doc.get("meta", {}), summary=summary)
+    log.info("wrote %s (%d steps, max trace drift %.3e)",
+             args.out, args.steps, drift)
+    # written first, so a drifting run still leaves its product behind;
+    # |tr rho(t_m) - 1| may reach 1e-6 plus 1e-6 per 100 steps
+    if np.any(traces > 1e-6 * (np.arange(args.steps + 1) / 100.0 + 1.0)):
+        raise NumericalError(
+            f"trace drift {drift:.3e} beyond tolerance; tensors are "
+            "inaccurate or the cutoff is too aggressive"
+        )
     return 0
 
 
@@ -294,25 +285,18 @@ def cmd_kernel(args):
     return 0
 
 
-def _analyze_trajectory(frames, meta, tol, window):
-    """One sweep row: equilibrium detection plus the deviation angle."""
+def _analysis_row(meta, state, settled_at, residual):
+    """Table row with the angle of ``state`` (None: not settled)."""
     row = {
         "lambda": meta.get("lambda", float("nan")),
         "beta": meta.get("beta", float("nan")),
         "theta": float("nan"),
-        "settled_at": -1,
-        "residual": float("nan"),
-        "status": "ok",
+        "settled_at": settled_at,
+        "residual": float("nan") if residual is None else residual,
+        "status": "ok" if state is not None else "not_settled",
     }
-    try:
-        report = detect_equilibrium(frames, tol=tol, window=window)
-    except NotSettledError as exc:
-        row["status"] = "not_settled"
-        if exc.residual is not None:
-            row["residual"] = exc.residual
+    if state is None:
         return row
-    row["settled_at"] = report.settled_at
-    row["residual"] = report.residual
     if "omega0" not in meta or "j" not in meta or "beta" not in meta:
         raise SchemaError(
             "trajectory meta lacks omega0/j/beta; cannot build the "
@@ -322,33 +306,30 @@ def _analyze_trajectory(frames, meta, tol, window):
         tls_hamiltonian(meta["omega0"], meta["j"]), meta["beta"]
     )
     try:
-        measurement = noncanonical_angle(report.state, reference)
+        row["theta"] = noncanonical_angle(state, reference).theta
     except DegenerateStateError:
         row["status"] = "degenerate"
-        return row
-    row["theta"] = measurement.theta
     return row
 
 
-def _sweep_point(args, lam, beta, omega0, j, gamma, dt):
-    """Full pipeline for one sweep point."""
-    params = SpinBosonParams(
-        omega0=omega0, j_coupling=j, lam=lam, gamma=gamma, beta=beta,
-        coupling_op=COUPLING_OPS[args.coupling],
-    )
-    config = HeomConfig(depth=args.heom_depth, n_matsubara=args.heom_matsubara)
-    trajs = gen_heom(params, config, TimeGrid(dt=dt, n_steps=args.learn_steps))
-    full = maps_to_tensors(extract_maps(trajs))
-    cutoff = choose_cutoff(full, args.cutoff_tol)
-    rho0 = _parse_initial(args.initial, params.dim)
-    frames = _propagate_checked(full.truncated(cutoff), cutoff, rho0,
-                                args.steps)
-    meta = {"lambda": lam, "beta": beta, "omega0": omega0, "j": j}
-    return _analyze_trajectory(frames, meta, args.tol, args.window)
+def _sweep_row(args, **point):
+    """Table row of the fixed point learned at one point of the sweep.
+
+    The point's values replace the model flags; ``settled_at`` is the
+    kept depth K and ``residual`` max|sum_s T_s rho - rho|.
+    """
+    point_args = argparse.Namespace(**{
+        **vars(args), "model": "heom", "steps": args.learn_steps, **point,
+    })
+    trajs, meta = _generate(point_args)
+    kept, _, _ = _learn(trajs, None, args.cutoff_tol)
+    state = stationary_state(kept)
+    residual = kept.tensors.sum(axis=0) @ vectorize(state) - vectorize(state)
+    return _analysis_row(meta, state, len(kept),
+                         float(np.abs(residual).max()))
 
 
 def cmd_analyze(args):
-    rows = []
     if args.sweep_lambda or args.sweep_beta:
         if args.trajectories:
             raise ConfigurationError(
@@ -356,21 +337,29 @@ def cmd_analyze(args):
             )
         if args.sweep_lambda and args.sweep_beta:
             raise ConfigurationError("sweep one axis at a time")
-        omega0, j, lam, gamma, beta, dt = _convert_units(args)
-        if args.sweep_lambda:
-            points = [(float(x), beta) for x in args.sweep_lambda.split(",")]
-        else:
-            points = [(lam, float(x)) for x in args.sweep_beta.split(",")]
-        rows = [_sweep_point(args, pl, pb, omega0, j, gamma, dt)
-                for pl, pb in points]
+        if args.sweep_beta and args.units != "dimensionless":
+            raise ConfigurationError(
+                "--sweep-beta is dimensionless-only, like --beta"
+            )
+        axis, values = (("lam", args.sweep_lambda) if args.sweep_lambda
+                        else ("beta", args.sweep_beta))
+        rows = [_sweep_row(args, **{axis: float(x)})
+                for x in values.split(",")]
     else:
         if not args.trajectories:
             raise ConfigurationError(
                 "need trajectory files or --sweep-lambda/--sweep-beta"
             )
+        rows = []
         for path in args.trajectories:
             frames, _, meta = fileio.load_state_trajectory(path)
-            rows.append(_analyze_trajectory(frames, meta, args.tol, args.window))
+            try:
+                report = detect_equilibrium(frames, args.tol, args.window)
+            except NotSettledError as exc:
+                rows.append(_analysis_row(meta, None, -1, exc.residual))
+                continue
+            rows.append(_analysis_row(meta, report.state, report.settled_at,
+                                      report.residual))
     columns = ["lambda", "beta", "theta", "settled_at", "residual", "status"]
     fileio.write_table(
         args.out,
@@ -448,9 +437,7 @@ def build_parser():
                        help="comma list of inverse temperatures")
     p_ana.add_argument("--dt", type=float, default=0.02)
     p_ana.add_argument("--learn-steps", type=int, default=100)
-    p_ana.add_argument("--steps", type=int, default=20000)
     p_ana.add_argument("--cutoff-tol", type=float, default=1e-7)
-    p_ana.add_argument("--initial", default="e11")
     p_ana.add_argument("--tol", type=float, default=1e-9,
                        help="equilibrium per-step tolerance")
     p_ana.add_argument("--window", type=int, default=50)

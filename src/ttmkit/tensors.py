@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, InsufficientLearningError
-from .liouville import superop_norm
+from .errors import DimensionError, InsufficientLearningError, NumericalError
+from .liouville import devectorize, superop_norm
 from .maps import DynamicalMapSequence
 
 
@@ -202,3 +202,23 @@ def propagate(tensors, k_cutoff, seed, n_total):
     _recurse(tensors.tensors[:k_cutoff], out.reshape(n_total + 1, d * d, 1),
              n_seed)
     return out
+
+
+def stationary_state(tensors):
+    """Unit-trace Hermitian fixed point rho = (sum_s T_s) rho.
+
+    This is the state the recursion relaxes to (Cerrillo & Cao, PRL 112,
+    110401, 2014), read off the eigenvector of the summed tensors whose
+    eigenvalue lies nearest 1 instead of by propagating. Raises
+    NumericalError unless exactly one eigenvalue lies within 1e-8 of 1,
+    that is when the fixed point is missing or not unique.
+    """
+    w, v = np.linalg.eig(tensors.tensors.sum(axis=0))
+    gaps = np.abs(w - 1.0)
+    near = np.count_nonzero(gaps <= 1e-8)
+    if near != 1:
+        raise NumericalError(f"{near} eigenvalues of the summed tensors lie "
+                             "within 1e-8 of 1; a unique fixed point has one")
+    rho = devectorize(v[:, np.argmin(gaps)])
+    rho = rho / np.trace(rho)
+    return 0.5 * (rho + rho.conj().T)

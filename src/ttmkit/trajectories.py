@@ -99,13 +99,3 @@ class BasisTrajectorySet:
         elementwise adjoint of the |i><j| one at every time.
         """
         return float(hermiticity_defect(self.maps).max())
-
-    def evolve_state(self, rho0):
-        """Trajectory of an arbitrary initial matrix by linearity."""
-        rho0 = np.asarray(rho0, dtype=complex)
-        if rho0.shape != (self.dim, self.dim):
-            raise DimensionError(
-                f"initial state shape {rho0.shape} does not match dim {self.dim}"
-            )
-        weights = rho0.reshape(-1)
-        return np.tensordot(weights, self.data, axes=(0, 0))

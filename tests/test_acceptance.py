@@ -37,10 +37,11 @@ from ttmkit import (
     oscillation_metrics,
     propagate,
     save_tensors,
+    stationary_state,
     tensors_to_maps,
     tls_hamiltonian,
 )
-from ttmkit.liouville import SIGMA_X, SIGMA_Z, devectorize
+from ttmkit.liouville import SIGMA_X, SIGMA_Z
 from ttmkit.maps import DynamicalMapSequence
 
 
@@ -178,21 +179,15 @@ C6_BETAS = [(1.0, 3), (0.5, 2), (0.25, 1), (0.125, 1)]
 def _equilibrium_angle(lam, beta, depth, nmats):
     """Fixed point of the learned memory recursion vs the Boltzmann state.
 
-    The stationary state solves rho = sum_s T_s rho, so it is read off
-    the unit-eigenvalue eigenvector of the summed tensors; propagating
-    to stationarity gives the same state but takes ~10^5 steps in the
-    slow strong-coupling regimes.
+    The stationary state solves rho = sum_s T_s rho; propagating to
+    stationarity gives the same state but takes ~10^5 steps in the slow
+    strong-coupling regimes.
     """
     params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=lam, gamma=5.0,
                              beta=beta, coupling_op=SIGMA_Z)
     trajs = gen_heom(params, HeomConfig(depth=depth, n_matsubara=nmats),
                      TimeGrid(dt=0.01, n_steps=200))
-    tensors = maps_to_tensors(extract_maps(trajs))
-    total = tensors.tensors.sum(axis=0)
-    w, v = np.linalg.eig(total)
-    rho = devectorize(v[:, np.argmin(np.abs(w - 1.0))])
-    rho = rho / np.trace(rho)
-    rho = 0.5 * (rho + rho.conj().T)
+    rho = stationary_state(maps_to_tensors(extract_maps(trajs)))
     h = tls_hamiltonian(1.0, 1.0)
     return noncanonical_angle(rho, canonical_state(h, beta)).theta
 

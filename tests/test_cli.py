@@ -4,16 +4,29 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ttmkit import cli, load_state_trajectory, load_tensors
+from ttmkit import (
+    TransferTensorSequence,
+    cli,
+    load_state_trajectory,
+    load_tensors,
+)
 from ttmkit.cli import main
+from ttmkit.models import beta_from_kelvin, time_from_fs
 
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def read_rows(path):
+    lines = path.read_text().splitlines()
+    header = lines[0].lstrip("# ").split("\t")
+    return [dict(zip(header, line.split("\t"))) for line in lines[1:]]
 
 
 @pytest.fixture(scope="module")
@@ -97,10 +110,7 @@ def test_analyze_file_mode(heom_run, tmp_path):
     rc = run(["analyze", heom_run / "state.json", "--tol", "1e-6",
               "--window", "50", "--out", out])
     assert rc == 0
-    lines = out.read_text().splitlines()
-    assert len(lines) == 2
-    header = lines[0].lstrip("# ").split("\t")
-    row = dict(zip(header, lines[1].split("\t")))
+    [row] = read_rows(out)
     assert row["status"] == "ok"
     assert 0.0 <= float(row["theta"]) <= np.pi / 2
 
@@ -109,31 +119,84 @@ def test_analyze_sweep_mode(tmp_path):
     out = tmp_path / "sweep.tsv"
     assert run(["analyze", "--sweep-lambda", "0.1,0.5", "--heom-depth", "3",
                 "--learn-steps", "300", "--cutoff-tol", "1e-5",
-                "--steps", "3000", "--out", out]) == 0
-    lines = out.read_text().splitlines()
-    header = lines[0].lstrip("# ").split("\t")
-    rows = [dict(zip(header, line.split("\t"))) for line in lines[1:]]
+                "--out", out]) == 0
+    rows = read_rows(out)
     assert [row["status"] for row in rows] == ["ok", "ok"]
     assert [float(row["lambda"]) for row in rows] == [0.1, 0.5]
     # the deviation from the canonical state grows with the coupling
     assert 0.0 < float(rows[0]["theta"]) < float(rows[1]["theta"])
 
 
+def test_sweep_matches_the_propagated_file_chain(tmp_path):
+    # where the propagated state settles, it lands on the fixed point the
+    # sweep reads; the sweep reports the kept depth K as settled_at
+    model = ["--lambda", "0.5", "--heom-depth", "3"]
+    assert run(["generate", "--model", "heom", "--dt", "0.02", "--steps",
+                "300", *model, "--out", tmp_path / "ref.json"]) == 0
+    assert run(["learn", tmp_path / "ref.json", "--cutoff-tol", "1e-5",
+                "--out", tmp_path / "t.json"]) == 0
+    assert run(["propagate", tmp_path / "t.json", "--steps", "3000",
+                "--out", tmp_path / "run.json"]) == 0
+    assert run(["analyze", tmp_path / "run.json",
+                "--out", tmp_path / "file.tsv"]) == 0
+    assert run(["analyze", "--sweep-lambda", "0.5", "--heom-depth", "3",
+                "--learn-steps", "300", "--cutoff-tol", "1e-5",
+                "--out", tmp_path / "sweep.tsv"]) == 0
+    [chain] = read_rows(tmp_path / "file.tsv")
+    [sweep] = read_rows(tmp_path / "sweep.tsv")
+    assert chain["status"] == sweep["status"] == "ok"
+    # measured 3.0e-8: the propagated tail still moves by ~1e-9 per step
+    assert abs(float(chain["theta"]) - float(sweep["theta"])) < 1e-7
+    _, doc = load_tensors(tmp_path / "t.json")
+    assert int(sweep["settled_at"]) == doc["cutoff"]
+    assert float(sweep["residual"]) < 1e-12
+
+
+def test_wavenumber_sweep_converts_the_couplings(tmp_path):
+    # 10 cm^-1 at a 100 cm^-1 exchange coupling is lambda = 0.1
+    common = ["analyze", "--heom-depth", "3", "--learn-steps", "300",
+              "--cutoff-tol", "1e-5"]
+    assert run(common + ["--units", "wavenumber", "--omega0", "100", "--j",
+                         "100", "--gamma", "100", "--temperature", "300",
+                         "--dt", "1", "--sweep-lambda", "10",
+                         "--out", tmp_path / "cm.tsv"]) == 0
+    assert run(common + ["--beta", repr(beta_from_kelvin(300.0, 100.0)),
+                         "--dt", repr(time_from_fs(1.0, 100.0)),
+                         "--sweep-lambda", "0.1",
+                         "--out", tmp_path / "plain.tsv"]) == 0
+    [row] = read_rows(tmp_path / "cm.tsv")
+    assert row["status"] == "ok"
+    assert read_rows(tmp_path / "plain.tsv") == [row]
+
+
+def test_wavenumber_beta_sweep_is_exit_2(tmp_path):
+    # --beta is dimensionless-only, so its sweep is too
+    assert run(["analyze", "--units", "wavenumber", "--temperature", "300",
+                "--sweep-beta", "0.5", "--out", tmp_path / "out.tsv"]) == 2
+
+
+def _scaled(tensors, factor):
+    return TransferTensorSequence(dim=tensors.dim, dt=tensors.dt,
+                                  tensors=factor * tensors.tensors)
+
+
 @pytest.mark.parametrize("command", ["propagate", "sweep"])
 def test_trace_drift_is_exit_3(lindblad_run, tmp_path, monkeypatch, command):
-    # both commands propagate through the same drift check, so an
-    # inaccurate propagation fails the sweep just as it fails propagate
-    propagate = cli.propagate
-    monkeypatch.setattr(cli, "propagate",
-                        lambda *args: propagate(*args) * 1.01)
+    # propagate refuses a drifting trace; the sweep refuses tensors that
+    # do not preserve the trace, which leave no unit eigenvalue
     out = tmp_path / "out"
     if command == "propagate":
+        propagate = cli.propagate
+        monkeypatch.setattr(cli, "propagate",
+                            lambda *args: propagate(*args) * 1.01)
         argv = ["propagate", lindblad_run / "tensors.json", "--steps", "50"]
     else:
-        # settles (exit 0) without the perturbation
+        learn = cli.maps_to_tensors
+        monkeypatch.setattr(cli, "maps_to_tensors",
+                            lambda maps: _scaled(learn(maps), 1.01))
+        # exit 0 without the scaling
         argv = ["analyze", "--sweep-lambda", "0.1", "--heom-depth", "2",
-                "--learn-steps", "100", "--cutoff-tol", "1e-4",
-                "--steps", "3000"]
+                "--learn-steps", "100", "--cutoff-tol", "1e-4"]
     assert run(argv + ["--out", out]) == 3
 
 
@@ -145,9 +208,7 @@ def test_analyze_flags_degenerate_equilibrium(lindblad_run, tmp_path):
     rc = run(["analyze", lindblad_run / "state.json", "--tol", "1e-6",
               "--window", "30", "--out", out])
     assert rc == 0
-    lines = out.read_text().splitlines()
-    header = lines[0].lstrip("# ").split("\t")
-    row = dict(zip(header, lines[1].split("\t")))
+    [row] = read_rows(out)
     assert row["status"] == "degenerate"
 
 
@@ -159,6 +220,13 @@ def test_missing_input_is_exit_2(tmp_path):
 def test_wrong_kind_is_exit_2(lindblad_run, tmp_path):
     # a tensors document fed where a trajectory is expected
     assert run(["learn", lindblad_run / "tensors.json",
+                "--out", tmp_path / "t.json"]) == 2
+
+
+@pytest.mark.parametrize("cutoff", ["0", "61"])
+def test_cutoff_k_out_of_range_is_exit_2(lindblad_run, tmp_path, cutoff):
+    # the reference run has 60 steps, so K lies in 1..60
+    assert run(["learn", lindblad_run / "traj.json", "--cutoff-k", cutoff,
                 "--out", tmp_path / "t.json"]) == 2
 
 
@@ -209,15 +277,21 @@ def test_wavenumber_units_roundtrip(tmp_path):
     assert doc["dt"] == pytest.approx(1.0, rel=1e-3)
 
 
-def run_module(*argv):
-    # the child imports the same ttmkit as this process, installed or not
+def child_env():
+    # the child imports the same ttmkit as this process, installed or not,
+    # and finds this interpreter as python3
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [package_root,
                                          os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path,
+            "PATH": os.pathsep.join([os.path.dirname(sys.executable),
+                                     os.environ.get("PATH", "")])}
+
+
+def run_module(*argv):
     return subprocess.run([sys.executable, "-m", "ttmkit.cli",
                            *map(str, argv)],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, env=child_env())
 
 
 def test_installed_entry_point_runs():
@@ -234,3 +308,13 @@ def test_verbose_generate_logs_the_hierarchy(tmp_path):
     assert quiet.returncode == verbose.returncode == 0
     assert "hierarchy:" not in quiet.stderr
     assert "DEBUG hierarchy: 24 rows (6 ADOs)" in verbose.stderr
+
+
+def test_documented_pipeline_runs():
+    demo = Path(__file__).resolve().parents[1] / "demos" / "cli_pipeline.sh"
+    proc = subprocess.run(["sh", str(demo)], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    report = proc.stdout.split("equilibrium report:\n")[1].splitlines()
+    header = report[0].lstrip("# ").split("\t")
+    assert dict(zip(header, report[1].split("\t")))["status"] == "ok"

@@ -21,13 +21,21 @@ from ttmkit import (
     gen_dephasing_analytic,
     gen_heom,
     gen_lindblad,
+    gen_unitary,
+    lindblad_superop,
     maps_to_tensors,
     markovianity_profile,
     propagate,
+    stationary_state,
     tensors_to_maps,
     truncation_error,
 )
-from ttmkit.errors import DimensionError, InsufficientLearningError
+from ttmkit.errors import (
+    DimensionError,
+    InsufficientLearningError,
+    NumericalError,
+)
+from ttmkit.liouville import devectorize
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -196,3 +204,41 @@ def test_truncated_storage_scales_as_k_d4(k, dim):
     arr[0] = np.eye(d2)
     tensors = TransferTensorSequence(dim=dim, dt=0.1, tensors=arr)
     assert tensors.truncated(k).tensors.size == k * dim**4
+
+
+def _lindblad_tensors():
+    h = 0.5 * (SIGMA_Z + SIGMA_X)
+    ops, rates = [SIGMA_MINUS, SIGMA_Z], [0.4, 0.1]
+    trajs = gen_lindblad(h, ops, rates, TimeGrid(dt=0.05, n_steps=4))
+    return maps_to_tensors(extract_maps(trajs)), lindblad_superop(h, ops, rates)
+
+
+def test_stationary_state_is_the_lindblad_steady_state():
+    tensors, generator = _lindblad_tensors()
+    # the exact steady state spans the generator's null space
+    null = devectorize(np.linalg.svd(generator)[2][-1].conj())
+    exact = null / np.trace(null)
+    assert np.abs(stationary_state(tensors) - exact).max() <= 1e-12
+
+
+def test_stationary_state_matches_the_inline_eigen_solve():
+    tensors = maps_to_tensors(_hierarchy_maps())
+    w, v = np.linalg.eig(tensors.tensors.sum(axis=0))
+    rho = devectorize(v[:, np.argmin(np.abs(w - 1.0))])
+    rho = rho / np.trace(rho)
+    rho = 0.5 * (rho + rho.conj().T)
+    assert np.array_equal(stationary_state(tensors), rho)
+
+
+def test_stationary_state_refuses_a_missing_or_shared_fixed_point():
+    # unitary dynamics keeps every population of the energy basis fixed
+    unitary = gen_unitary(0.5 * (SIGMA_Z + SIGMA_X),
+                          TimeGrid(dt=0.05, n_steps=4))
+    with pytest.raises(NumericalError, match="^2 eigenvalues"):
+        stationary_state(maps_to_tensors(extract_maps(unitary)))
+    # scaled off trace preservation, no eigenvalue is left at 1
+    tensors, _ = _lindblad_tensors()
+    scaled = TransferTensorSequence(dim=2, dt=tensors.dt,
+                                    tensors=1.01 * tensors.tensors)
+    with pytest.raises(NumericalError, match="^0 eigenvalues"):
+        stationary_state(scaled)

@@ -45,23 +45,6 @@ def test_dagger_defect_zero_for_unitary_source():
     assert trajs.dagger_defect() < 1e-14
 
 
-def test_evolve_state_is_linear_combination():
-    grid = TimeGrid(dt=0.05, n_steps=20)
-    trajs = gen_unitary(SIGMA_X, grid)
-    rho0 = np.array([[0.6, 0.1 - 0.2j], [0.1 + 0.2j, 0.4]])
-    frames = trajs.evolve_state(rho0)
-    assert frames.shape == (21, 2, 2)
-    # frame k must equal the direct linear combination of basis columns
-    direct = sum(rho0[i, j] * trajs.element(i, j)[13]
-                 for i in range(2) for j in range(2))
-    np.testing.assert_allclose(frames[13], direct, atol=1e-14)
-    # physicality along the way
-    traces = np.einsum("kii->k", frames)
-    np.testing.assert_allclose(traces, 1.0, atol=1e-12)
-    herm = np.abs(frames - frames.conj().transpose(0, 2, 1)).max()
-    assert herm < 1e-12
-
-
 def _random_maps(rng, dim, n_steps):
     d2 = dim * dim
     maps = (rng.normal(size=(n_steps + 1, d2, d2))
