@@ -29,9 +29,10 @@ $TTM kernel "$WORK/tensors.json" --fit-liouvillian \
     --out "$WORK/kernel.json" \
     --table "$WORK/kernel.tsv" --elements "00->00,01->10"
 
-# 5. stationary-state analysis of the extrapolated trajectory
-$TTM analyze "$WORK/long_run.json" --tol 1e-9 --window 100 \
-    --out "$WORK/equilibrium.tsv"
+# 5. stationary state twice: the settled tail of the extrapolated
+# trajectory, and the fixed point read straight off the tensors
+$TTM analyze "$WORK/long_run.json" "$WORK/tensors.json" --tol 1e-9 \
+    --window 100 --out "$WORK/equilibrium.tsv"
 
 echo
 echo "products:"

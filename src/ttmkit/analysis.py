@@ -43,6 +43,8 @@ def detect_equilibrium(traj, tol=1e-9, window=20):
 
     Raises
     ------
+    ValueError
+        If ``tol`` is not positive or ``window`` is below 2.
     NotSettledError
         If no frame satisfies the bound through the end, or fewer than
         ``window`` frames remain to confirm it. The error carries the
@@ -51,6 +53,8 @@ def detect_equilibrium(traj, tol=1e-9, window=20):
     traj = np.asarray(traj, dtype=complex)
     if traj.ndim != 3 or traj.shape[1] != traj.shape[2]:
         raise DimensionError(f"trajectory shape {traj.shape} is not (n, D, D)")
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     if window < 2:
         raise ValueError("window must be at least 2")
     n_frames = traj.shape[0]

@@ -6,9 +6,14 @@ and stderr carry only logs. Internally everything is dimensionless
 ``--units wavenumber`` switch converts cm^-1 / Kelvin / fs inputs at
 this boundary and nowhere else.
 
+``analyze`` reads each file by its document kind: a propagated state
+trajectory is checked for a settled tail, and a tensors document gives
+its fixed point rho = (sum_s T_s) rho directly. A sweep is ``generate``
+and ``learn`` per point, then one ``analyze`` over the tensors files.
+
 Exit codes: 0 success, 2 validation or schema failure, 3 numerical
 failure (divergence, unsettled trajectory, insufficient learning, no
-unique fixed point).
+unique fixed point). ``analyze`` writes its table before exiting 3.
 """
 
 import argparse
@@ -38,6 +43,7 @@ from .models import (
     tls_hamiltonian,
 )
 from .tensors import (
+    TransferTensorSequence,
     choose_cutoff,
     maps_to_tensors,
     markovianity_profile,
@@ -51,31 +57,6 @@ from .trajectories import TimeGrid
 log = logging.getLogger("ttm")
 
 COUPLING_OPS = {"sz": SIGMA_Z, "sx": SIGMA_X}
-
-
-def _add_model_arguments(parser):
-    parser.add_argument("--omega0", type=float, default=1.0,
-                        help="level splitting (default 1)")
-    parser.add_argument("--j", type=float, default=1.0,
-                        help="exchange coupling (default 1)")
-    parser.add_argument("--lambda", dest="lam", type=float, default=0.1,
-                        help="bath reorganization energy (default 0.1)")
-    parser.add_argument("--gamma", type=float, default=1.0,
-                        help="bath cutoff frequency (default 1)")
-    parser.add_argument("--beta", type=float, default=0.5,
-                        help="inverse temperature, dimensionless units only")
-    parser.add_argument("--temperature", type=float, default=None,
-                        help="temperature in Kelvin (wavenumber units only)")
-    parser.add_argument("--coupling", choices=sorted(COUPLING_OPS),
-                        default="sz", help="system-bath coupling operator")
-    parser.add_argument("--heom-depth", type=int, default=5,
-                        help="hierarchy depth (model heom)")
-    parser.add_argument("--heom-matsubara", type=int, default=2,
-                        help="Matsubara modes kept (model heom)")
-    parser.add_argument("--units", choices=["dimensionless", "wavenumber"],
-                        default="dimensionless",
-                        help="input unit system (wavenumber: energies in "
-                             "cm^-1, temperature in K, dt in fs)")
 
 
 def _convert_units(args):
@@ -118,23 +99,10 @@ def _parse_initial(spec, dim):
         return np.full((2, 2), 0.5, dtype=complex)
     if spec == "mixed":
         return np.eye(dim, dtype=complex) / dim
-    import json
-
-    try:
-        with open(spec) as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read initial state {spec!r}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{spec}: not valid JSON ({exc})")
-    if not isinstance(doc, dict) or "state" not in doc:
-        raise SchemaError(f"{spec}: expected an object with a 'state' matrix")
-    return validate_state(fileio.decode_array(doc["state"], (dim, dim), spec,
-                                              "state"))
+    return validate_state(fileio.load_initial_state(spec, dim))
 
 
-def _generate(args):
-    """Reference basis trajectories and their model meta from the flags."""
+def cmd_generate(args):
     omega0, j, lam, gamma, beta, dt = _convert_units(args)
     grid = TimeGrid(dt=dt, n_steps=args.steps)
     coupling = COUPLING_OPS[args.coupling]
@@ -168,31 +136,21 @@ def _generate(args):
     if args.model == "heom":
         meta["heom_depth"] = args.heom_depth
         meta["heom_matsubara"] = args.heom_matsubara
-    return trajs, meta
-
-
-def cmd_generate(args):
-    trajs, meta = _generate(args)
     fileio.save_basis_trajectories(args.out, trajs, meta=meta)
     log.info("wrote %s (%d basis trajectories, %d steps, dt=%g)",
-             args.out, trajs.dim**2, trajs.grid.n_steps, trajs.grid.dt)
+             args.out, trajs.dim**2, grid.n_steps, grid.dt)
     return 0
-
-
-def _learn(trajs, cutoff_k, cutoff_tol):
-    """Kept tensors, full markovianity profile and truncation error."""
-    full = maps_to_tensors(extract_maps(trajs))
-    profile = markovianity_profile(full)
-    if cutoff_k is None:
-        cutoff_k = choose_cutoff(full, cutoff_tol)
-    kept = full.truncated(cutoff_k)
-    trunc = truncation_error(full, cutoff_k) if cutoff_k < len(full) else None
-    return kept, profile, trunc
 
 
 def cmd_learn(args):
     trajs, meta = fileio.load_basis_trajectories(args.trajectory)
-    kept, profile, trunc = _learn(trajs, args.cutoff_k, args.cutoff_tol)
+    full = maps_to_tensors(extract_maps(trajs))
+    profile = markovianity_profile(full)
+    cutoff_k = args.cutoff_k
+    if cutoff_k is None:
+        cutoff_k = choose_cutoff(full, args.cutoff_tol)
+    kept = full.truncated(cutoff_k)
+    trunc = truncation_error(full, cutoff_k) if cutoff_k < len(full) else None
     fileio.save_tensors(
         args.out, kept, profile=profile, truncation=trunc, meta=meta,
     )
@@ -285,22 +243,22 @@ def cmd_kernel(args):
     return 0
 
 
-def _analysis_row(meta, state, settled_at, residual):
-    """Table row with the angle of ``state`` (None: not settled)."""
+def _analysis_row(meta, state, settled_at, residual, status="ok"):
+    """Table row with the angle of ``state``; without one, ``status`` says why."""
     row = {
         "lambda": meta.get("lambda", float("nan")),
         "beta": meta.get("beta", float("nan")),
         "theta": float("nan"),
         "settled_at": settled_at,
         "residual": float("nan") if residual is None else residual,
-        "status": "ok" if state is not None else "not_settled",
+        "status": status,
     }
     if state is None:
         return row
     if "omega0" not in meta or "j" not in meta or "beta" not in meta:
         raise SchemaError(
-            "trajectory meta lacks omega0/j/beta; cannot build the "
-            "canonical reference"
+            "model meta lacks omega0/j/beta; cannot build the canonical "
+            "reference"
         )
     reference = canonical_state(
         tls_hamiltonian(meta["omega0"], meta["j"]), meta["beta"]
@@ -312,54 +270,39 @@ def _analysis_row(meta, state, settled_at, residual):
     return row
 
 
-def _sweep_row(args, **point):
-    """Table row of the fixed point learned at one point of the sweep.
+def _trajectory_row(meta, frames, tol, window):
+    """Row of the settled tail of a propagated state trajectory."""
+    try:
+        report = detect_equilibrium(frames, tol, window)
+    except NotSettledError as exc:
+        return _analysis_row(meta, None, -1, exc.residual, "not_settled")
+    return _analysis_row(meta, report.state, report.settled_at,
+                         report.residual)
 
-    The point's values replace the model flags; ``settled_at`` is the
-    kept depth K and ``residual`` max|sum_s T_s rho - rho|.
+
+def _tensors_row(meta, tensors):
+    """Row of the fixed point of learned tensors.
+
+    ``settled_at`` is the kept depth K and ``residual``
+    max|sum_s T_s rho - rho|.
     """
-    point_args = argparse.Namespace(**{
-        **vars(args), "model": "heom", "steps": args.learn_steps, **point,
-    })
-    trajs, meta = _generate(point_args)
-    kept, _, _ = _learn(trajs, None, args.cutoff_tol)
-    state = stationary_state(kept)
-    residual = kept.tensors.sum(axis=0) @ vectorize(state) - vectorize(state)
-    return _analysis_row(meta, state, len(kept),
+    try:
+        state = stationary_state(tensors)
+    except NumericalError:
+        return _analysis_row(meta, None, -1, None, "no_fixed_point")
+    residual = tensors.tensors.sum(axis=0) @ vectorize(state) - vectorize(state)
+    return _analysis_row(meta, state, len(tensors),
                          float(np.abs(residual).max()))
 
 
 def cmd_analyze(args):
-    if args.sweep_lambda or args.sweep_beta:
-        if args.trajectories:
-            raise ConfigurationError(
-                "give either trajectory files or sweep flags, not both"
-            )
-        if args.sweep_lambda and args.sweep_beta:
-            raise ConfigurationError("sweep one axis at a time")
-        if args.sweep_beta and args.units != "dimensionless":
-            raise ConfigurationError(
-                "--sweep-beta is dimensionless-only, like --beta"
-            )
-        axis, values = (("lam", args.sweep_lambda) if args.sweep_lambda
-                        else ("beta", args.sweep_beta))
-        rows = [_sweep_row(args, **{axis: float(x)})
-                for x in values.split(",")]
-    else:
-        if not args.trajectories:
-            raise ConfigurationError(
-                "need trajectory files or --sweep-lambda/--sweep-beta"
-            )
-        rows = []
-        for path in args.trajectories:
-            frames, _, meta = fileio.load_state_trajectory(path)
-            try:
-                report = detect_equilibrium(frames, args.tol, args.window)
-            except NotSettledError as exc:
-                rows.append(_analysis_row(meta, None, -1, exc.residual))
-                continue
-            rows.append(_analysis_row(meta, report.state, report.settled_at,
-                                      report.residual))
+    rows = []
+    for path in args.files:
+        payload, meta = fileio.load_state_or_tensors(path)
+        if isinstance(payload, TransferTensorSequence):
+            rows.append(_tensors_row(meta, payload))
+        else:
+            rows.append(_trajectory_row(meta, payload, args.tol, args.window))
     columns = ["lambda", "beta", "theta", "settled_at", "residual", "status"]
     fileio.write_table(
         args.out,
@@ -368,10 +311,12 @@ def cmd_analyze(args):
     )
     flagged = sum(row["status"] != "ok" for row in rows)
     log.info("wrote %s (%d rows, %d flagged)", args.out, len(rows), flagged)
-    unsettled = sum(row["status"] == "not_settled" for row in rows)
-    if unsettled:
-        raise NotSettledError(
-            f"{unsettled} of {len(rows)} trajectories did not settle"
+    failed = sum(row["status"] in ("not_settled", "no_fixed_point")
+                 for row in rows)
+    if failed:
+        raise NumericalError(
+            f"{failed} of {len(rows)} inputs have no equilibrium "
+            "(not_settled or no_fixed_point)"
         )
     return 0
 
@@ -393,7 +338,28 @@ def build_parser():
     p_gen.add_argument("--dt", type=float, required=True)
     p_gen.add_argument("--steps", type=int, required=True,
                        help="number of grid steps")
-    _add_model_arguments(p_gen)
+    p_gen.add_argument("--omega0", type=float, default=1.0,
+                       help="level splitting (default 1)")
+    p_gen.add_argument("--j", type=float, default=1.0,
+                       help="exchange coupling (default 1)")
+    p_gen.add_argument("--lambda", dest="lam", type=float, default=0.1,
+                       help="bath reorganization energy (default 0.1)")
+    p_gen.add_argument("--gamma", type=float, default=1.0,
+                       help="bath cutoff frequency (default 1)")
+    p_gen.add_argument("--beta", type=float, default=0.5,
+                       help="inverse temperature, dimensionless units only")
+    p_gen.add_argument("--temperature", type=float, default=None,
+                       help="temperature in Kelvin (wavenumber units only)")
+    p_gen.add_argument("--coupling", choices=sorted(COUPLING_OPS),
+                       default="sz", help="system-bath coupling operator")
+    p_gen.add_argument("--heom-depth", type=int, default=5,
+                       help="hierarchy depth (model heom)")
+    p_gen.add_argument("--heom-matsubara", type=int, default=2,
+                       help="Matsubara modes kept (model heom)")
+    p_gen.add_argument("--units", choices=["dimensionless", "wavenumber"],
+                       default="dimensionless",
+                       help="input unit system (wavenumber: energies in "
+                            "cm^-1, temperature in K, dt in fs)")
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_generate)
 
@@ -429,19 +395,12 @@ def build_parser():
 
     p_ana = sub.add_parser("analyze",
                            help="equilibrium detection and deviation angles")
-    p_ana.add_argument("trajectories", nargs="*",
-                       help="propagated state files (file mode)")
-    p_ana.add_argument("--sweep-lambda", default=None,
-                       help="comma list of couplings (pipeline mode)")
-    p_ana.add_argument("--sweep-beta", default=None,
-                       help="comma list of inverse temperatures")
-    p_ana.add_argument("--dt", type=float, default=0.02)
-    p_ana.add_argument("--learn-steps", type=int, default=100)
-    p_ana.add_argument("--cutoff-tol", type=float, default=1e-7)
+    p_ana.add_argument("files", nargs="+", metavar="FILE",
+                       help="propagated state or tensors files")
     p_ana.add_argument("--tol", type=float, default=1e-9,
-                       help="equilibrium per-step tolerance")
-    p_ana.add_argument("--window", type=int, default=50)
-    _add_model_arguments(p_ana)
+                       help="equilibrium per-step tolerance (state files)")
+    p_ana.add_argument("--window", type=int, default=50,
+                       help="frames that must confirm it (state files)")
     p_ana.add_argument("--out", required=True)
     p_ana.set_defaults(func=cmd_analyze)
     return parser

@@ -97,7 +97,7 @@ _HEADER_FIELDS = (
 )
 
 
-def _load_checked(path, kind):
+def _read_json(path):
     try:
         with open(path) as handle:
             doc = json.load(handle)
@@ -107,13 +107,19 @@ def _load_checked(path, kind):
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be an object")
+    return doc
+
+
+def _load_checked(path, *kinds):
+    doc = _read_json(path)
     if doc.get("format_version") != FORMAT_VERSION:
         raise SchemaError(
             f"{path}: format_version {doc.get('format_version')!r}, "
             f"expected {FORMAT_VERSION}"
         )
-    if doc.get("kind") != kind:
-        raise SchemaError(f"{path}: kind {doc.get('kind')!r}, expected {kind!r}")
+    if doc.get("kind") not in kinds:
+        raise SchemaError(f"{path}: kind {doc.get('kind')!r}, expected "
+                          + " or ".join(map(repr, kinds)))
     if doc.get("vectorization") != VECTORIZATION:
         raise SchemaError(f"{path}: unsupported vectorization convention")
     for key, valid, want in _HEADER_FIELDS:
@@ -204,13 +210,16 @@ def load_state_trajectory(path):
     meta : dict
     """
     doc = _load_checked(path, "trajectory")
+    return _state_frames(path, doc), float(doc["dt"]), doc.get("meta", {})
+
+
+def _state_frames(path, doc):
     if doc.get("content") != "state":
         raise SchemaError(f"{path}: content {doc.get('content')!r} is not 'state'")
     dim = doc["dim"]
     n_steps = doc["n_steps"]
-    frames = decode_array(doc.get("frames"), (n_steps + 1, dim, dim), path,
-                          "frames")
-    return frames, float(doc["dt"]), doc.get("meta", {})
+    return decode_array(doc.get("frames"), (n_steps + 1, dim, dim), path,
+                        "frames")
 
 
 def save_tensors(path, tensors, profile=None, truncation=None, meta=None):
@@ -241,12 +250,42 @@ def load_tensors(path):
         The full document, for access to diagnostics and meta.
     """
     doc = _load_checked(path, "tensors")
+    return _tensor_sequence(path, doc), doc
+
+
+def _tensor_sequence(path, doc):
     dim = doc["dim"]
     count = doc["n_steps"]
     d2 = dim * dim
     tensors = decode_array(doc.get("tensors"), (count, d2, d2), path, "tensors")
-    seq = TransferTensorSequence(dim=dim, dt=float(doc["dt"]), tensors=tensors)
-    return seq, doc
+    return TransferTensorSequence(dim=dim, dt=float(doc["dt"]), tensors=tensors)
+
+
+def load_state_or_tensors(path):
+    """Read a propagated-state or a tensors document, parsing it once.
+
+    Returns
+    -------
+    payload : ndarray, shape (n_steps + 1, D, D), or TransferTensorSequence
+        The state frames or the tensor sequence, by the document's kind.
+    meta : dict
+    """
+    doc = _load_checked(path, "trajectory", "tensors")
+    if doc["kind"] == "tensors":
+        return _tensor_sequence(path, doc), doc.get("meta", {})
+    return _state_frames(path, doc), doc.get("meta", {})
+
+
+def load_initial_state(path, dim):
+    """(dim, dim) state from a JSON object whose ``state`` field holds it.
+
+    The object needs no document header, so a bare ``{"state": ...}``
+    written by hand or by another tool loads too.
+    """
+    doc = _read_json(path)
+    if "state" not in doc:
+        raise SchemaError(f"{path}: expected an object with a 'state' matrix")
+    return decode_array(doc["state"], (dim, dim), path, "state")
 
 
 def save_kernel(path, kernel, meta=None):

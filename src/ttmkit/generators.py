@@ -11,7 +11,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConfigurationError, DimensionError
-from .liouville import spre, spost, unitary_superop
+from .liouville import is_hermitian, spre, spost, unitary_superop
 from .trajectories import BasisTrajectorySet, TimeGrid
 
 
@@ -53,7 +53,7 @@ def gen_unitary(h, grid):
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionError(f"hamiltonian must be square, got shape {h.shape}")
-    if not np.allclose(h, h.conj().T, atol=1e-12 * max(1.0, np.abs(h).max())):
+    if not is_hermitian(h):
         raise DimensionError("hamiltonian must be Hermitian")
     energies, modes = np.linalg.eigh(h)
     phases = np.exp(-1j * energies * grid.times[:, None])

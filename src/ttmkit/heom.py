@@ -66,10 +66,6 @@ class HeomConfig:
                 f"n_matsubara must be nonnegative, got {self.n_matsubara}"
             )
 
-    def refined(self):
-        """The next-larger truncation used by the convergence check."""
-        return HeomConfig(self.depth + 2, self.n_matsubara + 1)
-
 
 def _multi_indices(n_modes, depth):
     """All mode occupation tuples with total excitation <= depth, sorted."""
@@ -202,43 +198,3 @@ def gen_heom(params, cfg, grid):
     )
     return BasisTrajectorySet.from_maps(grid, maps)
 
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Outcome of a hierarchy refinement comparison.
-
-    ``per_entry[i, j]`` is the largest deviation of density-matrix
-    entry (i, j) across all basis trajectories and times.
-    """
-
-    converged: bool
-    tol: float
-    max_dev: float
-    per_entry: np.ndarray
-    base: HeomConfig
-    refined: HeomConfig
-
-    def __bool__(self):
-        return self.converged
-
-
-def heom_converged(params, cfg, grid, tol):
-    """Compare ``cfg`` against its refinement on the same grid.
-
-    Runs the hierarchy at (depth, n_matsubara) and at
-    (depth + 2, n_matsubara + 1) and reports the largest discrepancy of
-    the physical block, entry by entry.
-    """
-    coarse = gen_heom(params, cfg, grid)
-    fine = gen_heom(params, cfg.refined(), grid)
-    diff = np.abs(coarse.data - fine.data)
-    per_entry = diff.max(axis=(0, 1))
-    max_dev = float(per_entry.max())
-    return ConvergenceReport(
-        converged=max_dev < tol,
-        tol=tol,
-        max_dev=max_dev,
-        per_entry=per_entry,
-        base=cfg,
-        refined=cfg.refined(),
-    )

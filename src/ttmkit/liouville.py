@@ -65,6 +65,11 @@ def spost(op):
     return np.kron(np.eye(op.shape[0]), op.T)
 
 
+def is_hermitian(m):
+    """Whether square ``m`` equals m^dagger to 1e-12 of its largest entry."""
+    return np.allclose(m, m.conj().T, atol=1e-12 * max(1.0, np.abs(m).max()))
+
+
 def liouvillian_superop(h):
     """Commutator superoperator of a Hermitian ``h``: rho -> [h, rho].
 
@@ -74,7 +79,7 @@ def liouvillian_superop(h):
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {h.shape}")
-    if not np.allclose(h, h.conj().T, atol=1e-12 * max(1.0, np.abs(h).max())):
+    if not is_hermitian(h):
         raise DimensionError("hamiltonian must be Hermitian")
     return spre(h) - spost(h)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .liouville import SIGMA_X, SIGMA_Z
+from .liouville import SIGMA_X, SIGMA_Z, is_hermitian
 
 # 1/(k_B) in K/cm^-1 terms: k_B = 0.6950348 cm^-1 per Kelvin, and
 # hbar = 5308.8 cm^-1 fs sets the time conversion.
@@ -71,7 +71,7 @@ class SpinBosonParams:
         op = np.asarray(op, dtype=complex)
         if op.ndim != 2 or op.shape[0] != op.shape[1]:
             raise DimensionError(f"coupling_op must be square, got {op.shape}")
-        if not np.allclose(op, op.conj().T, atol=1e-12 * max(1.0, np.abs(op).max())):
+        if not is_hermitian(op):
             raise ConfigurationError("coupling_op must be Hermitian")
         object.__setattr__(self, "coupling_op", op)
 

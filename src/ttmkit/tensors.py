@@ -151,7 +151,11 @@ def choose_cutoff(tensors, tol):
         If the last learned tensor is itself above ``tol``; the error
         carries the tail norms so the caller can size a longer learning
         window.
+    ValueError
+        If ``tol`` is not positive; no window can meet it.
     """
+    if not tol > 0:
+        raise ValueError(f"cutoff tolerance must be positive, got {tol}")
     norms = markovianity_profile(tensors)
     if norms[-1] >= tol:
         raise InsufficientLearningError(

@@ -14,6 +14,7 @@ from ttmkit import (
     cli,
     load_state_trajectory,
     load_tensors,
+    save_tensors,
 )
 from ttmkit.cli import main
 from ttmkit.models import beta_from_kelvin, time_from_fs
@@ -115,11 +116,21 @@ def test_analyze_file_mode(heom_run, tmp_path):
     assert 0.0 <= float(row["theta"]) <= np.pi / 2
 
 
+def learn_point(root, name, *model, dt="0.02"):
+    """Tensors file of one sweep point: a hierarchy run, then learn."""
+    ref, tensors = root / f"ref_{name}.json", root / f"t_{name}.json"
+    assert run(["generate", "--model", "heom", "--dt", dt, "--steps", "300",
+                "--heom-depth", "3", *model, "--out", ref]) == 0
+    assert run(["learn", ref, "--cutoff-tol", "1e-5", "--out", tensors]) == 0
+    return tensors
+
+
 def test_analyze_sweep_mode(tmp_path):
+    # a sweep is generate and learn per point, then one analyze
     out = tmp_path / "sweep.tsv"
-    assert run(["analyze", "--sweep-lambda", "0.1,0.5", "--heom-depth", "3",
-                "--learn-steps", "300", "--cutoff-tol", "1e-5",
-                "--out", out]) == 0
+    points = [learn_point(tmp_path, lam, "--lambda", lam)
+              for lam in ("0.1", "0.5")]
+    assert run(["analyze", *points, "--out", out]) == 0
     rows = read_rows(out)
     assert [row["status"] for row in rows] == ["ok", "ok"]
     assert [float(row["lambda"]) for row in rows] == [0.1, 0.5]
@@ -129,50 +140,34 @@ def test_analyze_sweep_mode(tmp_path):
 
 def test_sweep_matches_the_propagated_file_chain(tmp_path):
     # where the propagated state settles, it lands on the fixed point the
-    # sweep reads; the sweep reports the kept depth K as settled_at
-    model = ["--lambda", "0.5", "--heom-depth", "3"]
-    assert run(["generate", "--model", "heom", "--dt", "0.02", "--steps",
-                "300", *model, "--out", tmp_path / "ref.json"]) == 0
-    assert run(["learn", tmp_path / "ref.json", "--cutoff-tol", "1e-5",
-                "--out", tmp_path / "t.json"]) == 0
-    assert run(["propagate", tmp_path / "t.json", "--steps", "3000",
+    # tensors give; a tensors file reports the kept depth K as settled_at
+    tensors = learn_point(tmp_path, "0.5", "--lambda", "0.5")
+    assert run(["propagate", tensors, "--steps", "3000",
                 "--out", tmp_path / "run.json"]) == 0
-    assert run(["analyze", tmp_path / "run.json",
-                "--out", tmp_path / "file.tsv"]) == 0
-    assert run(["analyze", "--sweep-lambda", "0.5", "--heom-depth", "3",
-                "--learn-steps", "300", "--cutoff-tol", "1e-5",
-                "--out", tmp_path / "sweep.tsv"]) == 0
-    [chain] = read_rows(tmp_path / "file.tsv")
-    [sweep] = read_rows(tmp_path / "sweep.tsv")
+    assert run(["analyze", tmp_path / "run.json", tensors,
+                "--out", tmp_path / "both.tsv"]) == 0
+    chain, sweep = read_rows(tmp_path / "both.tsv")
     assert chain["status"] == sweep["status"] == "ok"
     # measured 3.0e-8: the propagated tail still moves by ~1e-9 per step
     assert abs(float(chain["theta"]) - float(sweep["theta"])) < 1e-7
-    _, doc = load_tensors(tmp_path / "t.json")
+    _, doc = load_tensors(tensors)
     assert int(sweep["settled_at"]) == doc["cutoff"]
     assert float(sweep["residual"]) < 1e-12
 
 
 def test_wavenumber_sweep_converts_the_couplings(tmp_path):
     # 10 cm^-1 at a 100 cm^-1 exchange coupling is lambda = 0.1
-    common = ["analyze", "--heom-depth", "3", "--learn-steps", "300",
-              "--cutoff-tol", "1e-5"]
-    assert run(common + ["--units", "wavenumber", "--omega0", "100", "--j",
-                         "100", "--gamma", "100", "--temperature", "300",
-                         "--dt", "1", "--sweep-lambda", "10",
-                         "--out", tmp_path / "cm.tsv"]) == 0
-    assert run(common + ["--beta", repr(beta_from_kelvin(300.0, 100.0)),
-                         "--dt", repr(time_from_fs(1.0, 100.0)),
-                         "--sweep-lambda", "0.1",
-                         "--out", tmp_path / "plain.tsv"]) == 0
+    cm = learn_point(tmp_path, "cm", "--units", "wavenumber", "--omega0",
+                     "100", "--j", "100", "--gamma", "100",
+                     "--temperature", "300", "--lambda", "10", dt="1")
+    plain = learn_point(tmp_path, "plain", "--lambda", "0.1",
+                        "--beta", repr(beta_from_kelvin(300.0, 100.0)),
+                        dt=repr(time_from_fs(1.0, 100.0)))
+    assert run(["analyze", cm, "--out", tmp_path / "cm.tsv"]) == 0
+    assert run(["analyze", plain, "--out", tmp_path / "plain.tsv"]) == 0
     [row] = read_rows(tmp_path / "cm.tsv")
     assert row["status"] == "ok"
     assert read_rows(tmp_path / "plain.tsv") == [row]
-
-
-def test_wavenumber_beta_sweep_is_exit_2(tmp_path):
-    # --beta is dimensionless-only, so its sweep is too
-    assert run(["analyze", "--units", "wavenumber", "--temperature", "300",
-                "--sweep-beta", "0.5", "--out", tmp_path / "out.tsv"]) == 2
 
 
 def _scaled(tensors, factor):
@@ -181,9 +176,11 @@ def _scaled(tensors, factor):
 
 
 @pytest.mark.parametrize("command", ["propagate", "sweep"])
-def test_trace_drift_is_exit_3(lindblad_run, tmp_path, monkeypatch, command):
-    # propagate refuses a drifting trace; the sweep refuses tensors that
-    # do not preserve the trace, which leave no unit eigenvalue
+def test_trace_drift_is_exit_3(lindblad_run, heom_run, tmp_path, monkeypatch,
+                               command):
+    # propagate refuses a drifting trace; analyze flags tensors that do
+    # not preserve the trace, which leave no unit eigenvalue, and still
+    # writes the rows of the good files
     out = tmp_path / "out"
     if command == "propagate":
         propagate = cli.propagate
@@ -191,25 +188,28 @@ def test_trace_drift_is_exit_3(lindblad_run, tmp_path, monkeypatch, command):
                             lambda *args: propagate(*args) * 1.01)
         argv = ["propagate", lindblad_run / "tensors.json", "--steps", "50"]
     else:
-        learn = cli.maps_to_tensors
-        monkeypatch.setattr(cli, "maps_to_tensors",
-                            lambda maps: _scaled(learn(maps), 1.01))
-        # exit 0 without the scaling
-        argv = ["analyze", "--sweep-lambda", "0.1", "--heom-depth", "2",
-                "--learn-steps", "100", "--cutoff-tol", "1e-4"]
+        good = heom_run / "tensors.json"
+        bad = tmp_path / "scaled.json"
+        tensors, doc = load_tensors(good)
+        save_tensors(bad, _scaled(tensors, 1.01), meta=doc["meta"])
+        argv = ["analyze", good, bad]
     assert run(argv + ["--out", out]) == 3
+    if command == "sweep":
+        assert [row["status"] for row in read_rows(out)] == [
+            "ok", "no_fixed_point"]
 
 
 def test_analyze_flags_degenerate_equilibrium(lindblad_run, tmp_path):
     # a unital model relaxes to the maximally mixed state, which has no
     # axis to compare against the canonical one; that is reported, not
-    # treated as a failure
+    # treated as a failure, for the settled state and the fixed point
     out = tmp_path / "report.tsv"
-    rc = run(["analyze", lindblad_run / "state.json", "--tol", "1e-6",
+    rc = run(["analyze", lindblad_run / "state.json",
+              lindblad_run / "tensors.json", "--tol", "1e-6",
               "--window", "30", "--out", out])
     assert rc == 0
-    [row] = read_rows(out)
-    assert row["status"] == "degenerate"
+    assert [row["status"] for row in read_rows(out)] == [
+        "degenerate", "degenerate"]
 
 
 def test_missing_input_is_exit_2(tmp_path):
@@ -218,9 +218,12 @@ def test_missing_input_is_exit_2(tmp_path):
 
 
 def test_wrong_kind_is_exit_2(lindblad_run, tmp_path):
-    # a tensors document fed where a trajectory is expected
+    # a tensors document fed where a trajectory is expected, and basis
+    # trajectories where a propagated state or tensors are
     assert run(["learn", lindblad_run / "tensors.json",
                 "--out", tmp_path / "t.json"]) == 2
+    assert run(["analyze", lindblad_run / "traj.json",
+                "--out", tmp_path / "a.tsv"]) == 2
 
 
 @pytest.mark.parametrize("cutoff", ["0", "61"])
@@ -244,6 +247,43 @@ def test_non_finite_initial_state_is_exit_2(lindblad_run, tmp_path):
     assert run(["propagate", lindblad_run / "tensors.json", "--initial",
                 initial, "--steps", "10", "--out", out]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["learn", "traj.json", "--cutoff-tol", "0"],
+    ["learn", "traj.json", "--cutoff-tol", "-1"],
+    ["analyze", "state.json", "--tol", "0"],
+], ids=["learn-0", "learn-negative", "analyze-0"])
+def test_non_positive_tolerance_is_exit_2(lindblad_run, tmp_path, argv):
+    # no learning window or trajectory can meet a tolerance <= 0
+    command, name, *options = argv
+    out = tmp_path / "out"
+    assert run([command, lindblad_run / name, *options, "--out", out]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [None, "{not json", '["state"]'],
+                         ids=["absent", "not-json", "not-an-object"])
+def test_unreadable_initial_state_is_exit_2(lindblad_run, tmp_path, content):
+    initial = tmp_path / "initial.json"
+    if content is not None:
+        initial.write_text(content)
+    out = tmp_path / "s.json"
+    assert run(["propagate", lindblad_run / "tensors.json", "--initial",
+                initial, "--steps", "10", "--out", out]) == 2
+    assert not out.exists()
+
+
+def test_headerless_initial_state_loads(lindblad_run, tmp_path):
+    # a bare {"state": ...} object, as other tools write it
+    initial = tmp_path / "initial.json"
+    initial.write_text(json.dumps(
+        {"state": [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]}
+    ))
+    assert run(["propagate", lindblad_run / "tensors.json", "--initial",
+                initial, "--steps", "10", "--out", tmp_path / "s.json"]) == 0
+    frames, _, _ = load_state_trajectory(tmp_path / "s.json")
+    assert np.allclose(frames[0], 0.5)
 
 
 def test_insufficient_learning_is_exit_3(tmp_path):
@@ -317,4 +357,9 @@ def test_documented_pipeline_runs():
     assert proc.returncode == 0, proc.stderr
     report = proc.stdout.split("equilibrium report:\n")[1].splitlines()
     header = report[0].lstrip("# ").split("\t")
-    assert dict(zip(header, report[1].split("\t")))["status"] == "ok"
+    # the settled tail of long_run.json and the fixed point of
+    # tensors.json; measured 1.9e-15 apart
+    settled, fixed = (dict(zip(header, line.split("\t")))
+                      for line in report[1:3])
+    assert settled["status"] == fixed["status"] == "ok"
+    assert abs(float(settled["theta"]) - float(fixed["theta"])) < 1e-7

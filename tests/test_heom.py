@@ -15,7 +15,6 @@ from ttmkit import (
     gen_dephasing_analytic,
     gen_heom,
     gen_unitary,
-    heom_converged,
 )
 from ttmkit.errors import ConfigurationError, DivergenceError
 from ttmkit import heom as heom_module
@@ -124,21 +123,6 @@ def test_multi_indices_match_brute_force_filter(n_modes):
         brute = sorted(idx for idx in product(range(depth + 1), repeat=n_modes)
                        if sum(idx) <= depth)
         assert heom_module._multi_indices(n_modes, depth) == brute
-
-
-def test_convergence_report_with_refined_truncation():
-    params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=0.05, gamma=1.0,
-                             beta=0.5)
-    grid = TimeGrid(dt=0.1, n_steps=30)
-    report = heom_converged(params, HeomConfig(depth=3, n_matsubara=1), grid,
-                            tol=1e-2)
-    assert report.converged
-    assert 0 < report.max_dev < 1e-2
-    assert report.refined.depth == 5
-    assert report.refined.n_matsubara == 2
-    strict = heom_converged(params, HeomConfig(depth=3, n_matsubara=1), grid,
-                            tol=report.max_dev / 10)
-    assert not strict.converged
 
 
 def test_divergence_guard_reports_step(monkeypatch):
