@@ -13,10 +13,13 @@ nested-loop memory recursion (one 4x4 product per lag and step) behind
 ``ttmkit.liouville``, the frame-layout basis checks behind
 ``BasisTrajectorySet.initial_defect``/``dagger_defect``, and the least
 squares over the generalized Pauli basis behind the fitted
-``ttmkit.kernels.extract_liouvillian``.
+``ttmkit.kernels.extract_liouvillian``, and scipy's ``expm_multiply``
+over blocks of identity columns behind the dense hierarchy step of
+``ttmkit.heom``.
 """
 
 import numpy as np
+from scipy.sparse.linalg import expm_multiply
 
 from ttmkit.errors import DimensionError
 from ttmkit.liouville import (
@@ -268,3 +271,19 @@ def reference_fit_hamiltonian(t1, dt):
     rhs = np.concatenate([target.real, target.imag])
     coeff, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     return sum(c * g for c, g in zip(coeff, basis))
+
+
+def reference_step_propagator(gen_dt, block=128):
+    """Dense exp(gen_dt) of a sparse ``gen_dt`` by scipy's ``expm_multiply``.
+
+    Acts on ``block`` identity columns per call, as the hierarchy step
+    was formed before its own Taylor series replaced this.
+    """
+    n = gen_dt.shape[0]
+    step = np.empty((n, n), dtype=complex)
+    for start in range(0, n, block):
+        width = min(block, n - start)
+        columns = np.zeros((n, width), dtype=complex)
+        columns[start + np.arange(width), np.arange(width)] = 1.0
+        step[:, start:start + width] = expm_multiply(gen_dt, columns)
+    return step

@@ -6,6 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
 
 from ttmkit import (
@@ -19,6 +20,29 @@ from ttmkit import (
 from ttmkit.errors import ConfigurationError, DivergenceError
 from ttmkit import heom as heom_module
 from ttmkit.models import bath_correlation_modes, matsubara_tail
+
+from oracles import reference_step_propagator
+
+
+def sparse_step_generator(params, depth, n_matsubara, dt):
+    """The sparse G dt whose exponential gen_heom steps with."""
+    coeffs, rates = bath_correlation_modes(params.lam, params.gamma,
+                                           params.beta, n_matsubara)
+    tail = matsubara_tail(params.lam, params.gamma, params.beta, n_matsubara)
+    gen = heom_module.hierarchy_generator(params.hamiltonian,
+                                          params.coupling_op, coeffs, rates,
+                                          tail, depth)
+    return sparse.csr_array(gen) * dt
+
+
+# Each hierarchy names the way gen_heom takes for it, so both ways are
+# checked against the exact exponential.
+STEPPING_CASES = pytest.mark.parametrize(
+    "lam,gamma,dt,n_steps,depth,n_matsubara,dense", [
+        (0.1, 1.0, 0.1, 20, 3, 1, True),
+        (2.0, 1.0, 0.05, 40, 6, 2, False),  # stiff, like C4 (N = 336)
+        (8.0, 5.0, 0.01, 40, 6, 2, False),  # stiff, like the top C6 point
+    ], ids=["weak", "stiff-c4", "stiff-c6"])
 
 
 def test_pure_dephasing_matches_quadrature():
@@ -52,26 +76,19 @@ def test_structural_defects_stay_at_zero():
     assert np.abs(traces - traces[:, :1]).max() < 1e-10
 
 
-@pytest.mark.parametrize("lam,gamma,dt,n_steps,depth,n_matsubara", [
-    (0.1, 1.0, 0.1, 20, 3, 1),
-    (2.0, 1.0, 0.05, 40, 6, 2),  # stiff, like C4 (N = 336)
-    (8.0, 5.0, 0.01, 40, 6, 2),  # stiff, like the top C6 point
-], ids=["weak", "stiff-c4", "stiff-c6"])
+@STEPPING_CASES
 def test_stepping_matches_exact_exponential(lam, gamma, dt, n_steps, depth,
-                                            n_matsubara):
+                                            n_matsubara, dense):
     params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=lam, gamma=gamma,
                              beta=0.5)
     grid = TimeGrid(dt=dt, n_steps=n_steps)
+    gen_dt = sparse_step_generator(params, depth, n_matsubara, dt)
+    plan = heom_module.TaylorPlan.of(gen_dt)
+    assert heom_module._prefers_dense_step(plan, n_steps, 4) == dense
     trajs = gen_heom(params, HeomConfig(depth=depth, n_matsubara=n_matsubara),
                      grid)
-    coeffs, rates = bath_correlation_modes(params.lam, params.gamma,
-                                           params.beta, n_matsubara)
-    tail = matsubara_tail(params.lam, params.gamma, params.beta, n_matsubara)
-    gen = heom_module.hierarchy_generator(params.hamiltonian,
-                                          params.coupling_op, coeffs, rates,
-                                          tail, depth)
-    step = expm(gen * grid.dt)
-    state = np.zeros((gen.shape[0], 4), dtype=complex)
+    step = expm(gen_dt.toarray())
+    state = np.zeros((gen_dt.shape[0], 4), dtype=complex)
     state[:4] = np.eye(4)
     deviation = 0.0
     for k in range(1, grid.n_steps + 1):
@@ -81,9 +98,48 @@ def test_stepping_matches_exact_exponential(lam, gamma, dt, n_steps, depth,
     assert deviation < 1e-12
 
 
+@STEPPING_CASES
+def test_dense_step_matches_expm_multiply(lam, gamma, dt, n_steps, depth,
+                                          n_matsubara, dense):
+    params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=lam, gamma=gamma,
+                             beta=0.5)
+    gen_dt = sparse_step_generator(params, depth, n_matsubara, dt)
+    step = heom_module._dense_step(heom_module.TaylorPlan.of(gen_dt))
+    assert np.abs(step - reference_step_propagator(gen_dt)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("x,degree,substeps", [
+    (0.0, 1, 1),    # a multiple of the identity: the shift is exact
+    (1.0, 18, 1),   # theta_17 < 1 <= theta_18
+    (20.0, 45, 3),  # 45 * 3 = 135 products beat 50 * 3 and 40 * 4
+])
+def test_taylor_plan_minimises_products(x, degree, substeps):
+    diagonal = np.array([0.5 + x, 0.5 - x])
+    plan = heom_module.TaylorPlan.of(sparse.csr_array(np.diag(diagonal)))
+    assert (plan.degree, plan.substeps) == (degree, substeps)
+    assert plan.mu == 0.5 and plan.norm == x
+    exact = np.diag(np.exp(diagonal))
+    assert np.abs(plan.apply(np.eye(2)) - exact).max() <= 1e-14 * exact.max()
+
+
+@pytest.mark.parametrize("params,depth,n_steps,dense", [
+    # cli_pipeline's hierarchy (N = 224) over its 800-frame window
+    (SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=0.2, gamma=1.0,
+                     beta=1.0), 5, 800, True),
+    # C4's strong-coupling hierarchy (N = 1820) over 1000 frames
+    (SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=2.0, gamma=1.0,
+                     beta=0.5), 12, 1000, False),
+], ids=["cli-pipeline", "c4"])
+def test_cost_rule_picks_the_way(params, depth, n_steps, dense):
+    plan = heom_module.TaylorPlan.of(
+        sparse_step_generator(params, depth, 2, 0.05))
+    assert heom_module._prefers_dense_step(plan, n_steps, 4) == dense
+
+
 def test_generation_ignores_the_global_random_state():
-    # expm_multiply's norm estimates draw from numpy's global generator;
-    # reruns of `ttm generate` must still be byte-identical
+    # the Taylor plan takes the exact 1-norm and draws no random numbers,
+    # so reruns of `ttm generate` are byte-identical whatever the global
+    # generator's state
     params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=8.0, gamma=5.0,
                              beta=0.5)
     runs = []
@@ -102,19 +158,19 @@ def test_generation_logs_size_cost_and_peak(caplog):
                  TimeGrid(dt=0.1, n_steps=10))
     (record,) = [r for r in caplog.records if r.name == "ttmkit.heom"]
     assert record.levelno == logging.DEBUG
-    coeffs, rates = bath_correlation_modes(params.lam, params.gamma,
-                                           params.beta, 1)
-    tail = matsubara_tail(params.lam, params.gamma, params.beta, 1)
-    nnz = np.count_nonzero(heom_module.hierarchy_generator(
-        params.hamiltonian, params.coupling_op, coeffs, rates, tail, 3))
-    # C(3 + 2, 2) = 10 ADOs of 2 x 2 blocks
+    nnz = sparse_step_generator(params, 3, 1, 0.1).nnz
+    # C(3 + 2, 2) = 10 ADOs of 2 x 2 blocks; a small hierarchy forms the
+    # dense step from ceil(40 / COLUMN_BLOCK) = 1 block of columns
     match = re.fullmatch(
-        rf"hierarchy: 40 rows \(10 ADOs\), {nnz} nonzeros; step propagator "
-        r"built in (\S+) s, 10 steps in (\S+) s, peak auxiliary entry (\S+)",
+        rf"hierarchy: 40 rows \(10 ADOs\), {nnz} nonzeros; dense step, Taylor "
+        r"degree (\d+), (\d+) substeps, 1-norm (\S+), (\d+) sparse products; "
+        r"set up in (\S+) s, 10 steps in (\S+) s, peak auxiliary entry (\S+)",
         record.getMessage())
     assert match, record.getMessage()
-    build_s, step_s, peak = map(float, match.groups())
-    assert build_s >= 0 and step_s >= 0 and peak >= 1.0
+    degree, substeps, products = int(match[1]), int(match[2]), int(match[4])
+    assert products == degree * substeps > 0 and float(match[3]) > 0
+    set_up_s, step_s, peak = map(float, match.groups()[4:])
+    assert set_up_s >= 0 and step_s >= 0 and peak >= 1.0
 
 
 @pytest.mark.parametrize("n_modes", range(6))
@@ -125,10 +181,13 @@ def test_multi_indices_match_brute_force_filter(n_modes):
         assert heom_module._multi_indices(n_modes, depth) == brute
 
 
-def test_divergence_guard_reports_step(monkeypatch):
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "frames"])
+def test_divergence_guard_reports_step(monkeypatch, dense):
     # the guard itself is exercised by lowering the threshold below the
     # physical entry scale, which every healthy run exceeds immediately
     monkeypatch.setattr(heom_module, "DIVERGENCE_GUARD", 1e-3)
+    monkeypatch.setattr(heom_module, "_prefers_dense_step",
+                        lambda plan, n_steps, width: dense)
     params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=0.1, gamma=1.0,
                              beta=0.5)
     with pytest.raises(DivergenceError) as info:
