@@ -7,6 +7,10 @@ import numpy as np
 from .errors import DegenerateStateError, DimensionError, NotSettledError
 from .liouville import bloch_axis
 
+# Deviations below this fraction of the largest one are numerical
+# jitter, not oscillation (oscillation_metrics).
+DEADBAND_REL = 1e-3
+
 
 @dataclass(frozen=True)
 class EquilibriumReport:
@@ -28,7 +32,7 @@ class EquilibriumReport:
     residual: float
 
 
-def detect_equilibrium(traj, tol=1e-9, window=20):
+def detect_equilibrium(traj, tol, window):
     """Locate the stationary tail of a state trajectory.
 
     Parameters
@@ -139,15 +143,16 @@ class OscillationMetrics:
     asymptote: float
 
 
-def oscillation_metrics(series, dt=1.0, deadband_rel=1e-3):
+def oscillation_metrics(series, dt):
     """Count oscillations of a real series around its asymptote.
 
     The asymptote is the mean of the final tenth of the data (at least
     four samples). Sign changes are counted after discarding samples
-    whose deviation is inside a small deadband, so numerical jitter on
-    an overdamped tail does not register as crossings. The envelope
-    rate comes from a least-squares line through log|deviation| at the
-    interior extrema of |deviation|, in units of 1/time given ``dt``.
+    whose deviation is inside the deadband, ``DEADBAND_REL`` times the
+    largest deviation, so numerical jitter on an overdamped tail does
+    not register as crossings. The envelope rate comes from a
+    least-squares line through log|deviation| at the interior extrema
+    of |deviation|, in units of 1/time given ``dt``.
     """
     series = np.asarray(series, dtype=float)
     if series.ndim != 1 or series.size < 4:
@@ -158,13 +163,13 @@ def oscillation_metrics(series, dt=1.0, deadband_rel=1e-3):
     peak = np.abs(dev).max()
     if peak == 0.0:
         return OscillationMetrics(0, float("nan"), asymptote)
-    signs = np.sign(dev[np.abs(dev) > deadband_rel * peak])
+    signs = np.sign(dev[np.abs(dev) > DEADBAND_REL * peak])
     sign_changes = int(np.count_nonzero(np.diff(signs))) if signs.size else 0
 
     mag = np.abs(dev)
     interior = np.nonzero(
         (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:])
-        & (mag[1:-1] > deadband_rel * peak)
+        & (mag[1:-1] > DEADBAND_REL * peak)
     )[0] + 1
     if interior.size < 2:
         rate = float("nan")

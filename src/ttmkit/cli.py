@@ -208,7 +208,7 @@ def _parse_elements(spec, dim):
 def cmd_kernel(args):
     tensors, doc = fileio.load_tensors(args.tensors)
     meta = dict(doc.get("meta", {}))
-    if args.fit_liouvillian or "omega0" not in meta:
+    if args.fit_liouvillian or not {"omega0", "j"} <= meta.keys():
         liou, fit = extract_liouvillian(
             tensors.tensors[0], tensors.dt, details=True
         )

@@ -1,7 +1,9 @@
 """On-disk formats: JSON documents for arrays, TSV tables for series.
 
 Every document carries the same header block (format version, kind,
-dimension, grid step, vectorization convention, unit note). Every
+dimension, grid step, vectorization convention, unit note), checked in
+one place on load together with the optional ``meta`` object, whose
+model numbers (omega0, j, lambda, gamma, beta) must be finite. Every
 complex payload goes through one codec, :func:`encode_array` and
 :func:`decode_array`: the array's own nesting with [re, im] pairs as
 the leaves, decoded in a single call that checks the exact shape and
@@ -95,6 +97,8 @@ _HEADER_FIELDS = (
      "a finite positive number"),
     ("n_steps", lambda v: type(v) is int and v >= 0, "an integer >= 0"),
 )
+# Model parameters that the CLI reads back from ``meta``.
+_META_NUMBERS = ("omega0", "j", "lambda", "gamma", "beta")
 
 
 def _read_json(path):
@@ -127,6 +131,16 @@ def _load_checked(path, *kinds):
             raise SchemaError(f"{path}: missing header field {key!r}")
         if not valid(doc[key]):
             raise SchemaError(f"{path}: {key} {doc[key]!r} is not {want}")
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise SchemaError(f"{path}: meta is not an object")
+    for key in _META_NUMBERS:
+        if key not in meta:
+            continue
+        value = meta[key]
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise SchemaError(f"{path}: meta {key} {value!r} is not a "
+                              "finite number")
     return doc
 
 

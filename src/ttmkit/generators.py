@@ -12,7 +12,10 @@ from scipy.integrate import quad
 
 from .errors import ConfigurationError, DimensionError
 from .liouville import is_hermitian, spre, spost, unitary_superop
-from .trajectories import BasisTrajectorySet, TimeGrid
+from .trajectories import BasisTrajectorySet
+
+# Relative accuracy of the dephasing-exponent quadrature.
+QUAD_EPSREL = 1e-10
 
 
 def _rk4_matrix(gen, h):
@@ -114,14 +117,15 @@ def gen_lindblad(h, jump_ops, rates, grid):
     return BasisTrajectorySet.from_maps(grid, maps)
 
 
-def dephasing_exponent(t, lam, gamma, beta, epsrel=1e-10):
+def dephasing_exponent(t, lam, gamma, beta):
     """Real decoherence exponent of the Drude-Lorentz dephasing bath.
 
     Evaluates (1/pi) * integral of J(w)/w^2 * coth(beta w/2) * (1 - cos wt)
-    over w >= 0 by adaptive quadrature. The low-frequency window is
-    integrated directly (the integrand is finite at w = 0); the smooth
-    and oscillatory parts of the tail are handled separately so large t
-    stays cheap and accurate.
+    over w >= 0 by adaptive quadrature to relative accuracy
+    ``QUAD_EPSREL``. The low-frequency window is integrated directly
+    (the integrand is finite at w = 0); the smooth and oscillatory parts
+    of the tail are handled separately so large t stays cheap and
+    accurate.
     """
     if t == 0.0:
         return 0.0
@@ -141,12 +145,14 @@ def dephasing_exponent(t, lam, gamma, beta, epsrel=1e-10):
         return smooth(w) * 2.0 * np.sin(0.5 * w * t) ** 2
 
     split = min(gamma, 1.0 / beta, 50.0 / t)
-    part_lo, _ = quad(window, 0.0, split, epsabs=0.0, epsrel=epsrel, limit=400)
-    part_hi, _ = quad(smooth, split, np.inf, epsabs=0.0, epsrel=epsrel, limit=400)
+    part_lo, _ = quad(window, 0.0, split, epsabs=0.0, epsrel=QUAD_EPSREL,
+                      limit=400)
+    part_hi, _ = quad(smooth, split, np.inf, epsabs=0.0, epsrel=QUAD_EPSREL,
+                      limit=400)
     scale = max(abs(part_lo), abs(part_hi), 1e-300)
     part_osc, _ = quad(
         smooth, split, np.inf, weight="cos", wvar=t,
-        epsabs=epsrel * scale, limlst=200,
+        epsabs=QUAD_EPSREL * scale, limlst=200,
     )
     return (part_lo + part_hi - part_osc) / np.pi
 
@@ -161,7 +167,7 @@ def dephasing_phase(t, lam, gamma):
     return -lam * (gamma * t - 1.0 + np.exp(-gamma * t)) / gamma
 
 
-def gen_dephasing_analytic(params, grid, epsrel=1e-10):
+def gen_dephasing_analytic(params, grid):
     """Exactly solvable pure-dephasing basis trajectories.
 
     Requires the coupling operator to commute with the system
@@ -201,8 +207,7 @@ def gen_dephasing_analytic(params, grid, epsrel=1e-10):
     # Elementwise factors in the eigenbasis, as a diagonal superoperator.
     factors = np.ones((grid.n_steps + 1, dim, dim), dtype=complex)
     for k, t in enumerate(grid.times[1:], start=1):
-        reg = dephasing_exponent(t, params.lam, params.gamma, params.beta,
-                                 epsrel=epsrel)
+        reg = dephasing_exponent(t, params.lam, params.gamma, params.beta)
         img = dephasing_phase(t, params.lam, params.gamma)
         factors[k] = np.exp(-1j * gap * t - damp * reg - 1j * shift * img)
     rotate = unitary_superop(modes)

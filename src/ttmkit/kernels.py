@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .liouville import liouvillian_superop, superop_norm
+from .liouville import liouvillian_superop, superop_norm, superop_stack
 from .tensors import TransferTensorSequence
+from .trajectories import check_step
 
 
 @dataclass(frozen=True)
@@ -64,11 +65,9 @@ def extract_liouvillian(t1, dt, known_h=None, details=False):
         The commutator-form generator L (apply as -1j L for evolution).
     fit : LiouvillianFit, only when ``details`` is true.
     """
-    t1 = np.asarray(t1, dtype=complex)
+    t1 = superop_stack(t1, ndim=2)
     d2 = t1.shape[0]
     dim = round(np.sqrt(d2))
-    if t1.shape != (d2, d2) or dim * dim != d2:
-        raise DimensionError(f"tensor shape {t1.shape} is not (D^2, D^2)")
     raw = 1j * (t1 - np.eye(d2)) / dt
     if known_h is not None:
         known_h = np.asarray(known_h, dtype=complex)
@@ -104,19 +103,11 @@ class KernelSequence:
     kernels: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        d2 = self.dim * self.dim
-        liou = np.asarray(self.liouvillian, dtype=complex)
-        kern = np.asarray(self.kernels, dtype=complex)
-        if liou.shape != (d2, d2):
-            raise DimensionError(
-                f"liouvillian shape {liou.shape} does not match dim {self.dim}"
-            )
-        if kern.ndim != 3 or kern.shape[1:] != (d2, d2) or kern.shape[0] < 1:
-            raise DimensionError(
-                f"kernel array shape {kern.shape} does not match dim {self.dim}"
-            )
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        liou = superop_stack(self.liouvillian, self.dim, 2)
+        kern = superop_stack(self.kernels, self.dim, 3)
+        if len(kern) < 1:
+            raise DimensionError("need at least one kernel sample")
+        check_step(self.dt)
         object.__setattr__(self, "liouvillian", liou)
         object.__setattr__(self, "kernels", kern)
 
@@ -134,12 +125,8 @@ def extract_kernel(tensors, liouvillian):
         Commutator-form generator, typically from
         :func:`extract_liouvillian`.
     """
-    liou = np.asarray(liouvillian, dtype=complex)
+    liou = superop_stack(liouvillian, tensors.dim, 2)
     d2 = tensors.dim * tensors.dim
-    if liou.shape != (d2, d2):
-        raise DimensionError(
-            f"liouvillian shape {liou.shape} does not match dim {tensors.dim}"
-        )
     dt = tensors.dt
     kern = tensors.tensors / dt**2
     kern[0] = (tensors.tensors[0] - np.eye(d2) + 1j * liou * dt) / dt**2

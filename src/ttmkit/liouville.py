@@ -18,6 +18,12 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
+# Hermiticity, trace and positivity tolerance of a physical state
+# (validate_state).
+STATE_TOL = 1e-8
+# Smallest resolvable traceless part or Pauli component (bloch_axis).
+AXIS_TOL = 1e-12
+
 
 def vectorize(rho):
     """Flatten a square matrix to a Liouville vector (row-major)."""
@@ -102,16 +108,30 @@ def superop_norm(s):
     return float(np.linalg.norm(s, 2))
 
 
-def _superop_stack(s):
-    """Complex (..., D^2, D^2) stack ``s`` and its 4-index view.
+def superop_stack(s, dim=None, ndim=None):
+    """``s`` as a complex (..., D^2, D^2) array.
 
-    The view is indexed [..., out_row, out_col, in_row, in_col].
+    The one shape rule for superoperators and their stacks: ``dim``
+    pins D and ``ndim`` the number of axes (2 for one superoperator, 3
+    for a sequence); callers add only their own count rule. Raises
+    :class:`DimensionError` otherwise.
     """
     s = np.asarray(s, dtype=complex)
-    dim = round(np.sqrt(s.shape[-1])) if s.ndim >= 2 else 0
-    if s.ndim < 2 or dim * dim != s.shape[-1] or s.shape[-2] != s.shape[-1]:
-        raise DimensionError(f"superoperator shape {s.shape} is not (D^2, D^2)")
-    return s, s.reshape(s.shape[:-2] + (dim,) * 4)
+    side = round(np.sqrt(s.shape[-1])) if s.ndim >= 2 else 0
+    if (s.ndim < 2 or side * side != s.shape[-1] or s.shape[-2] != s.shape[-1]
+            or dim not in (None, side) or ndim not in (None, s.ndim)):
+        d2 = "D^2" if dim is None else dim * dim
+        lead = "..., " if ndim is None else "n, " * (ndim - 2)
+        raise DimensionError(
+            f"superoperator shape {s.shape} is not ({lead}{d2}, {d2})"
+        )
+    return s
+
+
+def _four_index(s):
+    """View of a checked stack indexed [..., out_row, out_col, in_row, in_col]."""
+    dim = round(np.sqrt(s.shape[-1]))
+    return s.reshape(s.shape[:-2] + (dim,) * 4)
 
 
 def dagger_flip(s):
@@ -120,8 +140,8 @@ def dagger_flip(s):
     A superoperator preserves Hermiticity iff ``dagger_flip(s) == s``.
     Stacks (extra leading axes) are flipped one superoperator at a time.
     """
-    s, s4 = _superop_stack(s)
-    return np.einsum("...abcd->...badc", s4).conj().reshape(s.shape)
+    s = superop_stack(s)
+    return np.einsum("...abcd->...badc", _four_index(s)).conj().reshape(s.shape)
 
 
 def hermiticity_defect(s):
@@ -140,8 +160,8 @@ def trace_defect(s):
     ``vec(I)^T``; trace preservation means it is a left fixed point.
     Returns a float, or one value per superoperator of a stack.
     """
-    s, s4 = _superop_stack(s)
-    tr_row = np.eye(s4.shape[-1], dtype=complex).reshape(-1)
+    s = superop_stack(s)
+    tr_row = np.eye(round(np.sqrt(s.shape[-1])), dtype=complex).reshape(-1)
     return np.abs(tr_row @ s - tr_row).max(axis=-1)
 
 
@@ -151,13 +171,14 @@ def choi_matrix(s):
     The map is completely positive iff the returned matrix is positive
     semidefinite. Stacks give one Choi matrix per superoperator.
     """
-    s, s4 = _superop_stack(s)
-    return np.einsum("...abcd->...cadb", s4).reshape(s.shape)
+    s = superop_stack(s)
+    return np.einsum("...abcd->...cadb", _four_index(s)).reshape(s.shape)
 
 
-def validate_state(rho, atol=1e-8, psd_tol=1e-8):
+def validate_state(rho):
     """Check that ``rho`` is a physical density matrix.
 
+    Hermiticity, unit trace and positivity hold to ``STATE_TOL``.
     Returns the array unchanged; raises :class:`DimensionError` on a
     non-square input and ``ValueError`` on a non-finite or unphysical one.
     """
@@ -166,12 +187,12 @@ def validate_state(rho, atol=1e-8, psd_tol=1e-8):
         raise DimensionError(f"expected a square matrix, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise ValueError("state has non-finite entries")
-    if np.abs(rho - rho.conj().T).max() > atol:
+    if np.abs(rho - rho.conj().T).max() > STATE_TOL:
         raise ValueError("state is not Hermitian")
-    if abs(rho.trace() - 1.0) > atol:
+    if abs(rho.trace() - 1.0) > STATE_TOL:
         raise ValueError(f"state trace {rho.trace():.6g} differs from 1")
     w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if w.min() < -psd_tol:
+    if w.min() < -STATE_TOL:
         raise ValueError(f"state has negative eigenvalue {w.min():.3g}")
     return rho
 
@@ -184,23 +205,23 @@ def bloch_vector(m):
     return np.array([np.trace(m @ p).real / 2.0 for p in PAULI])
 
 
-def bloch_axis(m, tol=1e-12):
+def bloch_axis(m):
     """Unit Bloch axis of a 2x2 Hermitian matrix, or ``None``.
 
     The traceless part of ``m`` is decomposed over the Pauli basis and
     normalized. The overall sign is fixed by making the first component
-    larger than ``tol`` in magnitude positive, so that ``m`` and ``-m``
-    (and any positive rescaling) give the same axis. Returns ``None``
-    when the traceless part is smaller than ``tol`` (no resolvable
-    axis).
+    larger than ``AXIS_TOL`` in magnitude positive, so that ``m`` and
+    ``-m`` (and any positive rescaling) give the same axis. Returns
+    ``None`` when the traceless part is smaller than ``AXIS_TOL`` (no
+    resolvable axis).
     """
     b = bloch_vector(m)
     norm = np.linalg.norm(b)
-    if norm < tol:
+    if norm < AXIS_TOL:
         return None
     b = b / norm
     for comp in b:
-        if abs(comp) > tol:
+        if abs(comp) > AXIS_TOL:
             if comp < 0:
                 b = -b
             break

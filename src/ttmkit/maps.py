@@ -13,7 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .liouville import choi_matrix, hermiticity_defect, trace_defect
+from .liouville import choi_matrix, hermiticity_defect, superop_stack, trace_defect
+from .trajectories import check_step
+
+# Bound on the initial-frame and adjoint-symmetry defects (extract_maps).
+MAP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -35,15 +39,11 @@ class DynamicalMapSequence:
     maps: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        maps = np.asarray(self.maps, dtype=complex)
-        d2 = self.dim * self.dim
-        if maps.ndim != 3 or maps.shape[1:] != (d2, d2):
-            raise DimensionError(
-                f"maps shape {maps.shape} does not match dim {self.dim}"
-            )
-        if maps.shape[0] < 1:
+        maps = superop_stack(self.maps, self.dim, 3)
+        if len(maps) < 1:
             raise DimensionError("need at least the t = 0 map")
-        if float(np.abs(maps[0] - np.eye(d2)).max()) > 1e-12:
+        check_step(self.dt)
+        if float(np.abs(maps[0] - np.eye(self.dim * self.dim)).max()) > 1e-12:
             raise DimensionError("map at t = 0 must be the identity")
         object.__setattr__(self, "maps", maps)
 
@@ -52,24 +52,23 @@ class DynamicalMapSequence:
         return self.maps.shape[0] - 1
 
 
-def extract_maps(trajs, tol=1e-10):
+def extract_maps(trajs):
     """Dynamical maps from a basis trajectory set.
 
     Parameters
     ----------
     trajs : BasisTrajectorySet
         Must start from the exact operator basis and respect the
-        adjoint pairing between (i, j) and (j, i) trajectories.
-    tol : float
-        Bound on the initial-frame and adjoint-symmetry defects.
+        adjoint pairing between (i, j) and (j, i) trajectories, both
+        to ``MAP_TOL``.
     """
-    if trajs.initial_defect() > tol:
+    initial = trajs.initial_defect()
+    if initial > MAP_TOL:
         raise DimensionError(
-            f"initial frames deviate from the operator basis by "
-            f"{trajs.initial_defect():.3g}"
+            f"initial frames deviate from the operator basis by {initial:.3g}"
         )
     sym = trajs.dagger_defect()
-    if sym > tol:
+    if sym > MAP_TOL:
         raise DimensionError(
             f"adjoint symmetry violated by {sym:.3g}; trajectories do not "
             "come from a linear Hermiticity-preserving evolution"

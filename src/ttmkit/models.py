@@ -47,7 +47,7 @@ class SpinBosonParams:
     beta : float
         Inverse temperature.
     coupling_op : ndarray
-        Hermitian system operator the bath couples to; defaults to
+        Hermitian 2x2 system operator the bath couples to; defaults to
         sigma_z (site dephasing).
     """
 
@@ -69,8 +69,11 @@ class SpinBosonParams:
         if op is None:
             op = SIGMA_Z
         op = np.asarray(op, dtype=complex)
-        if op.ndim != 2 or op.shape[0] != op.shape[1]:
-            raise DimensionError(f"coupling_op must be square, got {op.shape}")
+        if op.shape != (2, 2):
+            raise DimensionError(
+                f"coupling_op must be 2x2 (the two-level Hamiltonian), got "
+                f"{op.shape}"
+            )
         if not is_hermitian(op):
             raise ConfigurationError("coupling_op must be Hermitian")
         object.__setattr__(self, "coupling_op", op)
@@ -81,13 +84,7 @@ class SpinBosonParams:
 
     @property
     def hamiltonian(self):
-        h = tls_hamiltonian(self.omega0, self.j_coupling)
-        if self.dim != 2:
-            raise ConfigurationError(
-                "built-in Hamiltonian is two-level; coupling_op has dim "
-                f"{self.dim}"
-            )
-        return h
+        return tls_hamiltonian(self.omega0, self.j_coupling)
 
 
 def spectral_density(omega, lam, gamma):
@@ -135,17 +132,17 @@ def matsubara_tail(lam, gamma, beta, n_matsubara):
     return total - np.sum(coeffs / rates)
 
 
-def bath_correlation(t, lam, gamma, beta, n_matsubara=1000):
+def bath_correlation(t, lam, gamma, beta):
     """Bath correlation function C(t) for t > 0 by Matsubara summation.
 
     Intended for oracles and diagnostics; the generator modules use the
     truncated expansion plus terminator instead. The imaginary part is
     closed-form; the real part converges as 1/k^2 once the exponential
-    cutoff sets in, which the default mode count handles for the
-    parameter ranges used here.
+    cutoff sets in, which the 1000 Matsubara modes summed here handle
+    for the parameter ranges used in this package.
     """
     t = np.asarray(t, dtype=float)
-    coeffs, rates = bath_correlation_modes(lam, gamma, beta, n_matsubara)
+    coeffs, rates = bath_correlation_modes(lam, gamma, beta, 1000)
     decay = np.exp(-np.multiply.outer(rates, t))
     return np.tensordot(coeffs, decay, axes=(0, 0))
 

@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InsufficientLearningError, NumericalError
-from .liouville import devectorize, superop_norm
+from .liouville import devectorize, superop_norm, superop_stack
 from .maps import DynamicalMapSequence
+from .trajectories import check_step
 
 
 @dataclass(frozen=True)
@@ -43,16 +44,10 @@ class TransferTensorSequence:
     tensors: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        tensors = np.asarray(self.tensors, dtype=complex)
-        d2 = self.dim * self.dim
-        if tensors.ndim != 3 or tensors.shape[1:] != (d2, d2):
-            raise DimensionError(
-                f"tensor array shape {tensors.shape} does not match dim {self.dim}"
-            )
-        if tensors.shape[0] < 1:
+        tensors = superop_stack(self.tensors, self.dim, 3)
+        if len(tensors) < 1:
             raise DimensionError("need at least one tensor")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        check_step(self.dt)
         object.__setattr__(self, "tensors", tensors)
 
     def __len__(self):

@@ -12,7 +12,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .liouville import hermiticity_defect
+from .liouville import hermiticity_defect, superop_stack
+
+
+def check_step(dt):
+    """Refuse a grid step that is not positive (``ValueError``).
+
+    The one step rule of :class:`TimeGrid` and the map, tensor and
+    kernel sequences.
+    """
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
 
 
 @dataclass(frozen=True)
@@ -23,8 +33,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        check_step(self.dt)
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
 
@@ -65,12 +74,9 @@ class BasisTrajectorySet:
     @classmethod
     def from_maps(cls, grid, maps):
         """Basis trajectories of the maps E_k (E_0 the identity)."""
-        maps = np.asarray(maps, dtype=complex)
+        maps = superop_stack(maps, ndim=3)
         d2 = maps.shape[-1]
         dim = round(np.sqrt(d2))
-        if maps.ndim != 3 or maps.shape[1] != d2 or dim * dim != d2:
-            raise DimensionError(f"map stack shape {maps.shape} is not "
-                                 "(n_steps + 1, D^2, D^2)")
         data = maps.transpose(2, 0, 1).copy().reshape(d2, -1, dim, dim)
         return cls(dim=dim, grid=grid, data=data)
 

@@ -127,7 +127,7 @@ def test_oscillation_metrics_on_monotone_decay():
 
 
 def test_oscillation_metrics_on_constant_series():
-    m = oscillation_metrics(np.full(50, 0.3))
+    m = oscillation_metrics(np.full(50, 0.3), dt=0.05)
     assert m.sign_changes == 0
     assert np.isnan(m.envelope_decay_rate)
     assert m.asymptote == pytest.approx(0.3)
@@ -135,4 +135,4 @@ def test_oscillation_metrics_on_constant_series():
 
 def test_oscillation_metrics_rejects_short_series():
     with pytest.raises(DimensionError):
-        oscillation_metrics(np.array([1.0, 0.5, 0.25]))
+        oscillation_metrics(np.array([1.0, 0.5, 0.25]), dt=0.05)

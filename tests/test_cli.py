@@ -262,6 +262,32 @@ def test_non_positive_tolerance_is_exit_2(lindblad_run, tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, change, code", [
+    ("kernel", {"j": None}, 0),
+    ("kernel", {"omega0": "one"}, 2),
+    ("analyze", {"omega0": "one"}, 2),
+    ("kernel", {"j": True}, 2),
+    ("kernel", [1.0, 1.0], 2),
+], ids=["kernel-no-j", "kernel-string", "analyze-string", "kernel-bool",
+        "kernel-list"])
+def test_meta_without_j_fits_and_bad_meta_is_exit_2(lindblad_run, tmp_path, command, change, code):
+    # meta without both omega0 and j makes kernel fit the generator;
+    # a model number that is not a finite number, or meta that is not
+    # an object, is a schema error naming the file
+    doc = json.loads((lindblad_run / "tensors.json").read_text())
+    if isinstance(change, dict):
+        meta = {**doc["meta"], **change}
+        doc["meta"] = {k: v for k, v in meta.items() if v is not None}
+    else:
+        doc["meta"] = change
+    tensors = tmp_path / "tensors.json"
+    tensors.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run([command, tensors, "--out", out]) == code
+    if code == 0:
+        assert "liouvillian_fit_residual" in json.loads(out.read_text())["meta"]
+
+
 @pytest.mark.parametrize("content", [None, "{not json", '["state"]'],
                          ids=["absent", "not-json", "not-an-object"])
 def test_unreadable_initial_state_is_exit_2(lindblad_run, tmp_path, content):

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from ttmkit import (
+    BasisTrajectorySet,
+    DynamicalMapSequence,
+    KernelSequence,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    TimeGrid,
+    TransferTensorSequence,
     basis_element,
     bloch_axis,
     bloch_vector,
@@ -170,6 +175,44 @@ def test_stack_helpers_reject_non_superoperator_shapes():
             hermiticity_defect(bad)
     with pytest.raises(DimensionError):
         unitary_superop(np.zeros((5, 2, 3)))
+
+
+def _identities(rows, cols=None):
+    return np.broadcast_to(np.eye(rows, cols, dtype=complex),
+                           (3, rows, cols or rows))
+
+
+# Each container built from a stack and a step, with D = 2 where it
+# takes a dim; from_maps reads D off the stack and has no step of its own.
+CONTAINERS = {
+    "from_maps": lambda s, dt: BasisTrajectorySet.from_maps(
+        TimeGrid(dt=0.1, n_steps=2), s),
+    "maps": lambda s, dt: DynamicalMapSequence(dim=2, dt=dt, maps=s),
+    "tensors": lambda s, dt: TransferTensorSequence(dim=2, dt=dt, tensors=s),
+    "kernel-liouvillian": lambda s, dt: KernelSequence(
+        dim=2, dt=dt, liouvillian=s[0], kernels=_identities(4)),
+    "kernel-samples": lambda s, dt: KernelSequence(
+        dim=2, dt=dt, liouvillian=np.eye(4), kernels=s),
+}
+BAD_INPUTS = {
+    "non-square-d2": (_identities(3), 0.1, DimensionError),
+    "unequal-sides": (_identities(4, 9), 0.1, DimensionError),
+    "wrong-d": (_identities(9), 0.1, DimensionError),
+    "zero-dt": (_identities(4), 0.0, ValueError),
+    "negative-dt": (_identities(4), -0.1, ValueError),
+}
+
+
+@pytest.mark.parametrize("container, bad", [
+    (c, b) for c in CONTAINERS for b in BAD_INPUTS
+    if c != "from_maps" or b in ("non-square-d2", "unequal-sides")
+])
+def test_containers_share_the_superoperator_stack_rule(container, bad):
+    stack, dt, error = BAD_INPUTS[bad]
+    CONTAINERS[container](_identities(4), 0.1)  # the good input builds
+    with pytest.raises(error) as info:
+        CONTAINERS[container](stack, dt)
+    assert (info.type is DimensionError) == (error is DimensionError)
 
 
 def test_choi_matrix_of_unitary_is_rank_one():

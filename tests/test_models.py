@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.special import expi
 
 from ttmkit import SpinBosonParams, bath_correlation, spectral_density, tls_hamiltonian
-from ttmkit.errors import ConfigurationError
+from ttmkit.errors import ConfigurationError, DimensionError
 from ttmkit.liouville import SIGMA_X, SIGMA_Z
 from ttmkit.models import (
     bath_correlation_modes,
@@ -29,6 +29,13 @@ def test_params_validation():
     with pytest.raises(ConfigurationError):
         SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=0.1, gamma=1.0,
                         beta=0.0)
+
+
+def test_params_refuse_a_coupling_operator_that_is_not_two_level():
+    # the built-in Hamiltonian is 2x2, so a 3x3 operator fails at once
+    with pytest.raises(DimensionError):
+        SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=0.1, gamma=1.0,
+                        beta=1.0, coupling_op=np.eye(3))
 
 
 def test_params_hamiltonian_and_coupling_default():
