@@ -41,8 +41,6 @@ from .generators import (
     gen_dephasing_analytic,
     gen_lindblad,
     gen_unitary,
-    dephasing_exponent,
-    dephasing_phase,
     lindblad_superop,
 )
 from .heom import HeomConfig, gen_heom
@@ -59,7 +57,6 @@ from .liouville import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    basis_element,
     bloch_axis,
     bloch_vector,
     choi_matrix,
@@ -80,9 +77,7 @@ from .maps import (
 )
 from .models import (
     SpinBosonParams,
-    bath_correlation,
     bath_correlation_modes,
-    spectral_density,
     tls_hamiltonian,
 )
 from .tensors import (
@@ -124,16 +119,12 @@ __all__ = [
     "TimeGrid",
     "TransferTensorSequence",
     "TtmError",
-    "basis_element",
-    "bath_correlation",
     "bath_correlation_modes",
     "bloch_axis",
     "bloch_vector",
     "canonical_state",
     "choi_matrix",
     "choose_cutoff",
-    "dephasing_exponent",
-    "dephasing_phase",
     "detect_equilibrium",
     "devectorize",
     "extract_kernel",
@@ -161,7 +152,6 @@ __all__ = [
     "save_kernel",
     "save_state_trajectory",
     "save_tensors",
-    "spectral_density",
     "spost",
     "spre",
     "stationary_state",

@@ -13,7 +13,8 @@ and ``learn`` per point, then one ``analyze`` over the tensors files.
 
 Exit codes: 0 success, 2 validation or schema failure, 3 numerical
 failure (divergence, unsettled trajectory, insufficient learning, no
-unique fixed point). ``analyze`` writes its table before exiting 3.
+unique fixed point). ``analyze`` writes its table before exiting 2 for
+a file whose meta lacks the model numbers (``no_model``) or 3.
 """
 
 import argparse
@@ -255,11 +256,9 @@ def _analysis_row(meta, state, settled_at, residual, status="ok"):
     }
     if state is None:
         return row
-    if "omega0" not in meta or "j" not in meta or "beta" not in meta:
-        raise SchemaError(
-            "model meta lacks omega0/j/beta; cannot build the canonical "
-            "reference"
-        )
+    if not {"omega0", "j", "beta"} <= meta.keys():
+        row["status"] = "no_model"
+        return row
     reference = canonical_state(
         tls_hamiltonian(meta["omega0"], meta["j"]), meta["beta"]
     )
@@ -311,6 +310,13 @@ def cmd_analyze(args):
     )
     flagged = sum(row["status"] != "ok" for row in rows)
     log.info("wrote %s (%d rows, %d flagged)", args.out, len(rows), flagged)
+    no_model = [str(path) for path, row in zip(args.files, rows)
+                if row["status"] == "no_model"]
+    if no_model:
+        raise SchemaError(
+            "meta lacks omega0/j/beta, so there is no canonical reference: "
+            + ", ".join(no_model)
+        )
     failed = sum(row["status"] in ("not_settled", "no_fixed_point")
                  for row in rows)
     if failed:

@@ -8,14 +8,11 @@ hierarchy integrator for the non-perturbative bath lives in
 """
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigurationError, DimensionError
 from .liouville import is_hermitian, spre, spost, unitary_superop
+from .models import lineshape
 from .trajectories import BasisTrajectorySet
-
-# Relative accuracy of the dephasing-exponent quadrature.
-QUAD_EPSREL = 1e-10
 
 
 def _rk4_matrix(gen, h):
@@ -117,56 +114,6 @@ def gen_lindblad(h, jump_ops, rates, grid):
     return BasisTrajectorySet.from_maps(grid, maps)
 
 
-def dephasing_exponent(t, lam, gamma, beta):
-    """Real decoherence exponent of the Drude-Lorentz dephasing bath.
-
-    Evaluates (1/pi) * integral of J(w)/w^2 * coth(beta w/2) * (1 - cos wt)
-    over w >= 0 by adaptive quadrature to relative accuracy
-    ``QUAD_EPSREL``. The low-frequency window is integrated directly
-    (the integrand is finite at w = 0); the smooth and oscillatory parts
-    of the tail are handled separately so large t stays cheap and
-    accurate.
-    """
-    if t == 0.0:
-        return 0.0
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if lam == 0.0:
-        return 0.0
-
-    def smooth(w):
-        x = 0.5 * beta * w
-        cth = 1.0 / x + x / 3.0 if x < 1e-8 else 1.0 / np.tanh(x)
-        return 2.0 * lam * gamma / (w * (w * w + gamma * gamma)) * cth
-
-    def window(w):
-        if w == 0.0:
-            return 2.0 * lam * t * t / (beta * gamma)
-        return smooth(w) * 2.0 * np.sin(0.5 * w * t) ** 2
-
-    split = min(gamma, 1.0 / beta, 50.0 / t)
-    part_lo, _ = quad(window, 0.0, split, epsabs=0.0, epsrel=QUAD_EPSREL,
-                      limit=400)
-    part_hi, _ = quad(smooth, split, np.inf, epsabs=0.0, epsrel=QUAD_EPSREL,
-                      limit=400)
-    scale = max(abs(part_lo), abs(part_hi), 1e-300)
-    part_osc, _ = quad(
-        smooth, split, np.inf, weight="cos", wvar=t,
-        epsabs=QUAD_EPSREL * scale, limlst=200,
-    )
-    return (part_lo + part_hi - part_osc) / np.pi
-
-
-def dephasing_phase(t, lam, gamma):
-    """Imaginary counterpart of the exponent (closed form for Drude).
-
-    Equals (1/pi) * integral of -J(w)/w^2 * (wt - sin wt); only enters
-    when the coupling operator has an asymmetric spectrum.
-    """
-    t = np.asarray(t, dtype=float)
-    return -lam * (gamma * t - 1.0 + np.exp(-gamma * t)) / gamma
-
-
 def gen_dephasing_analytic(params, grid):
     """Exactly solvable pure-dephasing basis trajectories.
 
@@ -178,10 +125,10 @@ def gen_dephasing_analytic(params, grid):
         * exp(-(q_a - q_b)^2 * reg(t))           Gaussian decoherence
         * exp(-i (q_a^2 - q_b^2) * img(t))       bath-induced shift
 
-    with q the coupling-operator eigenvalues and reg/img the quadrature
-    exponent pair above. The quadrature prefactor is pinned by the
-    weak-coupling agreement with the hierarchy integrator (see the
-    cross-check in the test suite).
+    with q the coupling-operator eigenvalues and reg/img the real and
+    imaginary parts of the bath lineshape g(t) of
+    :func:`~ttmkit.models.lineshape`, summed over the same mode
+    expansion the hierarchy integrator uses.
     """
     h = params.hamiltonian
     q_op = params.coupling_op
@@ -205,11 +152,10 @@ def gen_dephasing_analytic(params, grid):
     shift = (q[:, None] ** 2 - q[None, :] ** 2)
 
     # Elementwise factors in the eigenbasis, as a diagonal superoperator.
+    t = grid.times[1:, None, None]
+    g = lineshape(t, params.lam, params.gamma, params.beta)
     factors = np.ones((grid.n_steps + 1, dim, dim), dtype=complex)
-    for k, t in enumerate(grid.times[1:], start=1):
-        reg = dephasing_exponent(t, params.lam, params.gamma, params.beta)
-        img = dephasing_phase(t, params.lam, params.gamma)
-        factors[k] = np.exp(-1j * gap * t - damp * reg - 1j * shift * img)
+    factors[1:] = np.exp(-1j * gap * t - damp * g.real - 1j * shift * g.imag)
     rotate = unitary_superop(modes)
     maps = (rotate * factors.reshape(-1, 1, dim * dim)) @ rotate.conj().T
     maps[0] = np.eye(dim * dim)

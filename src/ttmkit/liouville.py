@@ -50,15 +50,6 @@ def devectorize(vec):
     return vec.reshape(dim, dim)
 
 
-def basis_element(dim, i, j):
-    """Matrix unit |i><j| in dimension ``dim`` (zero-based indices)."""
-    if not (0 <= i < dim and 0 <= j < dim):
-        raise DimensionError(f"basis indices ({i}, {j}) out of range for dim {dim}")
-    out = np.zeros((dim, dim), dtype=complex)
-    out[i, j] = 1.0
-    return out
-
-
 def spre(op):
     """Superoperator of left multiplication, rho -> op rho."""
     op = np.asarray(op, dtype=complex)

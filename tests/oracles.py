@@ -15,16 +15,19 @@ nested-loop memory recursion (one 4x4 product per lag and step) behind
 squares over the generalized Pauli basis behind the fitted
 ``ttmkit.kernels.extract_liouvillian``, and scipy's ``expm_multiply``
 over blocks of identity columns behind the dense hierarchy step of
-``ttmkit.heom``.
+``ttmkit.heom``, and the frequency quadrature of the dephasing exponent
+behind the mode sum of ``ttmkit.models.lineshape``. ``projected_tensors``
+gives a hierarchy's transfer tensors in Nakajima-Zwanzig form, with no
+peel.
 """
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.sparse.linalg import expm_multiply
 
 from ttmkit.errors import DimensionError
 from ttmkit.liouville import (
     PAULI,
-    basis_element,
     liouvillian_superop,
     spost,
     spre,
@@ -34,13 +37,16 @@ from ttmkit.maps import DynamicalMapSequence, MapValidationReport
 from ttmkit.models import bath_correlation_modes
 from ttmkit.tensors import TransferTensorSequence
 
+# Relative accuracy of the dephasing-exponent quadrature.
+QUAD_EPSREL = 1e-10
 
-def _free_propagators(h, times):
-    evals, vecs = np.linalg.eigh(h)
-    out = {}
-    for t in times:
-        u = (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
-        out[t] = unitary_superop(u)
+
+def basis_element(dim, i, j):
+    """Matrix unit |i><j| in dimension ``dim`` (zero-based indices)."""
+    if not (0 <= i < dim and 0 <= j < dim):
+        raise DimensionError(f"basis indices ({i}, {j}) out of range for dim {dim}")
+    out = np.zeros((dim, dim), dtype=complex)
+    out[i, j] = 1.0
     return out
 
 
@@ -54,37 +60,33 @@ def second_order_memory_tensor(s, dt, h, q, coeffs, rates, nodes=17):
     modes must match the simulation being checked, otherwise the
     short-time structure of the two kernels differs.
 
-    Simpson quadrature with ``nodes`` points per axis (odd).
+    Simpson quadrature with ``nodes`` points per axis (odd), summed in
+    one einsum over the free propagators at the nodes and K2 at every
+    node pair.
     """
     if s < 2:
         raise ValueError("the quadrature form applies to s >= 2 only")
     left = spre(q) - spost(q)
     evals, vecs = np.linalg.eigh(h)
 
-    t1s = (s - 1) * dt + np.linspace(0.0, dt, nodes)
-    t2s = np.linspace(0.0, dt, nodes)
+    def free(times):
+        """Superoperators U0(t) for an array of times."""
+        phases = np.exp(-1j * evals * times[..., None])
+        return unitary_superop((vecs * phases[..., None, :]) @ vecs.conj().T)
+
+    offsets = np.linspace(0.0, dt, nodes)
     w = np.ones(nodes)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     w *= (dt / (nodes - 1)) / 3.0
 
-    u_left = _free_propagators(h, [s * dt - t1 for t1 in t1s])
-    u_right = _free_propagators(h, t2s)
-
-    d2 = left.shape[0]
-    acc = np.zeros((d2, d2), dtype=complex)
-    for i, t1 in enumerate(t1s):
-        for j, t2 in enumerate(t2s):
-            tau = t1 - t2
-            c = np.sum(coeffs * np.exp(-rates * tau))
-            a = (vecs * np.exp(-1j * evals * tau)) @ vecs.conj().T
-            k2 = -left @ unitary_superop(a) @ (
-                c * spre(q) - np.conj(c) * spost(q)
-            )
-            acc += w[i] * w[j] * (
-                u_left[s * dt - t1] @ k2 @ u_right[t2]
-            )
-    return acc
+    # t1 = (s-1) dt + offsets[i] and t2 = offsets[j]
+    tau = (s - 1) * dt + offsets[:, None] - offsets[None, :]
+    c = np.exp(-tau[..., None] * rates) @ coeffs
+    k2 = -left @ free(tau) @ (c[..., None, None] * spre(q)
+                              - np.conj(c)[..., None, None] * spost(q))
+    return np.einsum("i,j,iab,ijbc,jcd->ad", w, w, free(dt - offsets), k2,
+                     free(offsets))
 
 
 def second_order_kernel_series(n_tensors, dt, h, q, lam, gamma, beta,
@@ -273,6 +275,25 @@ def reference_fit_hamiltonian(t1, dt):
     return sum(c * g for c, g in zip(coeff, basis))
 
 
+def projected_tensors(plan, n):
+    """Exact transfer tensors T_1..T_n of a two-level hierarchy.
+
+    With U = exp(G dt) applied by the ``ttmkit.heom.TaylorPlan``
+    ``plan``, P the projector on the physical block (the first 4 rows)
+    and Q = 1 - P, splitting every path at its first return to the
+    physical block gives T_k = P U (Q U)^(k-1) P: the Nakajima-Zwanzig
+    form of the tensors, with no subtraction.
+    """
+    v = np.zeros((plan.shifted.shape[0], 4), dtype=complex)
+    v[:4] = np.eye(4)
+    tensors = np.empty((n, 4, 4), dtype=complex)
+    for k in range(n):
+        v = plan.apply(v)
+        tensors[k] = v[:4]
+        v[:4] = 0.0
+    return tensors
+
+
 def reference_step_propagator(gen_dt, block=128):
     """Dense exp(gen_dt) of a sparse ``gen_dt`` by scipy's ``expm_multiply``.
 
@@ -287,3 +308,43 @@ def reference_step_propagator(gen_dt, block=128):
         columns[start + np.arange(width), np.arange(width)] = 1.0
         step[:, start:start + width] = expm_multiply(gen_dt, columns)
     return step
+
+
+def reference_dephasing_exponent(t, lam, gamma, beta):
+    """Real decoherence exponent of the Drude-Lorentz dephasing bath.
+
+    Evaluates (1/pi) * integral of J(w)/w^2 * coth(beta w/2) * (1 - cos wt)
+    over w >= 0 by adaptive quadrature to relative accuracy
+    ``QUAD_EPSREL``. The low-frequency window is integrated directly
+    (the integrand is finite at w = 0); the smooth and oscillatory parts
+    of the tail are handled separately so large t stays cheap and
+    accurate.
+    """
+    if t == 0.0:
+        return 0.0
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    if lam == 0.0:
+        return 0.0
+
+    def smooth(w):
+        x = 0.5 * beta * w
+        cth = 1.0 / x + x / 3.0 if x < 1e-8 else 1.0 / np.tanh(x)
+        return 2.0 * lam * gamma / (w * (w * w + gamma * gamma)) * cth
+
+    def window(w):
+        if w == 0.0:
+            return 2.0 * lam * t * t / (beta * gamma)
+        return smooth(w) * 2.0 * np.sin(0.5 * w * t) ** 2
+
+    split = min(gamma, 1.0 / beta, 50.0 / t)
+    part_lo, _ = quad(window, 0.0, split, epsabs=0.0, epsrel=QUAD_EPSREL,
+                      limit=400)
+    part_hi, _ = quad(smooth, split, np.inf, epsabs=0.0, epsrel=QUAD_EPSREL,
+                      limit=400)
+    scale = max(abs(part_lo), abs(part_hi), 1e-300)
+    part_osc, _ = quad(
+        smooth, split, np.inf, weight="cos", wvar=t,
+        epsabs=QUAD_EPSREL * scale, limlst=200,
+    )
+    return (part_lo + part_hi - part_osc) / np.pi

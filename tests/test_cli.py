@@ -212,6 +212,28 @@ def test_analyze_flags_degenerate_equilibrium(lindblad_run, tmp_path):
         "degenerate", "degenerate"]
 
 
+def test_analyze_without_model_meta_writes_the_table_then_exits_2(
+        heom_run, tmp_path, caplog):
+    # a file whose meta lacks beta has no canonical reference: its row
+    # says so, the other rows are written, and bad input (2) outranks a
+    # numerical failure (3)
+    good = heom_run / "tensors.json"
+    doc = json.loads(good.read_text())
+    del doc["meta"]["beta"]
+    bare = tmp_path / "no_beta.json"
+    bare.write_text(json.dumps(doc))
+    out = tmp_path / "report.tsv"
+    assert run(["analyze", good, bare, "--out", out]) == 2
+    assert [row["status"] for row in read_rows(out)] == ["ok", "no_model"]
+    assert str(bare) in caplog.text
+    tensors, doc = load_tensors(good)
+    scaled = tmp_path / "scaled.json"
+    save_tensors(scaled, _scaled(tensors, 1.01), meta=doc["meta"])
+    assert run(["analyze", good, bare, scaled, "--out", out]) == 2
+    assert [row["status"] for row in read_rows(out)] == [
+        "ok", "no_model", "no_fixed_point"]
+
+
 def test_missing_input_is_exit_2(tmp_path):
     assert run(["learn", tmp_path / "absent.json",
                 "--out", tmp_path / "t.json"]) == 2
@@ -364,6 +386,16 @@ def test_installed_entry_point_runs():
     proc = run_module("--help")
     assert proc.returncode == 0
     assert "generate" in proc.stdout
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # scipy.integrate was most of the start-up time of every ttm process
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ttmkit.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_verbose_generate_logs_the_hierarchy(tmp_path):

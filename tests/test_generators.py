@@ -1,5 +1,7 @@
 """Reference trajectory generators: unitary, Lindblad, analytic dephasing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import polygamma
@@ -7,8 +9,6 @@ from scipy.special import polygamma
 from ttmkit import (
     SpinBosonParams,
     TimeGrid,
-    dephasing_exponent,
-    dephasing_phase,
     gen_dephasing_analytic,
     gen_lindblad,
     gen_unitary,
@@ -17,7 +17,9 @@ from ttmkit import (
 )
 from ttmkit.errors import ConfigurationError
 from ttmkit.liouville import SIGMA_X, SIGMA_Z
-from ttmkit.models import bath_correlation_modes
+from ttmkit.models import bath_correlation_modes, lineshape
+
+from oracles import reference_dephasing_exponent
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -101,29 +103,72 @@ def _series_exponent(t, lam, gamma, beta, n_modes=20000):
     return total + tail
 
 
+def _exponent(t, lam, gamma, beta):
+    """Re g(t) at one time: the Gaussian dephasing exponent."""
+    return lineshape([t], lam, gamma, beta)[0].real
+
+
 @pytest.mark.parametrize("t,lam,gamma,beta", [
     (1.0, 0.1, 1.0, 1.0),
     (5.0, 0.1, 1.0, 1.0),
     (2.0, 0.5, 2.0, 0.5),
 ])
 def test_dephasing_exponent_against_mode_series(t, lam, gamma, beta):
-    quad_val = dephasing_exponent(t, lam, gamma, beta)
     series_val = _series_exponent(t, lam, gamma, beta)
-    assert abs(quad_val - series_val) < 1e-8
+    assert abs(_exponent(t, lam, gamma, beta) - series_val) < 1e-8
 
 
 def test_dephasing_exponent_regression_values():
-    assert abs(dephasing_exponent(5.0, 0.1, 1.0, 1.0)
-               - 0.8162027660892653) < 1e-8
-    assert abs(dephasing_exponent(1.0, 0.1, 1.0, 1.0)
-               - 0.08231236354227014) < 1e-8
+    assert abs(_exponent(5.0, 0.1, 1.0, 1.0) - 0.8162027660892653) < 1e-8
+    assert abs(_exponent(1.0, 0.1, 1.0, 1.0) - 0.08231236354227014) < 1e-8
 
 
 def test_dephasing_phase_closed_form():
     lam, gamma = 0.1, 1.0
-    for t in (0.5, 5.0):
-        expect = -lam * (gamma * t - 1.0 + np.exp(-gamma * t)) / gamma
-        assert abs(dephasing_phase(t, lam, gamma) - expect) < 1e-14
+    t = np.array([0.5, 5.0])
+    expect = -lam * (gamma * t - 1.0 + np.exp(-gamma * t)) / gamma
+    assert np.abs(lineshape(t, lam, gamma, 1.0).imag - expect).max() < 1e-14
+
+
+# Grids of the C10 check, the three cases above, the hierarchy
+# cross-check in test_heom and a small gamma*beta bath.
+@pytest.mark.parametrize("times,lam,gamma,beta", [
+    (0.05 * np.arange(1, 1001), 0.1, 1.0, 1.0),
+    (np.array([1.0, 5.0]), 0.1, 1.0, 1.0),
+    (np.array([2.0]), 0.5, 2.0, 0.5),
+    (0.05 * np.arange(1, 101), 0.05, 1.0, 1.0),
+    (0.05 * np.arange(1, 201), 0.1, 1.0, 0.125),
+], ids=["c10", "mode-series", "mode-series-hot", "heom", "small-gamma-beta"])
+def test_lineshape_matches_quadrature(times, lam, gamma, beta):
+    g = lineshape(times, lam, gamma, beta)
+    quad = np.array([reference_dephasing_exponent(t, lam, gamma, beta)
+                     for t in times])
+    assert np.abs(g.real / quad - 1.0).max() < 1e-10
+    drude = -lam * (gamma * times - 1.0 + np.exp(-gamma * times)) / gamma
+    assert np.abs(g.imag - drude).max() < 1e-14
+
+
+def test_lineshape_small_step_matches_precise_mode_sum():
+    """dt = 1e-3 needs 6367 explicit modes, summed without a frames x modes array.
+
+    The references are the Drude-plus-Matsubara mode sum at 40 digits
+    (Euler-Maclaurin summation of the Matsubara series). The quadrature
+    oracle is no reference here: below t ~ 0.14 its smooth and cosine
+    parts cancel to a relative error of up to 1.5e-8.
+    """
+    times = 1e-3 * np.arange(1, 1001)
+    tracemalloc.start()
+    g = lineshape(times, 0.1, 1.0, 1.0)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2**24  # the frames x modes array would hold 100 MB
+    precise = {0: 3.0164103998380400953e-7, 1: 1.1183101059455218216e-6,
+               9: 2.2834864711903596604e-5, 99: 1.5511145763107917541e-3,
+               999: 8.2312363542259837281e-2}
+    for k, value in precise.items():
+        assert abs(g[k].real / value - 1.0) < 1e-10
+    drude = -0.1 * (times - 1.0 + np.exp(-times))
+    assert np.abs(g.imag - drude).max() < 1e-14
 
 
 def test_analytic_dephasing_populations_and_coherence():
@@ -138,7 +183,7 @@ def test_analytic_dephasing_populations_and_coherence():
     coh = trajs.element(0, 1)[:, 0, 1]
     for k in (4, 12, 20):
         t = grid.times[k]
-        decay = np.exp(-4.0 * dephasing_exponent(t, 0.1, 1.0, 1.0))
+        decay = np.exp(-4.0 * reference_dephasing_exponent(t, 0.1, 1.0, 1.0))
         np.testing.assert_allclose(abs(coh[k]), decay, atol=1e-9)
     # free phase rotates at the level splitting omega0 = 1
     phases = np.angle(coh[1:]) + grid.times[1:]

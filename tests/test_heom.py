@@ -13,15 +13,17 @@ from ttmkit import (
     HeomConfig,
     SpinBosonParams,
     TimeGrid,
+    extract_maps,
     gen_dephasing_analytic,
     gen_heom,
     gen_unitary,
+    maps_to_tensors,
 )
 from ttmkit.errors import ConfigurationError, DivergenceError
 from ttmkit import heom as heom_module
 from ttmkit.models import bath_correlation_modes, matsubara_tail
 
-from oracles import reference_step_propagator
+from oracles import projected_tensors, reference_step_propagator
 
 
 def sparse_step_generator(params, depth, n_matsubara, dt):
@@ -106,6 +108,24 @@ def test_dense_step_matches_expm_multiply(lam, gamma, dt, n_steps, depth,
     gen_dt = sparse_step_generator(params, depth, n_matsubara, dt)
     step = heom_module._dense_step(heom_module.TaylorPlan.of(gen_dt))
     assert np.abs(step - reference_step_propagator(gen_dt)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("params,depth,dt,n", [
+    # C4's strong-coupling point, learned over K = 100 frames
+    (SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=2.0, gamma=1.0,
+                     beta=0.5), 12, 0.05, 100),
+    # the top point of C6's coupling sweep, K = 200
+    (SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=8.0, gamma=5.0,
+                     beta=0.5), 12, 0.01, 200),
+], ids=["c4", "c6-top"])
+def test_peeled_tensors_match_the_projected_hierarchy(params, depth, dt, n):
+    # the peel of the hierarchy's maps is the Nakajima-Zwanzig form
+    # T_k = P U (Q U)^(k-1) P of the same step, to rounding
+    trajs = gen_heom(params, HeomConfig(depth=depth, n_matsubara=2),
+                     TimeGrid(dt=dt, n_steps=n))
+    peeled = maps_to_tensors(extract_maps(trajs)).tensors
+    plan = heom_module.TaylorPlan.of(sparse_step_generator(params, depth, 2, dt))
+    assert np.abs(peeled - projected_tensors(plan, n)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("x,degree,substeps", [

@@ -12,7 +12,6 @@ from ttmkit import (
     SIGMA_Z,
     TimeGrid,
     TransferTensorSequence,
-    basis_element,
     bloch_axis,
     bloch_vector,
     choi_matrix,
@@ -27,7 +26,7 @@ from ttmkit import (
 )
 from ttmkit.errors import DimensionError
 from ttmkit.liouville import dagger_flip, hermiticity_defect, trace_defect
-from oracles import reference_superop_diagnostics
+from oracles import basis_element, reference_superop_diagnostics
 
 
 def random_unitary(rng, d):

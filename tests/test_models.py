@@ -1,16 +1,17 @@
-"""Spin-boson parameters, spectral density, and bath correlation modes."""
+"""Spin-boson parameters, bath correlation modes and the lineshape."""
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import expi
 
-from ttmkit import SpinBosonParams, bath_correlation, spectral_density, tls_hamiltonian
+from ttmkit import SpinBosonParams, tls_hamiltonian
 from ttmkit.errors import ConfigurationError, DimensionError
 from ttmkit.liouville import SIGMA_X, SIGMA_Z
 from ttmkit.models import (
     bath_correlation_modes,
     beta_from_kelvin,
+    lineshape,
     matsubara_tail,
     time_from_fs,
 )
@@ -46,20 +47,13 @@ def test_params_hamiltonian_and_coupling_default():
     assert p.dim == 2
 
 
-def test_spectral_density_peak_and_scaling():
-    # J(omega) = 2 lam gamma omega / (omega^2 + gamma^2) peaks at omega=gamma
-    lam, gamma = 0.3, 2.0
-    grid = np.linspace(0.01, 20, 4000)
-    vals = spectral_density(grid, lam, gamma)
-    assert abs(grid[np.argmax(vals)] - gamma) < 0.01
-    assert abs(vals.max() - lam) < 1e-4  # J(gamma) = lam
-
-
 def test_reorganization_energy_integral():
-    # (1/pi) int J(w)/w dw = lam
-    lam, gamma = 0.2, 1.5
-    val, _ = quad(lambda w: spectral_density(w, lam, gamma) / w, 0, np.inf)
-    assert abs(val / np.pi - lam) < 1e-8
+    # g(t) grows at int_0^inf C(t) dt = lam (2/(beta gamma) - 1j): the
+    # imaginary slope is the reorganization energy (1/pi) int J(w)/w dw
+    lam, gamma, beta = 0.2, 1.5, 0.8
+    g = lineshape([40.0, 50.0], lam, gamma, beta)
+    slope = (g[1] - g[0]) / 10.0
+    assert abs(slope - lam * (2.0 / (beta * gamma) - 1j)) < 1e-12
 
 
 def test_mode_expansion_matches_quadrature_correlation():
@@ -78,12 +72,13 @@ def test_mode_expansion_matches_quadrature_correlation():
         return (coth - 1.0) * w / (w**2 + gamma**2) * np.cos(w * t)
 
     cutoff = 40.0 / beta
+    coeffs, rates = bath_correlation_modes(lam, gamma, beta, 1000)
     for t in (0.3, 1.0, 2.5):
         thermal, _ = quad(excess, 0, cutoff, args=(t,), limit=400)
         vacuum = -0.5 * (np.exp(gamma * t) * expi(-gamma * t)
                          + np.exp(-gamma * t) * expi(gamma * t))
         re = 2 * lam * gamma / np.pi * (thermal + vacuum)
-        c = complex(bath_correlation(t, lam, gamma, beta))
+        c = np.sum(coeffs * np.exp(-rates * t))
         assert abs(c.real - re) < 1e-6
         assert abs(c.imag - (-lam * gamma * np.exp(-gamma * t))) < 1e-8
 
