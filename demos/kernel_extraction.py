@@ -10,8 +10,8 @@ import numpy as np
 
 from ttmkit import (HeomConfig, SpinBosonParams, TimeGrid, extract_kernel,
                     extract_liouvillian, extract_maps, gen_heom,
-                    kernel_element_series, kernel_norms, maps_to_tensors,
-                    tls_hamiltonian)
+                    kernel_element_series, kernel_norms, liouvillian_superop,
+                    maps_to_tensors, tls_hamiltonian)
 from ttmkit.liouville import SIGMA_X
 
 DT = 0.025
@@ -26,14 +26,14 @@ tensors = maps_to_tensors(extract_maps(trajs))
 
 # fit the time-local generator from T_1 without assuming the
 # Hamiltonian, then compare with the known one
-superop, fit = extract_liouvillian(tensors.tensors[0], DT, details=True)
+fit = extract_liouvillian(tensors.tensors[0], DT)
 print("fitted Hamiltonian (traceless part):")
 print(np.array_str(fit.hamiltonian, precision=5, suppress_small=True))
 print("known Hamiltonian:")
 print(np.array_str(h, precision=5))
 print(f"dissipative remainder norm: {fit.residual_norm:.2e}")
 
-kernel = extract_kernel(tensors, superop)
+kernel = extract_kernel(tensors, liouvillian_superop(fit.hamiltonian))
 norms = kernel_norms(kernel)
 print("\nkernel norm decay ||K_s||:")
 for s in (2, 5, 10, 20, 40, 80, 160):

@@ -69,12 +69,7 @@ from .liouville import (
     validate_state,
     vectorize,
 )
-from .maps import (
-    DynamicalMapSequence,
-    MapValidationReport,
-    extract_maps,
-    validate_maps,
-)
+from .maps import MapValidationReport, extract_maps, validate_maps
 from .models import (
     SpinBosonParams,
     bath_correlation_modes,
@@ -101,7 +96,6 @@ __all__ = [
     "DeviationMeasurement",
     "DimensionError",
     "DivergenceError",
-    "DynamicalMapSequence",
     "EquilibriumReport",
     "HeomConfig",
     "InsufficientLearningError",

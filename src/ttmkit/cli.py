@@ -14,7 +14,8 @@ and ``learn`` per point, then one ``analyze`` over the tensors files.
 Exit codes: 0 success, 2 validation or schema failure, 3 numerical
 failure (divergence, unsettled trajectory, insufficient learning, no
 unique fixed point). ``analyze`` writes its table before exiting 2 for
-a file whose meta lacks the model numbers (``no_model``) or 3.
+a file without a two-level canonical reference (``no_model``: its meta
+lacks the model numbers, or its dim is not 2) or 3.
 """
 
 import argparse
@@ -35,7 +36,13 @@ from .errors import (
 )
 from .generators import gen_dephasing_analytic, gen_lindblad, gen_unitary
 from .heom import HeomConfig, gen_heom
-from .liouville import SIGMA_X, SIGMA_Z, validate_state, vectorize
+from .liouville import (
+    SIGMA_X,
+    SIGMA_Z,
+    liouvillian_superop,
+    validate_state,
+    vectorize,
+)
 from .maps import extract_maps
 from .models import (
     SpinBosonParams,
@@ -210,16 +217,19 @@ def cmd_kernel(args):
     tensors, doc = fileio.load_tensors(args.tensors)
     meta = dict(doc.get("meta", {}))
     if args.fit_liouvillian or not {"omega0", "j"} <= meta.keys():
-        liou, fit = extract_liouvillian(
-            tensors.tensors[0], tensors.dt, details=True
-        )
+        fit = extract_liouvillian(tensors.tensors[0], tensors.dt)
+        h = fit.hamiltonian
         meta["liouvillian_fit_residual"] = fit.residual_norm
         log.info("fitted coherent generator, dissipative remainder %.3e",
                  fit.residual_norm)
+    elif tensors.dim != 2:
+        raise SchemaError(
+            f"{args.tensors}: meta holds the two-level omega0 and j, but "
+            f"dim is {tensors.dim}"
+        )
     else:
-        known_h = tls_hamiltonian(meta["omega0"], meta["j"])
-        liou = extract_liouvillian(tensors.tensors[0], tensors.dt, known_h)
-    kernel = extract_kernel(tensors, liou)
+        h = tls_hamiltonian(meta["omega0"], meta["j"])
+    kernel = extract_kernel(tensors, liouvillian_superop(h))
     fileio.save_kernel(args.out, kernel, meta=meta)
     log.info("wrote %s (%d kernel samples)", args.out, len(kernel))
     if args.table:
@@ -256,7 +266,7 @@ def _analysis_row(meta, state, settled_at, residual, status="ok"):
     }
     if state is None:
         return row
-    if not {"omega0", "j", "beta"} <= meta.keys():
+    if state.shape != (2, 2) or not {"omega0", "j", "beta"} <= meta.keys():
         row["status"] = "no_model"
         return row
     reference = canonical_state(
@@ -314,8 +324,8 @@ def cmd_analyze(args):
                 if row["status"] == "no_model"]
     if no_model:
         raise SchemaError(
-            "meta lacks omega0/j/beta, so there is no canonical reference: "
-            + ", ".join(no_model)
+            "no canonical reference (meta lacks omega0/j/beta, or dim is "
+            "not 2): " + ", ".join(no_model)
         )
     failed = sum(row["status"] in ("not_settled", "no_fixed_point")
                  for row in rows)

@@ -44,48 +44,35 @@ class LiouvillianFit:
     residual_norm: float
 
 
-def extract_liouvillian(t1, dt, known_h=None, details=False):
-    """Coherent generator consistent with the first transfer tensor.
+def extract_liouvillian(t1, dt):
+    """Coherent generator fitted to the first transfer tensor.
 
-    With ``known_h`` the commutator superoperator of that Hamiltonian
-    is returned directly. Otherwise the raw estimate R = i (T_1 - 1)/dt
-    is projected (least squares) onto the commutator superoperators of
-    traceless Hermitian matrices. In closed form the projection is the
-    Hermitian traceless part of
+    The raw estimate R = i (T_1 - 1)/dt is projected (least squares)
+    onto the commutator superoperators of traceless Hermitian matrices.
+    In closed form the projection is the Hermitian traceless part of
 
         x[a, c] = (sum_b R[ab, cb] - sum_b R[bc, ba]) / (2 D),
 
     the adjoint of rho -> [h, rho] applied to R. The orthogonal
-    remainder is dissipative content plus O(dt) kernel contamination
-    and is available through ``details=True``.
+    remainder is dissipative content plus O(dt) kernel contamination.
+    ``liouvillian_superop(fit.hamiltonian)`` is the generator L that
+    :func:`extract_kernel` takes; with a known Hamiltonian, pass its
+    ``liouvillian_superop`` there instead.
 
     Returns
     -------
-    superop : ndarray
-        The commutator-form generator L (apply as -1j L for evolution).
-    fit : LiouvillianFit, only when ``details`` is true.
+    LiouvillianFit
     """
     t1 = superop_stack(t1, ndim=2)
     d2 = t1.shape[0]
     dim = round(np.sqrt(d2))
     raw = 1j * (t1 - np.eye(d2)) / dt
-    if known_h is not None:
-        known_h = np.asarray(known_h, dtype=complex)
-        if known_h.shape != (dim, dim):
-            raise DimensionError(
-                f"known_h shape {known_h.shape} does not match dim {dim}"
-            )
-        h = known_h
-    else:
-        r4 = raw.reshape(dim, dim, dim, dim)
-        x = (np.einsum("abcb->ac", r4) - np.einsum("bcba->ac", r4)) / (2 * dim)
-        h = 0.5 * (x + x.conj().T)
-        h -= np.trace(h) / dim * np.eye(dim)
-    superop = liouvillian_superop(h)
-    if not details:
-        return superop
-    resid = raw - superop
-    return superop, LiouvillianFit(
+    r4 = raw.reshape(dim, dim, dim, dim)
+    x = (np.einsum("abcb->ac", r4) - np.einsum("bcba->ac", r4)) / (2 * dim)
+    h = 0.5 * (x + x.conj().T)
+    h -= np.trace(h) / dim * np.eye(dim)
+    resid = raw - liouvillian_superop(h)
+    return LiouvillianFit(
         hamiltonian=h, residual=resid, residual_norm=superop_norm(resid)
     )
 
@@ -122,8 +109,8 @@ def extract_kernel(tensors, liouvillian):
     ----------
     tensors : TransferTensorSequence
     liouvillian : ndarray
-        Commutator-form generator, typically from
-        :func:`extract_liouvillian`.
+        Commutator-form generator, ``liouvillian_superop`` of a known
+        Hamiltonian or of the one :func:`extract_liouvillian` fits.
     """
     liou = superop_stack(liouvillian, tensors.dim, 2)
     d2 = tensors.dim * tensors.dim

@@ -1,66 +1,35 @@
-"""Dynamical maps assembled from evolved operator bases.
+"""Dynamical maps read off evolved operator bases, and their diagnostics.
 
 Because every trajectory starts from a matrix unit, the map at time t_k
 simply has the vectorized frame k of trajectory (i, j) as its column
-i*D + j; extraction is a copy of
-:attr:`~ttmkit.trajectories.BasisTrajectorySet.maps`, the one place that
-layout is read (generators write it through
-:meth:`~ttmkit.trajectories.BasisTrajectorySet.from_maps`).
+i*D + j, so a :class:`~ttmkit.trajectories.BasisTrajectorySet` already
+is the map stack: :attr:`~ttmkit.trajectories.BasisTrajectorySet.maps`
+reads it and :meth:`~ttmkit.trajectories.BasisTrajectorySet.from_maps`
+writes it. :func:`extract_maps` only checks that a set may be read as
+maps; :func:`validate_maps` reports how physical they are.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError
-from .liouville import choi_matrix, hermiticity_defect, superop_stack, trace_defect
-from .trajectories import check_step
+from .liouville import choi_matrix, hermiticity_defect, trace_defect
 
-# Bound on the initial-frame and adjoint-symmetry defects (extract_maps).
+# Bound on the initial-frame and adjoint-symmetry defects (extract_maps,
+# and the initial frame in maps_to_tensors).
 MAP_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class DynamicalMapSequence:
-    """Maps E_k with E_0 = identity on a uniform grid.
-
-    Attributes
-    ----------
-    dim : int
-        Hilbert-space dimension D.
-    dt : float
-        Grid step.
-    maps : ndarray, shape (n_steps + 1, D^2, D^2)
-        ``maps[k]`` sends vec(rho(0)) to vec(rho(t_k)).
-    """
-
-    dim: int
-    dt: float
-    maps: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        maps = superop_stack(self.maps, self.dim, 3)
-        if len(maps) < 1:
-            raise DimensionError("need at least the t = 0 map")
-        check_step(self.dt)
-        if float(np.abs(maps[0] - np.eye(self.dim * self.dim)).max()) > 1e-12:
-            raise DimensionError("map at t = 0 must be the identity")
-        object.__setattr__(self, "maps", maps)
-
-    @property
-    def n_steps(self):
-        return self.maps.shape[0] - 1
-
-
 def extract_maps(trajs):
-    """Dynamical maps from a basis trajectory set.
+    """Check that a basis trajectory set holds dynamical maps; return it.
 
     Parameters
     ----------
     trajs : BasisTrajectorySet
         Must start from the exact operator basis and respect the
         adjoint pairing between (i, j) and (j, i) trajectories, both
-        to ``MAP_TOL``.
+        to ``MAP_TOL``. Its ``.maps`` are the maps E_k.
     """
     initial = trajs.initial_defect()
     if initial > MAP_TOL:
@@ -73,9 +42,7 @@ def extract_maps(trajs):
             f"adjoint symmetry violated by {sym:.3g}; trajectories do not "
             "come from a linear Hermiticity-preserving evolution"
         )
-    maps = trajs.maps.copy()
-    maps[0] = np.eye(trajs.dim * trajs.dim)
-    return DynamicalMapSequence(dim=trajs.dim, dt=trajs.grid.dt, maps=maps)
+    return trajs
 
 
 @dataclass(frozen=True)

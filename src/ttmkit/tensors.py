@@ -1,7 +1,7 @@
 """Transfer tensors: learning, truncation and long-time propagation.
 
 The tensors T_s are defined by peeling repeated-map content out of the
-learned map sequence,
+maps E_k of a :class:`~ttmkit.trajectories.BasisTrajectorySet`,
 
     T_1 = E_1,    T_n = E_n - sum_{m=1}^{n-1} T_{n-m} E_m,
 
@@ -12,7 +12,8 @@ the truncation error per step.
 
 Propagation, map reconstruction and peeling are all this one memory
 recursion: peeling runs it on the inverse power series, since
-E(z) = (1 - T(z))^-1.
+E(z) = (1 - T(z))^-1. Rebuilt maps come back as a basis trajectory
+set too, so maps have one container in both directions.
 """
 
 from dataclasses import dataclass, field
@@ -21,8 +22,8 @@ import numpy as np
 
 from .errors import DimensionError, InsufficientLearningError, NumericalError
 from .liouville import devectorize, superop_norm, superop_stack
-from .maps import DynamicalMapSequence
-from .trajectories import check_step
+from .maps import MAP_TOL
+from .trajectories import BasisTrajectorySet, TimeGrid, check_step
 
 
 @dataclass(frozen=True)
@@ -83,36 +84,41 @@ def _recurse(kernel, frames, start):
 
 
 def maps_to_tensors(seq):
-    """Learn transfer tensors from a dynamical map sequence.
+    """Learn transfer tensors from the maps of a basis trajectory set.
 
-    The sequence must contain at least E_0 and E_1; E_0 is checked to
-    be the identity (the container construction already enforces it).
-    The inverse series F = 1 - T obeys F_n = sum_{s=1}^{n} (-E_s) F_{n-s}.
+    ``seq`` is a :class:`~ttmkit.trajectories.BasisTrajectorySet`, whose
+    ``.maps`` are E_0 .. E_n with n >= 1; E_0 must be the identity to
+    ``MAP_TOL`` and is otherwise not read. The inverse series F = 1 - T
+    obeys F_n = sum_{s=1}^{n} (-E_s) F_{n-s}.
     """
-    if seq.n_steps < 1:
-        raise DimensionError("map sequence must reach at least t_1")
-    inverse = np.empty_like(seq.maps)
-    inverse[0] = np.eye(inverse.shape[1])
+    initial = seq.initial_defect()
+    if not initial <= MAP_TOL:
+        raise DimensionError(f"map at t = 0 deviates from the identity by "
+                             f"{initial:.3g}")
+    n, d2 = seq.maps.shape[:2]
+    # C order, so that _recurse reads each history as one view
+    inverse = np.empty((n, d2, d2), dtype=complex)
+    inverse[0] = np.eye(d2)
     _recurse(-seq.maps[1:], inverse, 1)
-    return TransferTensorSequence(dim=seq.dim, dt=seq.dt, tensors=-inverse[1:])
+    return TransferTensorSequence(dim=seq.dim, dt=seq.grid.dt,
+                                  tensors=-inverse[1:])
 
 
 def tensors_to_maps(tensors, n_steps=None):
-    """Rebuild the map sequence generated by a tensor family.
+    """Rebuild the maps generated by a tensor family.
 
     With ``n_steps`` equal to the tensor count (the default) this is
     the exact inverse of :func:`maps_to_tensors`; larger values
-    extrapolate with the finite memory.
+    extrapolate with the finite memory. Returns the
+    :class:`~ttmkit.trajectories.BasisTrajectorySet` of the maps.
     """
-    if n_steps is None:
-        n_steps = len(tensors)
-    if n_steps < 1:
-        raise DimensionError("n_steps must be at least 1")
+    grid = TimeGrid(dt=tensors.dt,
+                    n_steps=len(tensors) if n_steps is None else n_steps)
     d2 = tensors.dim * tensors.dim
-    maps = np.empty((n_steps + 1, d2, d2), dtype=complex)
+    maps = np.empty((grid.n_steps + 1, d2, d2), dtype=complex)
     maps[0] = np.eye(d2)
     _recurse(tensors.tensors, maps, 1)
-    return DynamicalMapSequence(dim=tensors.dim, dt=tensors.dt, maps=maps)
+    return BasisTrajectorySet.from_maps(grid, maps)
 
 
 def markovianity_profile(tensors):

@@ -33,9 +33,10 @@ from ttmkit.liouville import (
     spre,
     unitary_superop,
 )
-from ttmkit.maps import DynamicalMapSequence, MapValidationReport
+from ttmkit.maps import MapValidationReport
 from ttmkit.models import bath_correlation_modes
 from ttmkit.tensors import TransferTensorSequence
+from ttmkit.trajectories import BasisTrajectorySet, TimeGrid
 
 # Relative accuracy of the dephasing-exponent quadrature.
 QUAD_EPSREL = 1e-10
@@ -106,22 +107,16 @@ def second_order_kernel_series(n_tensors, dt, h, q, lam, gamma, beta,
 
 
 def reference_maps_to_tensors(seq):
-    """Learn transfer tensors from a dynamical map sequence.
-
-    The sequence must contain at least E_0 and E_1; E_0 is checked to
-    be the identity (the container construction already enforces it).
-    """
-    if seq.n_steps < 1:
-        raise DimensionError("map sequence must reach at least t_1")
+    """Learn transfer tensors from the maps of a basis trajectory set."""
     maps = seq.maps
-    n = seq.n_steps
+    n = seq.grid.n_steps
     tensors = np.empty_like(maps[1:])
     for s in range(1, n + 1):
         acc = maps[s].copy()
         for m in range(1, s):
             acc -= tensors[s - m - 1] @ maps[m]
         tensors[s - 1] = acc
-    return TransferTensorSequence(dim=seq.dim, dt=seq.dt, tensors=tensors)
+    return TransferTensorSequence(dim=seq.dim, dt=seq.grid.dt, tensors=tensors)
 
 
 def reference_tensors_to_maps(tensors, n_steps=None):
@@ -131,10 +126,9 @@ def reference_tensors_to_maps(tensors, n_steps=None):
     the exact inverse of :func:`reference_maps_to_tensors`; larger values
     extrapolate with the finite memory.
     """
-    if n_steps is None:
-        n_steps = len(tensors)
-    if n_steps < 1:
-        raise DimensionError("n_steps must be at least 1")
+    grid = TimeGrid(dt=tensors.dt,
+                    n_steps=len(tensors) if n_steps is None else n_steps)
+    n_steps = grid.n_steps
     d2 = tensors.dim * tensors.dim
     t_arr = tensors.tensors
     maps = np.empty((n_steps + 1, d2, d2), dtype=complex)
@@ -144,7 +138,7 @@ def reference_tensors_to_maps(tensors, n_steps=None):
         for s in range(1, min(n, len(tensors)) + 1):
             acc += t_arr[s - 1] @ maps[n - s]
         maps[n] = acc
-    return DynamicalMapSequence(dim=tensors.dim, dt=tensors.dt, maps=maps)
+    return BasisTrajectorySet.from_maps(grid, maps)
 
 
 def reference_propagate(tensors, k_cutoff, seed, n_total):

@@ -41,8 +41,7 @@ from ttmkit import (
     tensors_to_maps,
     tls_hamiltonian,
 )
-from ttmkit.liouville import SIGMA_X, SIGMA_Z
-from ttmkit.maps import DynamicalMapSequence
+from ttmkit.liouville import SIGMA_X, SIGMA_Z, liouvillian_superop
 
 
 def _verdict(tag, ok, detail):
@@ -102,11 +101,13 @@ def test_criterion_03_decompositions_invert_exactly():
             maps[1:] = np.eye(d2) + 0.1 * (
                 rng.standard_normal((8, d2, d2))
                 + 1j * rng.standard_normal((8, d2, d2)))
-            seq = DynamicalMapSequence(dim=dim, dt=0.1, maps=maps)
+            seq = BasisTrajectorySet.from_maps(TimeGrid(dt=0.1, n_steps=8),
+                                               maps)
             tensors = maps_to_tensors(seq)
             back = tensors_to_maps(tensors)
             worst_maps = max(worst_maps, np.abs(back.maps - seq.maps).max())
-            liou = extract_liouvillian(tensors.tensors[0], seq.dt)
+            fit = extract_liouvillian(tensors.tensors[0], seq.grid.dt)
+            liou = liouvillian_superop(fit.hamiltonian)
             kernel = extract_kernel(tensors, liou)
             again = kernel_to_tensors(kernel)
             worst_kernel = max(
@@ -226,7 +227,7 @@ def test_criterion_07a_kernel_symmetries_at_strong_coupling():
     trajs = gen_heom(params, HeomConfig(depth=8, n_matsubara=2),
                      TimeGrid(dt=dt, n_steps=1600))
     tensors = maps_to_tensors(extract_maps(trajs))
-    liou = extract_liouvillian(tensors.tensors[0], dt, known_h=h)
+    liou = liouvillian_superop(h)
     kernel = extract_kernel(tensors, liou)
 
     def series(src, tgt):
@@ -259,7 +260,7 @@ def test_criterion_07b_weak_coupling_kernel_matches_quadrature():
     trajs = gen_heom(params, HeomConfig(depth=6, n_matsubara=4),
                      TimeGrid(dt=dt, n_steps=n_steps))
     tensors = maps_to_tensors(extract_maps(trajs))
-    liou = extract_liouvillian(tensors.tensors[0], dt, known_h=h)
+    liou = liouvillian_superop(h)
     kernel = extract_kernel(tensors, liou)
 
     n_compare = 120

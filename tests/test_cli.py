@@ -14,6 +14,7 @@ from ttmkit import (
     cli,
     load_state_trajectory,
     load_tensors,
+    save_state_trajectory,
     save_tensors,
 )
 from ttmkit.cli import main
@@ -234,6 +235,92 @@ def test_analyze_without_model_meta_writes_the_table_then_exits_2(
         "ok", "no_model", "no_fixed_point"]
 
 
+SIGMA3 = np.diag([0.5, 0.3, 0.2]).astype(complex)
+
+
+def three_level_tensors():
+    """T_1 of rho -> (rho + tr(rho) SIGMA3) / 2, fixed point SIGMA3 alone."""
+    trace = np.eye(3).reshape(-1)
+    t1 = 0.5 * (np.eye(9) + np.outer(SIGMA3.reshape(-1), trace))
+    return TransferTensorSequence(dim=3, dt=0.05, tensors=t1[None])
+
+
+def test_kernel_fits_the_generator_of_another_dim(lindblad_run, tmp_path):
+    # two-level omega0 and j cannot give a 3-level generator, so kernel
+    # refuses them (see the dim-3 corpus case) but fits on request
+    _, doc = load_tensors(lindblad_run / "tensors.json")
+    tensors = tmp_path / "three.json"
+    save_tensors(tensors, three_level_tensors(), meta=doc["meta"])
+    out = tmp_path / "kernel.json"
+    assert run(["kernel", tensors, "--out", out]) == 2
+    assert run(["kernel", tensors, "--fit-liouvillian", "--out", out]) == 0
+
+
+def _payload(doc):
+    """The frames or tensors array of a basis, state or tensors document."""
+    if "trajectories" in doc:
+        return doc["trajectories"][0]["frames"]
+    return doc["frames"] if "frames" in doc else doc["tensors"]
+
+
+def _poison(doc):
+    _payload(doc)[0][0][0][0] = float("nan")
+
+
+# Each corruption edits the parsed document in place, or returns the
+# text to write instead of it.
+CORRUPTIONS = {
+    "truncated": lambda doc: json.dumps(doc)[:200],
+    "wrong-kind": lambda doc: doc.update(kind="kernel"),
+    "no-dim": lambda doc: doc.pop("dim"),
+    "dt-string": lambda doc: doc.update(dt=str(doc["dt"])),
+    "nan-payload": _poison,
+    "short-payload": lambda doc: _payload(doc).pop(),
+    "meta-list": lambda doc: doc.update(meta=[1.0, 1.0]),
+}
+# The command and the document kind it reads (file of lindblad_run).
+READS = {
+    "learn-basis": ("learn", "traj.json", []),
+    "propagate-tensors": ("propagate", "tensors.json", ["--steps", "10"]),
+    "kernel-tensors": ("kernel", "tensors.json", ["--table", "k.tsv"]),
+    "analyze-state": ("analyze", "state.json", []),
+    "analyze-tensors": ("analyze", "tensors.json", []),
+}
+CORPUS = [(r, c) for r in READS for c in CORRUPTIONS] + [
+    ("kernel-tensors", "dim-3"), ("analyze-state", "dim-3"),
+    ("analyze-tensors", "dim-3")]
+
+
+@pytest.mark.parametrize("reads, corruption", CORPUS,
+                         ids=[f"{r}-{c}" for r, c in CORPUS])
+def test_corrupt_input_is_exit_2_naming_the_file(lindblad_run, tmp_path,
+                                                 caplog, reads, corruption):
+    command, name, options = READS[reads]
+    doc = json.loads((lindblad_run / name).read_text())
+    bad = tmp_path / f"bad_{name}"
+    if corruption == "dim-3":
+        # a 3-level file that keeps the two-level meta
+        if name == "tensors.json":
+            save_tensors(bad, three_level_tensors(), meta=doc["meta"])
+        else:
+            save_state_trajectory(bad, np.broadcast_to(SIGMA3, (101, 3, 3)),
+                                  doc["dt"], meta=doc["meta"])
+    else:
+        text = CORRUPTIONS[corruption](doc)
+        bad.write_text(text if isinstance(text, str) else json.dumps(doc))
+    out = tmp_path / "out"
+    options = [tmp_path / o if o.endswith(".tsv") else o for o in options]
+    assert run([command, bad, *options, "--out", out]) == 2
+    assert str(bad) in caplog.text
+    written = sorted(p.name for p in tmp_path.iterdir() if p != bad)
+    # only analyze writes its table first, and only rows it could read
+    if command == "analyze" and corruption == "dim-3":
+        assert written == ["out"]
+        assert [row["status"] for row in read_rows(out)] == ["no_model"]
+    else:
+        assert written == []
+
+
 def test_missing_input_is_exit_2(tmp_path):
     assert run(["learn", tmp_path / "absent.json",
                 "--out", tmp_path / "t.json"]) == 2
@@ -353,6 +440,15 @@ def test_generate_outputs_are_deterministic(tmp_path):
     assert run(args + ["--out", a]) == 0
     assert run(args + ["--out", b]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_generate_near_the_drude_pole_is_exit_2(tmp_path):
+    # nu_1 = 2 pi at beta = 1, within 1e-3 gamma of gamma = 6.2832
+    out = tmp_path / "d.json"
+    assert run(["generate", "--model", "dephasing", "--dt", "0.05",
+                "--steps", "10", "--j", "0", "--gamma", "6.2832",
+                "--beta", "1", "--out", out]) == 2
+    assert not out.exists()
 
 
 def test_wavenumber_units_roundtrip(tmp_path):

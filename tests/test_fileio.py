@@ -10,9 +10,9 @@ from ttmkit import (
     SIGMA_Z,
     TimeGrid,
     extract_kernel,
-    extract_liouvillian,
     extract_maps,
     gen_lindblad,
+    liouvillian_superop,
     load_basis_trajectories,
     load_kernel,
     load_state_trajectory,
@@ -86,8 +86,7 @@ def test_tensor_payload_is_cutoff_times_d4(trajs, tmp_path):
 
 def test_kernel_roundtrip_is_exact(trajs, tmp_path):
     tensors = maps_to_tensors(extract_maps(trajs))
-    liou = extract_liouvillian(tensors.tensors[0], tensors.dt,
-                               known_h=tls_hamiltonian(1.0, 0.4))
+    liou = liouvillian_superop(tls_hamiltonian(1.0, 0.4))
     kernel = extract_kernel(tensors, liou)
     path = tmp_path / "kernel.json"
     save_kernel(path, kernel, meta={"omega0": 1.0})
@@ -160,8 +159,7 @@ def _tensors_doc(trajs, path):
 
 def _kernel_doc(trajs, path):
     tensors = maps_to_tensors(extract_maps(trajs))
-    liou = extract_liouvillian(tensors.tensors[0], tensors.dt,
-                               known_h=tls_hamiltonian(1.0, 0.4))
+    liou = liouvillian_superop(tls_hamiltonian(1.0, 0.4))
     save_kernel(path, extract_kernel(tensors, liou))
     return load_kernel, "kernels"
 

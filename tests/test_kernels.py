@@ -39,8 +39,7 @@ def heom_tensors():
 
 
 def test_kernel_tensor_bijection(heom_tensors):
-    liou = extract_liouvillian(heom_tensors.tensors[0], heom_tensors.dt,
-                               known_h=H_FIG)
+    liou = liouvillian_superop(H_FIG)
     kernel = extract_kernel(heom_tensors, liou)
     back = kernel_to_tensors(kernel)
     assert np.abs(back.tensors - heom_tensors.tensors).max() < 1e-12
@@ -49,8 +48,7 @@ def test_kernel_tensor_bijection(heom_tensors):
 
 
 def test_kernel_annihilates_trace(heom_tensors):
-    liou = extract_liouvillian(heom_tensors.tensors[0], heom_tensors.dt,
-                               known_h=H_FIG)
+    liou = liouvillian_superop(H_FIG)
     kernel = extract_kernel(heom_tensors, liou)
     tr = vectorize(np.eye(2, dtype=complex))
     # trace preservation of the maps makes tr a left null vector of every
@@ -74,8 +72,7 @@ def test_first_sample_matches_squared_generator_for_unitary():
 
 
 def test_kernel_norms_decay_with_delay(heom_tensors):
-    liou = extract_liouvillian(heom_tensors.tensors[0], heom_tensors.dt,
-                               known_h=H_FIG)
+    liou = liouvillian_superop(H_FIG)
     norms = kernel_norms(extract_kernel(heom_tensors, liou))
     head = norms[1:6].max()
     tail = norms[-5:].max()
@@ -84,8 +81,7 @@ def test_kernel_norms_decay_with_delay(heom_tensors):
 
 def test_weak_coupling_kernel_matches_quadrature(heom_tensors):
     """Dominant kernel entries agree with the one-loop cell integral."""
-    liou = extract_liouvillian(heom_tensors.tensors[0], heom_tensors.dt,
-                               known_h=H_FIG)
+    liou = liouvillian_superop(H_FIG)
     kernel = extract_kernel(heom_tensors, liou)
     oracle = second_order_kernel_series(
         len(heom_tensors), heom_tensors.dt, H_FIG, SIGMA_X,
@@ -101,7 +97,8 @@ def test_fitted_liouvillian_recovers_hamiltonian():
     dt = 0.005
     trajs = gen_unitary(h, TimeGrid(dt=dt, n_steps=2))
     t1 = extract_maps(trajs).maps[1]
-    superop, fit = extract_liouvillian(t1, dt, details=True)
+    fit = extract_liouvillian(t1, dt)
+    superop = liouvillian_superop(fit.hamiltonian)
     # the commutator projection sees H only through its traceless part
     np.testing.assert_allclose(fit.hamiltonian,
                                h - np.trace(h) / 2 * np.eye(2), atol=1e-4)
@@ -119,15 +116,17 @@ def test_closed_form_fit_matches_least_squares(dim):
     for _ in range(20):
         t1 = np.eye(d2) + 0.1 * (rng.normal(size=(d2, d2))
                                  + 1j * rng.normal(size=(d2, d2)))
-        superop, fit = extract_liouvillian(t1, dt, details=True)
+        fit = extract_liouvillian(t1, dt)
         h_ref = reference_fit_hamiltonian(t1, dt)
         assert np.abs(fit.hamiltonian - h_ref).max() <= 1e-12
-        assert np.abs(superop - liouvillian_superop(h_ref)).max() <= 1e-12
+        raw = 1j * (t1 - np.eye(d2)) / dt
+        assert np.abs(fit.residual - (raw - liouvillian_superop(h_ref))
+                      ).max() <= 1e-12
 
 
 def test_fitted_liouvillian_flags_dissipation(heom_tensors):
-    superop, fit = extract_liouvillian(heom_tensors.tensors[0],
-                                       heom_tensors.dt, details=True)
+    fit = extract_liouvillian(heom_tensors.tensors[0], heom_tensors.dt)
+    superop = liouvillian_superop(fit.hamiltonian)
     known = liouvillian_superop(H_FIG)
     # coherent part close to the true Hamiltonian, residual clearly nonzero
     assert np.abs(superop - known).max() < 0.05
@@ -135,8 +134,7 @@ def test_fitted_liouvillian_flags_dissipation(heom_tensors):
 
 
 def test_element_series_indexing(heom_tensors):
-    liou = extract_liouvillian(heom_tensors.tensors[0], heom_tensors.dt,
-                               known_h=H_FIG)
+    liou = liouvillian_superop(H_FIG)
     kernel = extract_kernel(heom_tensors, liou)
     times, series = kernel_element_series(kernel, (0, 0), (1, 1))
     np.testing.assert_allclose(

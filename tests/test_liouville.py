@@ -5,7 +5,6 @@ import pytest
 
 from ttmkit import (
     BasisTrajectorySet,
-    DynamicalMapSequence,
     KernelSequence,
     SIGMA_X,
     SIGMA_Y,
@@ -186,7 +185,6 @@ def _identities(rows, cols=None):
 CONTAINERS = {
     "from_maps": lambda s, dt: BasisTrajectorySet.from_maps(
         TimeGrid(dt=0.1, n_steps=2), s),
-    "maps": lambda s, dt: DynamicalMapSequence(dim=2, dt=dt, maps=s),
     "tensors": lambda s, dt: TransferTensorSequence(dim=2, dt=dt, tensors=s),
     "kernel-liouvillian": lambda s, dt: KernelSequence(
         dim=2, dt=dt, liouvillian=s[0], kernels=_identities(4)),

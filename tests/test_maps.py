@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from ttmkit import (
-    DynamicalMapSequence,
+    BasisTrajectorySet,
     SIGMA_X,
     SIGMA_Z,
     TimeGrid,
     extract_maps,
     gen_lindblad,
     gen_unitary,
+    maps_to_tensors,
     unitary_superop,
     validate_maps,
     vectorize,
@@ -70,9 +71,11 @@ def test_extract_rejects_adjoint_asymmetry():
 
 
 def test_sequence_requires_identity_at_origin():
+    # learning refuses maps whose E_0 is not the identity
     maps = np.stack([np.eye(4, dtype=complex) * 1.01, np.eye(4, dtype=complex)])
+    seq = BasisTrajectorySet.from_maps(TimeGrid(dt=0.1, n_steps=1), maps)
     with pytest.raises(DimensionError):
-        DynamicalMapSequence(dim=2, dt=0.1, maps=maps)
+        maps_to_tensors(seq)
 
 
 def test_validation_report_on_physical_maps():
@@ -90,7 +93,7 @@ def test_validation_flags_nonpositive_map():
     swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
                     dtype=complex)
     maps[3] = swap
-    bad = DynamicalMapSequence(dim=2, dt=seq.dt, maps=maps)
+    bad = BasisTrajectorySet.from_maps(seq.grid, maps)
     report = validate_maps(bad)
     assert report.choi_min_eigs[3] < -0.5
     assert report.trace_defects[3] < 1e-12
@@ -103,7 +106,7 @@ def _random_sequence(dim):
     maps[0] = np.eye(d2)
     maps[1:] = np.eye(d2) + 0.3 * (rng.normal(size=(5, d2, d2))
                                    + 1j * rng.normal(size=(5, d2, d2)))
-    return DynamicalMapSequence(dim=dim, dt=0.1, maps=maps)
+    return BasisTrajectorySet.from_maps(TimeGrid(dt=0.1, n_steps=5), maps)
 
 
 @pytest.mark.parametrize("make", [

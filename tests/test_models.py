@@ -89,6 +89,19 @@ def test_mode_rates_are_drude_plus_matsubara():
     np.testing.assert_allclose(rates[1:], 2 * np.pi * np.arange(1, 4) / 2.0)
 
 
+@pytest.mark.parametrize("offset, refused", [(1e-6, True), (1e-2, False)])
+def test_matsubara_frequency_near_the_drude_pole(offset, refused):
+    # nu_1 = 2 pi at beta = 1; within 1e-3 gamma of it the two ~1/offset
+    # parts of c_0 and c_1 cancel (5.4e-7 relative error in the
+    # lineshape at offset 1e-6 against 1.4e-12 at 1e-3)
+    gamma = 2 * np.pi * (1 + offset)
+    if refused:
+        with pytest.raises(ConfigurationError):
+            bath_correlation_modes(0.1, gamma, 1.0, 1)
+    else:
+        bath_correlation_modes(0.1, gamma, 1.0, 1)
+
+
 def test_matsubara_tail_vanishes_with_many_modes():
     lam, gamma, beta = 0.2, 1.0, 0.8
     assert abs(matsubara_tail(lam, gamma, beta, 2000)) < 1e-3

@@ -106,8 +106,8 @@ def test_warmup_reproduces_learning_window():
     seq = _memory_tensors()
     tensors = maps_to_tensors(seq)
     rho0 = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]], dtype=complex)
-    run = propagate(tensors, len(tensors), rho0, seq.n_steps)
-    for k in range(seq.n_steps + 1):
+    run = propagate(tensors, len(tensors), rho0, seq.grid.n_steps)
+    for k in range(seq.grid.n_steps + 1):
         ref = (seq.maps[k] @ rho0.reshape(-1)).reshape(2, 2)
         assert np.abs(run[k] - ref).max() < 1e-11
 
@@ -147,7 +147,7 @@ def _random_maps():
                          ids=["hierarchy-d2", "random-d3"])
 def test_batched_recursion_matches_reference_loops(make_maps):
     seq = make_maps()
-    n = seq.n_steps
+    n = seq.grid.n_steps
     d = seq.dim
     tensors = maps_to_tensors(seq)
     ref = reference_maps_to_tensors(seq)
