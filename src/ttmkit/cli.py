@@ -152,7 +152,10 @@ def cmd_generate(args):
 
 def cmd_learn(args):
     trajs, meta = fileio.load_basis_trajectories(args.trajectory)
-    full = maps_to_tensors(extract_maps(trajs))
+    try:
+        full = maps_to_tensors(extract_maps(trajs))
+    except DimensionError as exc:
+        raise DimensionError(f"{args.trajectory}: {exc}") from exc
     profile = markovianity_profile(full)
     cutoff_k = args.cutoff_k
     if cutoff_k is None:

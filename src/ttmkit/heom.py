@@ -9,7 +9,8 @@ the divergence guard only trips on genuine instability.
 
 The full hierarchy is one linear, time-independent system x' = G x, so
 a grid step is the fixed operator exp(G dt). G couples each auxiliary
-only to its tier neighbours and is a fraction of a percent full, so
+only to its tier neighbours, is a fraction of a percent full and is
+built only as a CSR matrix (int32 indices) from its Kronecker terms, so
 exp(G dt) acts through one truncated Taylor series of the sparse G dt
 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011), planned once
 per hierarchy: the degree m and the number of substeps s come from the
@@ -96,57 +97,56 @@ class HeomConfig:
             )
 
 
-def _multi_indices(n_modes, depth):
-    """All mode occupation tuples with total excitation <= depth, sorted."""
-    if n_modes == 0:
-        return [()]
-    return [
-        (n,) + rest
-        for n in range(depth + 1)
-        for rest in _multi_indices(n_modes - 1, depth - n)
-    ]
-
-
 def hierarchy_generator(h, q_op, coeffs, rates, tail, depth):
-    """Dense generator of the full auxiliary hierarchy.
+    """Sparse generator of the full auxiliary hierarchy.
 
-    Returns the matrix ``gen`` such that the stacked (renormalized)
-    auxiliary vector obeys x' = gen x, with the physical block first.
+    Returns the CSR matrix ``gen`` (int32 indices) such that the stacked
+    (renormalized) auxiliary vector obeys x' = gen x, with the physical
+    block first. Over the sorted occupations n it is the Kronecker sum
+    I (x) S - diag(n . rates) (x) I + sum_k [R_k (x) C + L_k (x) Lambda_k]
+    (S: system superoperator and terminator; C = -i[Q, .]; R_k, L_k and
+    Lambda_k: mode k's raising and lowering ladders and lowering
+    superoperator). Its D^2 x D^2 blocks are placed in one pass, since a
+    sparse sum would flip the sign of zero parts; exact zeros are dropped.
     """
-    dim = h.shape[0]
-    n_modes = len(coeffs)
-    indices = _multi_indices(n_modes, depth)
-    lookup = {idx: a for a, idx in enumerate(indices)}
-    n_ado = len(indices)
-    blk = dim * dim
-
+    blk = h.shape[0] ** 2
+    # the occupations, sorted: each mode's count prepended to the rest's
+    occ = np.zeros((1, 0), dtype=np.int64)
+    for _ in coeffs:
+        total = occ.sum(axis=1)
+        occ = np.concatenate([np.insert(occ[total <= depth - n], 0, n, axis=1)
+                              for n in range(depth + 1)])
     commut = spre(q_op) - spost(q_op)
     sys_gen = -1j * (spre(h) - spost(h)) - tail * (commut @ commut)
-    lower_ops = [
-        -1j * (coeffs[k] * spre(q_op) - np.conj(coeffs[k]) * spost(q_op))
-        for k in range(n_modes)
-    ]
+    # one dot per auxiliary: the batched occ @ rates rounds differently
+    decay = np.array([np.dot(idx, rates) for idx in occ])
     abs_c = np.abs(coeffs)
     safe_c = np.where(abs_c > 0, abs_c, 1.0)
 
-    gen = np.zeros((n_ado * blk, n_ado * blk), dtype=complex)
-    for a, idx in enumerate(indices):
-        sl_a = slice(a * blk, (a + 1) * blk)
-        decay = complex(np.dot(idx, rates))
-        gen[sl_a, sl_a] = sys_gen - decay * np.eye(blk)
-        for k in range(n_modes):
-            up = idx[:k] + (idx[k] + 1,) + idx[k + 1:]
-            if sum(up) <= depth:
-                b = lookup[up]
-                gen[sl_a, b * blk:(b + 1) * blk] = (
-                    -1j * math.sqrt((idx[k] + 1) * abs_c[k]) * commut
-                )
-            if idx[k] > 0:
-                down = idx[:k] + (idx[k] - 1,) + idx[k + 1:]
-                b = lookup[down]
-                gen[sl_a, b * blk:(b + 1) * blk] = (
-                    math.sqrt(idx[k] / safe_c[k]) * lower_ops[k]
-                )
+    rows, cols = [np.arange(len(occ))], [np.arange(len(occ))]
+    blocks = [sys_gen - decay[:, None, None] * np.eye(blk)]
+    # occ's rows as records, which numpy orders lexicographically
+    records = occ.view([("", occ.dtype)] * len(coeffs)).ravel()
+    below = np.flatnonzero(occ.sum(axis=1) < depth)
+    for k, c in enumerate(coeffs):
+        raised = occ[below]
+        raised[:, k] += 1
+        above = np.searchsorted(records, raised.view(records.dtype).ravel())
+        lower_op = -1j * (c * spre(q_op) - np.conj(c) * spost(q_op))
+        rows += [below, above]
+        cols += [above, below]
+        blocks += [(-1j * np.sqrt(raised[:, k] * abs_c[k]))[:, None, None] * commut,
+                   np.sqrt(raised[:, k] / safe_c[k])[:, None, None] * lower_op]
+
+    # int32 holds the indices of any hierarchy that fits in memory
+    rows, cols = (np.concatenate(a).astype(np.int32) for a in (rows, cols))
+    i, j = np.indices((blk, blk), dtype=np.int32)
+    n = len(occ) * blk
+    gen = sparse.csr_array((np.concatenate(blocks).ravel(),
+                            ((rows[:, None, None] * blk + i).ravel(),
+                             (cols[:, None, None] * blk + j).ravel())),
+                           shape=(n, n))
+    gen.eliminate_zeros()
     return gen
 
 
@@ -259,18 +259,14 @@ def gen_heom(params, cfg, grid):
         offending step.
     """
     started = time.perf_counter()
-    h = params.hamiltonian
-    q_op = params.coupling_op
-    dim = params.dim
     coeffs, rates = bath_correlation_modes(
         params.lam, params.gamma, params.beta, cfg.n_matsubara
     )
     tail = matsubara_tail(params.lam, params.gamma, params.beta, cfg.n_matsubara)
-    gen_dt = sparse.csr_array(
-        hierarchy_generator(h, q_op, coeffs, rates, tail, cfg.depth)
-    ) * grid.dt
+    gen_dt = hierarchy_generator(params.hamiltonian, params.coupling_op,
+                                 coeffs, rates, tail, cfg.depth) * grid.dt
     plan = TaylorPlan.of(gen_dt)
-    blk = dim * dim
+    blk = params.dim ** 2
     n = gen_dt.shape[0]
     if _prefers_dense_step(plan, grid.n_steps, blk):
         way, step = "dense step", _dense_step(plan)

@@ -6,7 +6,9 @@ function by direct quadrature, so agreement with the extracted kernel
 is a genuine cross-check rather than a reimplementation.
 
 The ``reference_*`` functions are the direct forms of code the library
-now runs batched or in closed form, kept as oracles for it: the
+now runs batched or in closed form, kept as oracles for it: the dense
+per-pair hierarchy generator (with its recursive ``_multi_indices``)
+behind the block assembly of ``ttmkit.heom.hierarchy_generator``, the
 nested-loop memory recursion (one 4x4 product per lag and step) behind
 ``ttmkit.tensors``, the per-superoperator diagnostics behind
 ``ttmkit.maps.validate_maps`` and the stack helpers of
@@ -20,6 +22,8 @@ behind the mode sum of ``ttmkit.models.lineshape``. ``projected_tensors``
 gives a hierarchy's transfer tensors in Nakajima-Zwanzig form, with no
 peel.
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import quad
@@ -286,6 +290,60 @@ def projected_tensors(plan, n):
         tensors[k] = v[:4]
         v[:4] = 0.0
     return tensors
+
+
+def _multi_indices(n_modes, depth):
+    """All mode occupation tuples with total excitation <= depth, sorted."""
+    if n_modes == 0:
+        return [()]
+    return [
+        (n,) + rest
+        for n in range(depth + 1)
+        for rest in _multi_indices(n_modes - 1, depth - n)
+    ]
+
+
+def reference_hierarchy_generator(h, q_op, coeffs, rates, tail, depth):
+    """Dense generator of the full auxiliary hierarchy.
+
+    Returns the matrix ``gen`` such that the stacked (renormalized)
+    auxiliary vector obeys x' = gen x, with the physical block first.
+    """
+    dim = h.shape[0]
+    n_modes = len(coeffs)
+    indices = _multi_indices(n_modes, depth)
+    lookup = {idx: a for a, idx in enumerate(indices)}
+    n_ado = len(indices)
+    blk = dim * dim
+
+    commut = spre(q_op) - spost(q_op)
+    sys_gen = -1j * (spre(h) - spost(h)) - tail * (commut @ commut)
+    lower_ops = [
+        -1j * (coeffs[k] * spre(q_op) - np.conj(coeffs[k]) * spost(q_op))
+        for k in range(n_modes)
+    ]
+    abs_c = np.abs(coeffs)
+    safe_c = np.where(abs_c > 0, abs_c, 1.0)
+
+    gen = np.zeros((n_ado * blk, n_ado * blk), dtype=complex)
+    for a, idx in enumerate(indices):
+        sl_a = slice(a * blk, (a + 1) * blk)
+        decay = complex(np.dot(idx, rates))
+        gen[sl_a, sl_a] = sys_gen - decay * np.eye(blk)
+        for k in range(n_modes):
+            up = idx[:k] + (idx[k] + 1,) + idx[k + 1:]
+            if sum(up) <= depth:
+                b = lookup[up]
+                gen[sl_a, b * blk:(b + 1) * blk] = (
+                    -1j * math.sqrt((idx[k] + 1) * abs_c[k]) * commut
+                )
+            if idx[k] > 0:
+                down = idx[:k] + (idx[k] - 1,) + idx[k + 1:]
+                b = lookup[down]
+                gen[sl_a, b * blk:(b + 1) * blk] = (
+                    math.sqrt(idx[k] / safe_c[k]) * lower_ops[k]
+                )
+    return gen
 
 
 def reference_step_propagator(gen_dt, block=128):

@@ -278,6 +278,29 @@ CORRUPTIONS = {
     "short-payload": lambda doc: _payload(doc).pop(),
     "meta-list": lambda doc: doc.update(meta=[1.0, 1.0]),
 }
+
+
+def _basis_frames(doc, row, col):
+    """The frames of the (row, col) trajectory of a basis document."""
+    (entry,) = [e for e in doc["trajectories"]
+                if (e["row"], e["col"]) == (row, col)]
+    return entry["frames"]
+
+
+def _off_basis(doc):
+    # |0><0| no longer starts from itself
+    _basis_frames(doc, 0, 0)[0][0][0][0] = 2.0
+
+
+def _broken_adjoint(doc):
+    # frame 5 of |0><1| is no longer the adjoint of that of |1><0|
+    _basis_frames(doc, 0, 1)[5][0][0][0] += 0.5
+
+
+# Corruptions only a basis trajectory can have: frames that parse but
+# are not dynamical maps, which extract_maps refuses.
+NOT_MAPS = {"off-basis": _off_basis, "broken-adjoint": _broken_adjoint}
+
 # The command and the document kind it reads (file of lindblad_run).
 READS = {
     "learn-basis": ("learn", "traj.json", []),
@@ -287,6 +310,7 @@ READS = {
     "analyze-tensors": ("analyze", "tensors.json", []),
 }
 CORPUS = [(r, c) for r in READS for c in CORRUPTIONS] + [
+    ("learn-basis", c) for c in NOT_MAPS] + [
     ("kernel-tensors", "dim-3"), ("analyze-state", "dim-3"),
     ("analyze-tensors", "dim-3")]
 
@@ -306,7 +330,7 @@ def test_corrupt_input_is_exit_2_naming_the_file(lindblad_run, tmp_path,
             save_state_trajectory(bad, np.broadcast_to(SIGMA3, (101, 3, 3)),
                                   doc["dt"], meta=doc["meta"])
     else:
-        text = CORRUPTIONS[corruption](doc)
+        text = {**CORRUPTIONS, **NOT_MAPS}[corruption](doc)
         bad.write_text(text if isinstance(text, str) else json.dumps(doc))
     out = tmp_path / "out"
     options = [tmp_path / o if o.endswith(".tsv") else o for o in options]

@@ -1,13 +1,17 @@
 """Hierarchy integrator checks against closed-form limits."""
 
+import json
 import logging
 import re
+import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import expm
+from scipy.sparse.linalg import spsolve
 
 from ttmkit import (
     HeomConfig,
@@ -21,20 +25,50 @@ from ttmkit import (
 )
 from ttmkit.errors import ConfigurationError, DivergenceError
 from ttmkit import heom as heom_module
+from ttmkit.liouville import SIGMA_X
 from ttmkit.models import bath_correlation_modes, matsubara_tail
 
-from oracles import projected_tensors, reference_step_propagator
+from oracles import (
+    _multi_indices,
+    projected_tensors,
+    reference_hierarchy_generator,
+    reference_step_propagator,
+)
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def spin_boson(lam, gamma, beta, j_coupling=1.0, coupling_op=None):
+    return SpinBosonParams(omega0=1.0, j_coupling=j_coupling, lam=lam,
+                           gamma=gamma, beta=beta, coupling_op=coupling_op)
+
+
+# C7a's strong-coupling point: sigma_x coupling, no tunnelling
+C7A = spin_boson(0.25, 0.05, 4.79, j_coupling=0.0, coupling_op=SIGMA_X)
+
+# The hierarchies of the benchmark's heom_sweep (C6's coupling and
+# temperature sweeps) and cli_pipeline, as (params, depth, Matsubara modes).
+SWEEP = (
+    [(spin_boson(lam, 5.0, 0.5), depth, 2)
+     for lam, depth in [(0.05, 4), (0.2, 5), (1.0, 7), (3.0, 9), (8.0, 12)]]
+    + [(spin_boson(1.0, 5.0, beta), 8, n)
+       for beta, n in [(1.0, 3), (0.5, 2), (0.25, 1), (0.125, 1)]]
+)
+CLI_PIPELINE = (spin_boson(0.2, 1.0, 1.0), 5, 2)
+
+
+def generator_args(params, depth, n_matsubara):
+    """The arguments of hierarchy_generator for a spin-boson hierarchy."""
+    coeffs, rates = bath_correlation_modes(params.lam, params.gamma,
+                                           params.beta, n_matsubara)
+    tail = matsubara_tail(params.lam, params.gamma, params.beta, n_matsubara)
+    return (params.hamiltonian, params.coupling_op, coeffs, rates, tail, depth)
 
 
 def sparse_step_generator(params, depth, n_matsubara, dt):
     """The sparse G dt whose exponential gen_heom steps with."""
-    coeffs, rates = bath_correlation_modes(params.lam, params.gamma,
-                                           params.beta, n_matsubara)
-    tail = matsubara_tail(params.lam, params.gamma, params.beta, n_matsubara)
-    gen = heom_module.hierarchy_generator(params.hamiltonian,
-                                          params.coupling_op, coeffs, rates,
-                                          tail, depth)
-    return sparse.csr_array(gen) * dt
+    return heom_module.hierarchy_generator(
+        *generator_args(params, depth, n_matsubara)) * dt
 
 
 # Each hierarchy names the way gen_heom takes for it, so both ways are
@@ -117,7 +151,11 @@ def test_dense_step_matches_expm_multiply(lam, gamma, dt, n_steps, depth,
     # the top point of C6's coupling sweep, K = 200
     (SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=8.0, gamma=5.0,
                      beta=0.5), 12, 0.01, 200),
-], ids=["c4", "c6-top"])
+    # C4's lambda = 0.5 point, K = 100
+    (spin_boson(0.5, 1.0, 0.5), 8, 0.05, 100),
+    # C7a's point over its whole learning window, K = 1600
+    (C7A, 8, 0.0025, 1600),
+], ids=["c4", "c6-top", "c4-lam0.5", "c7a"])
 def test_peeled_tensors_match_the_projected_hierarchy(params, depth, dt, n):
     # the peel of the hierarchy's maps is the Nakajima-Zwanzig form
     # T_k = P U (Q U)^(k-1) P of the same step, to rounding
@@ -193,12 +231,74 @@ def test_generation_logs_size_cost_and_peak(caplog):
     assert set_up_s >= 0 and step_s >= 0 and peak >= 1.0
 
 
+@pytest.mark.parametrize("params,depth,n_matsubara", [
+    *[(spin_boson(lam, 1.0, 0.5), depth, 2)
+      for lam, depth in [(0.01, 4), (0.1, 6), (0.5, 8), (2.0, 12)]],
+    *SWEEP,
+    CLI_PIPELINE,
+    (C7A, 8, 2),
+    # no coupling: every ladder block is an exact zero and is dropped
+    (spin_boson(0.0, 1.0, 0.5), 4, 2),
+], ids=[*(f"c4-lam{lam}" for lam in (0.01, 0.1, 0.5, 2.0)),
+        *(f"sweep-{i}" for i in range(len(SWEEP))),
+        "cli-pipeline", "c7a", "lam0"])
+def test_generator_is_the_dense_reference_bit_for_bit(params, depth,
+                                                      n_matsubara):
+    # C4 at lambda = 2 is also the benchmark's extrapolate hierarchy
+    args = generator_args(params, depth, n_matsubara)
+    gen = heom_module.hierarchy_generator(*args)
+    dense = sparse.csr_array(reference_hierarchy_generator(*args))
+    assert gen.format == "csr"
+    assert gen.indices.dtype == gen.indptr.dtype == np.int32
+    assert np.array_equal(gen.indptr, dense.indptr)
+    assert np.array_equal(gen.indices, dense.indices)
+    # byte equality also pins the sign of every zero real or imaginary part
+    assert gen.data.tobytes() == dense.data.tobytes()
+
+
+def test_generator_build_never_forms_the_dense_matrix():
+    # C4's strong-coupling hierarchy, N = 1820: the dense N x N array
+    # alone is 53 MB
+    args = generator_args(spin_boson(2.0, 1.0, 0.5), 12, 2)
+    tracemalloc.start()
+    try:
+        heom_module.hierarchy_generator(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("workload,index,point", [
+    *(("heom_sweep", i, point) for i, point in enumerate(SWEEP)),
+    ("cli_pipeline", None, CLI_PIPELINE),
+], ids=[*(f"sweep-{i}" for i in range(len(SWEEP))), "cli-pipeline"])
+def test_sparse_solve_reproduces_the_stored_steady_states(workload, index,
+                                                          point):
+    # the stationary state of each hierarchy, as the benchmark's stored
+    # reference defines it: the null vector of the generator with row 0
+    # replaced by the unit-trace condition, physical block, Hermitian part
+    gen = heom_module.hierarchy_generator(*generator_args(*point)).tolil()
+    rhs = np.zeros(gen.shape[0], dtype=complex)
+    gen[0, :] = 0.0
+    gen[0, 0] = gen[0, 3] = rhs[0] = 1.0
+    rho = spsolve(gen.tocsc(), rhs)[:4].reshape(2, 2)
+    rho = 0.5 * (rho + rho.conj().T)
+    stored = json.loads(REFERENCE.read_text())[workload]["steady_state"]
+    if index is not None:
+        stored = stored[index]
+    stored = np.asarray(stored)
+    assert np.abs(rho - (stored[..., 0] + 1j * stored[..., 1])).max() <= 1e-12
+
+
 @pytest.mark.parametrize("n_modes", range(6))
 def test_multi_indices_match_brute_force_filter(n_modes):
+    # the oracle's auxiliary order, which the bit-for-bit generator test
+    # pins the library to
     for depth in range(9):
         brute = sorted(idx for idx in product(range(depth + 1), repeat=n_modes)
                        if sum(idx) <= depth)
-        assert heom_module._multi_indices(n_modes, depth) == brute
+        assert _multi_indices(n_modes, depth) == brute
 
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "frames"])
