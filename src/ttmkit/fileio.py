@@ -11,6 +11,20 @@ refuses non-finite entries. Floats are emitted with Python's
 shortest-roundtrip repr in compact JSON, so files parse back bit-exact
 and reruns are byte-identical. All writes go through a temp file in the
 target directory followed by an atomic rename.
+
+Each kind carries its payload as whole arrays (D the dimension, n the
+header's ``n_steps``):
+
+- ``maps`` (``ttm generate``): ``maps``, the dynamical maps E_0..E_n,
+  shape (n + 1, D², D²);
+- ``state`` (``ttm propagate``): ``frames``, shape (n + 1, D, D);
+- ``tensors`` (``ttm learn``): ``tensors``, T_1..T_n, shape (n, D², D²);
+- ``kernel`` (``ttm kernel``): ``liouvillian``, shape (D², D²), and
+  ``kernels``, shape (n, D², D²).
+
+A file of kind ``trajectory``, the earlier layout of basis runs and
+states, is refused by its kind; tensors and kernel documents keep their
+layout.
 """
 
 import json
@@ -145,67 +159,37 @@ def _load_checked(path, *kinds):
 
 
 def save_basis_trajectories(path, trajs, meta=None):
-    """Write a BasisTrajectorySet as a kind='trajectory' document."""
-    dim = trajs.dim
-    doc = _header("trajectory", dim, trajs.grid.dt, trajs.grid.n_steps)
-    doc["content"] = "basis"
+    """Write a BasisTrajectorySet as a kind='maps' document of its E_k."""
+    doc = _header("maps", trajs.dim, trajs.grid.dt, trajs.grid.n_steps)
     if meta:
         doc["meta"] = meta
-    doc["trajectories"] = [
-        {
-            "row": i,
-            "col": j,
-            "frames": encode_array(trajs.data[i * dim + j]),
-        }
-        for i in range(dim)
-        for j in range(dim)
-    ]
+    doc["maps"] = encode_array(trajs.maps)
     _dump_json(path, doc)
 
 
 def load_basis_trajectories(path):
-    """Read a basis trajectory document.
+    """Read a maps document.
 
     Returns
     -------
     trajs : BasisTrajectorySet
     meta : dict
     """
-    doc = _load_checked(path, "trajectory")
-    if doc.get("content") != "basis":
-        raise SchemaError(f"{path}: content {doc.get('content')!r} is not 'basis'")
-    dim = doc["dim"]
+    doc = _load_checked(path, "maps")
     n_steps = doc["n_steps"]
     try:
         grid = TimeGrid(dt=float(doc["dt"]), n_steps=n_steps)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
-    entries = doc.get("trajectories")
-    if not isinstance(entries, list) or len(entries) != dim * dim:
-        raise SchemaError(f"{path}: expected {dim * dim} basis trajectories")
-    data = np.empty((dim * dim, n_steps + 1, dim, dim), dtype=complex)
-    seen = set()
-    for entry in entries:
-        try:
-            i, j, frames = entry["row"], entry["col"], entry["frames"]
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"{path}: malformed trajectory entry") from exc
-        if (type(i) is not int or type(j) is not int
-                or not (0 <= i < dim and 0 <= j < dim) or (i, j) in seen):
-            raise SchemaError(
-                f"{path}: bad or repeated basis label ({i!r}, {j!r})")
-        seen.add((i, j))
-        data[i * dim + j] = decode_array(
-            frames, (n_steps + 1, dim, dim), path, f"frames of ({i}, {j})"
-        )
-    return BasisTrajectorySet(dim=dim, grid=grid, data=data), doc.get("meta", {})
+    d2 = doc["dim"] ** 2
+    maps = decode_array(doc.get("maps"), (n_steps + 1, d2, d2), path, "maps")
+    return BasisTrajectorySet.from_maps(grid, maps), doc.get("meta", {})
 
 
 def save_state_trajectory(path, frames, dt, meta=None, summary=None):
-    """Write a single propagated state as a kind='trajectory' document."""
+    """Write a single propagated state as a kind='state' document."""
     frames = np.asarray(frames, dtype=complex)
-    doc = _header("trajectory", frames.shape[1], dt, frames.shape[0] - 1)
-    doc["content"] = "state"
+    doc = _header("state", frames.shape[1], dt, frames.shape[0] - 1)
     if meta:
         doc["meta"] = meta
     if summary:
@@ -223,13 +207,11 @@ def load_state_trajectory(path):
     dt : float
     meta : dict
     """
-    doc = _load_checked(path, "trajectory")
+    doc = _load_checked(path, "state")
     return _state_frames(path, doc), float(doc["dt"]), doc.get("meta", {})
 
 
 def _state_frames(path, doc):
-    if doc.get("content") != "state":
-        raise SchemaError(f"{path}: content {doc.get('content')!r} is not 'state'")
     dim = doc["dim"]
     n_steps = doc["n_steps"]
     return decode_array(doc.get("frames"), (n_steps + 1, dim, dim), path,
@@ -284,7 +266,7 @@ def load_state_or_tensors(path):
         The state frames or the tensor sequence, by the document's kind.
     meta : dict
     """
-    doc = _load_checked(path, "trajectory", "tensors")
+    doc = _load_checked(path, "state", "tensors")
     if doc["kind"] == "tensors":
         return _tensor_sequence(path, doc), doc.get("meta", {})
     return _state_frames(path, doc), doc.get("meta", {})

@@ -63,6 +63,7 @@ def extract_liouvillian(t1, dt):
     -------
     LiouvillianFit
     """
+    check_step(dt)
     t1 = superop_stack(t1, ndim=2)
     d2 = t1.shape[0]
     dim = round(np.sqrt(d2))

@@ -367,10 +367,10 @@ def reference_dephasing_exponent(t, lam, gamma, beta):
 
     Evaluates (1/pi) * integral of J(w)/w^2 * coth(beta w/2) * (1 - cos wt)
     over w >= 0 by adaptive quadrature to relative accuracy
-    ``QUAD_EPSREL``. The low-frequency window is integrated directly
-    (the integrand is finite at w = 0); the smooth and oscillatory parts
-    of the tail are handled separately so large t stays cheap and
-    accurate.
+    ``QUAD_EPSREL``. The low-frequency window, up to at least w = 1/t,
+    is integrated directly (the integrand is finite at w = 0); the
+    smooth and oscillatory parts of the tail are handled separately so
+    large t stays cheap and accurate.
     """
     if t == 0.0:
         return 0.0
@@ -389,7 +389,9 @@ def reference_dephasing_exponent(t, lam, gamma, beta):
             return 2.0 * lam * t * t / (beta * gamma)
         return smooth(w) * 2.0 * np.sin(0.5 * w * t) ** 2
 
-    split = min(gamma, 1.0 / beta, 50.0 / t)
+    # Below w = 1/t the tail's smooth and cosine parts would cancel to
+    # the digits of 1 - cos wt, so the window reaches at least that far.
+    split = max(min(gamma, 1.0 / beta, 50.0 / t), 1.0 / t)
     part_lo, _ = quad(window, 0.0, split, epsabs=0.0, epsrel=QUAD_EPSREL,
                       limit=400)
     part_hi, _ = quad(smooth, split, np.inf, epsabs=0.0, epsrel=QUAD_EPSREL,

@@ -257,10 +257,9 @@ def test_kernel_fits_the_generator_of_another_dim(lindblad_run, tmp_path):
 
 
 def _payload(doc):
-    """The frames or tensors array of a basis, state or tensors document."""
-    if "trajectories" in doc:
-        return doc["trajectories"][0]["frames"]
-    return doc["frames"] if "frames" in doc else doc["tensors"]
+    """The one payload array of a maps, state or tensors document."""
+    return next(doc[key] for key in ("maps", "frames", "tensors")
+                if key in doc)
 
 
 def _poison(doc):
@@ -281,10 +280,13 @@ CORRUPTIONS = {
 
 
 def _basis_frames(doc, row, col):
-    """The frames of the (row, col) trajectory of a basis document."""
-    (entry,) = [e for e in doc["trajectories"]
-                if (e["row"], e["col"]) == (row, col)]
-    return entry["frames"]
+    """Frames of |row><col| in a maps document: column row*D + col of E_k.
+
+    The [re, im] leaves are the document's own, so editing one edits it.
+    """
+    column = row * doc["dim"] + col
+    return [[[e[a * doc["dim"] + b][column] for b in range(doc["dim"])]
+             for a in range(doc["dim"])] for e in doc["maps"]]
 
 
 def _off_basis(doc):
@@ -295,6 +297,19 @@ def _off_basis(doc):
 def _broken_adjoint(doc):
     # frame 5 of |0><1| is no longer the adjoint of that of |1><0|
     _basis_frames(doc, 0, 1)[5][0][0][0] += 0.5
+
+
+def _old_layout(doc):
+    # the retired kind "trajectory": a basis run as one entry per matrix
+    # unit, or a state, told apart by "content"
+    if doc["kind"] == "state":
+        doc.update(kind="trajectory", content="state")
+        return
+    dim = doc["dim"]
+    entries = [{"row": i, "col": j, "frames": _basis_frames(doc, i, j)}
+               for i in range(dim) for j in range(dim)]
+    del doc["maps"]
+    doc.update(kind="trajectory", content="basis", trajectories=entries)
 
 
 # Corruptions only a basis trajectory can have: frames that parse but
@@ -312,7 +327,8 @@ READS = {
 CORPUS = [(r, c) for r in READS for c in CORRUPTIONS] + [
     ("learn-basis", c) for c in NOT_MAPS] + [
     ("kernel-tensors", "dim-3"), ("analyze-state", "dim-3"),
-    ("analyze-tensors", "dim-3")]
+    ("analyze-tensors", "dim-3"),
+    ("learn-basis", "old-layout"), ("analyze-state", "old-layout")]
 
 
 @pytest.mark.parametrize("reads, corruption", CORPUS,
@@ -330,12 +346,15 @@ def test_corrupt_input_is_exit_2_naming_the_file(lindblad_run, tmp_path,
             save_state_trajectory(bad, np.broadcast_to(SIGMA3, (101, 3, 3)),
                                   doc["dt"], meta=doc["meta"])
     else:
-        text = {**CORRUPTIONS, **NOT_MAPS}[corruption](doc)
+        text = {**CORRUPTIONS, **NOT_MAPS, "old-layout": _old_layout}[
+            corruption](doc)
         bad.write_text(text if isinstance(text, str) else json.dumps(doc))
     out = tmp_path / "out"
     options = [tmp_path / o if o.endswith(".tsv") else o for o in options]
     assert run([command, bad, *options, "--out", out]) == 2
     assert str(bad) in caplog.text
+    if corruption == "old-layout":
+        assert f"{bad}: kind 'trajectory', expected '" in caplog.text
     written = sorted(p.name for p in tmp_path.iterdir() if p != bad)
     # only analyze writes its table first, and only rows it could read
     if command == "analyze" and corruption == "dim-3":
@@ -351,8 +370,8 @@ def test_missing_input_is_exit_2(tmp_path):
 
 
 def test_wrong_kind_is_exit_2(lindblad_run, tmp_path):
-    # a tensors document fed where a trajectory is expected, and basis
-    # trajectories where a propagated state or tensors are
+    # a tensors document fed where maps are expected, and maps where a
+    # propagated state or tensors are
     assert run(["learn", lindblad_run / "tensors.json",
                 "--out", tmp_path / "t.json"]) == 2
     assert run(["analyze", lindblad_run / "traj.json",
@@ -541,3 +560,12 @@ def test_documented_pipeline_runs():
                       for line in report[1:3])
     assert settled["status"] == fixed["status"] == "ok"
     assert abs(float(settled["theta"]) - float(fixed["theta"])) < 1e-7
+
+
+@pytest.mark.parametrize("demo", ["equilibrium_angle", "kernel_extraction",
+                                  "memory_extrapolation"])
+def test_python_demo_runs(demo):
+    script = Path(__file__).resolve().parents[1] / "demos" / f"{demo}.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr

@@ -102,6 +102,9 @@ def test_rewrite_is_byte_identical(trajs, tmp_path):
     save_basis_trajectories(a, trajs)
     save_basis_trajectories(b, trajs)
     assert a.read_bytes() == b.read_bytes()
+    # and so is writing back what was read
+    save_basis_trajectories(b, load_basis_trajectories(a)[0])
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_header_fields_present(trajs, tmp_path):
@@ -109,16 +112,18 @@ def test_header_fields_present(trajs, tmp_path):
     save_basis_trajectories(path, trajs)
     doc = json.loads(path.read_text())
     assert doc["format_version"] == 1
-    assert doc["kind"] == "trajectory"
+    assert doc["kind"] == "maps"
     assert doc["vectorization"] == "row-major"
     assert "units" in doc and "dim" in doc and "dt" in doc
+    # one payload array: the maps E_0..E_n as [re, im] pairs
+    assert np.shape(doc["maps"]) == (9, 4, 4, 2)
+    assert "content" not in doc
 
 
 def _initial_frames_only(doc):
     # consistent, but the frames span no time step
     doc["n_steps"] = 0
-    for entry in doc["trajectories"]:
-        entry["frames"] = entry["frames"][:1]
+    doc["maps"] = doc["maps"][:1]
 
 
 @pytest.mark.parametrize("mutate", [
@@ -127,13 +132,13 @@ def _initial_frames_only(doc):
     lambda d: d.update(kind="tensors"),
     lambda d: d.update(vectorization="column-major"),
     lambda d: d.pop("dt"),
-    lambda d: d["trajectories"].pop(),
-    lambda d: d["trajectories"][0].update(row=5),
-    lambda d: d["trajectories"][0].update(row="x"),
-    lambda d: d["trajectories"][1].update(col=1.5),
-    lambda d: d["trajectories"][0]["frames"][0][0].pop(),
-    lambda d: d["trajectories"][0]["frames"][1][0][1].__setitem__(0, None),
-    lambda d: d["trajectories"][0]["frames"][1][0][1].__setitem__(1, np.inf),
+    lambda d: d["maps"].pop(),
+    lambda d: d.pop("maps"),
+    lambda d: d.update(maps="x"),
+    lambda d: d["maps"][0].pop(),
+    lambda d: d["maps"][0][0].pop(),
+    lambda d: d["maps"][1][0][1].__setitem__(0, None),
+    lambda d: d["maps"][1][0][1].__setitem__(1, np.inf),
     _initial_frames_only,
 ])
 def test_corrupted_documents_are_rejected(trajs, tmp_path, mutate):

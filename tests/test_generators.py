@@ -152,9 +152,8 @@ def test_lineshape_small_step_matches_precise_mode_sum():
     """dt = 1e-3 needs 6367 explicit modes, summed without a frames x modes array.
 
     The references are the Drude-plus-Matsubara mode sum at 40 digits
-    (Euler-Maclaurin summation of the Matsubara series). The quadrature
-    oracle is no reference here: below t ~ 0.14 its smooth and cosine
-    parts cancel to a relative error of up to 1.5e-8.
+    (Euler-Maclaurin summation of the Matsubara series); the quadrature
+    oracle must meet them too.
     """
     times = 1e-3 * np.arange(1, 1001)
     tracemalloc.start()
@@ -167,6 +166,8 @@ def test_lineshape_small_step_matches_precise_mode_sum():
                999: 8.2312363542259837281e-2}
     for k, value in precise.items():
         assert abs(g[k].real / value - 1.0) < 1e-10
+        quad = reference_dephasing_exponent(times[k], 0.1, 1.0, 1.0)
+        assert abs(quad / value - 1.0) < 1e-10
     drude = -0.1 * (times - 1.0 + np.exp(-times))
     assert np.abs(g.imag - drude).max() < 1e-14
 

@@ -124,6 +124,12 @@ def test_closed_form_fit_matches_least_squares(dim):
                       ).max() <= 1e-12
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.1, float("nan")])
+def test_fit_refuses_a_non_positive_step(dt):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        extract_liouvillian(np.eye(4, dtype=complex), dt)
+
+
 def test_fitted_liouvillian_flags_dissipation(heom_tensors):
     fit = extract_liouvillian(heom_tensors.tensors[0], heom_tensors.dt)
     superop = liouvillian_superop(fit.hamiltonian)
