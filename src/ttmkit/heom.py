@@ -10,7 +10,13 @@ the divergence guard only trips on genuine instability.
 The full hierarchy is one linear, time-independent system x' = G x, so
 a grid step is the fixed operator exp(G dt). G couples each auxiliary
 only to its tier neighbours, is a fraction of a percent full and is
-built only as a CSR matrix (int32 indices) from its Kronecker terms, so
+built only as a CSR matrix (int32 indices) from its Kronecker terms.
+Every rate and the terminator are real and Q is Hermitian, so every
+auxiliary stays Hermitian (Tanimura, J. Chem. Phys. 153, 020901, 2020)
+and, in the basis I, sigma_x, sigma_y, sigma_z of each auxiliary, G is
+a real matrix. ``gen_heom`` steps that real Pauli form, obtained from G
+by an exact congruence that refuses any nonzero imaginary part, and
+maps the physical block back to the |a><b| basis once, for all frames.
 exp(G dt) acts through one truncated Taylor series of the sparse G dt
 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011), planned once
 per hierarchy: the degree m and the number of substeps s come from the
@@ -34,7 +40,7 @@ from scipy import sparse
 from .errors import ConfigurationError, DivergenceError
 # Unused here: perfbench/test_perfbench.py requires both names in ttmkit.heom.
 from .generators import _stability_substeps, step_matrix  # noqa: F401
-from .liouville import spre, spost
+from .liouville import PAULI, spre, spost
 from .models import bath_correlation_modes, matsubara_tail
 from .trajectories import BasisTrajectorySet
 
@@ -42,12 +48,18 @@ log = logging.getLogger(__name__)
 
 DIVERGENCE_GUARD = 1e6
 
-# Identity columns per Taylor application when forming exp(G dt). At
-# C4's N = 1820 (degree 55) on one Xeon vCPU, one BLAS thread, blocks of
-# 128 built the step in 2.0-2.2 s; blocks of 32-64 took 2.6-2.9 s, of
-# 256-512 3.0-3.4 s, and the whole identity at once 3.1-3.5 s and
-# 135 MB more memory.
-COLUMN_BLOCK = 128
+# B0: columns vec(I), vec(sigma_x), vec(sigma_y), vec(sigma_z), entries
+# 0, +-1 or +-i, so B0 B0^H = 2 I exactly.
+PAULI_BASIS = np.stack([m.reshape(-1) for m in (np.eye(2), *PAULI)], axis=1)
+
+# Identity columns per Taylor application when forming exp(G dt). In
+# real arithmetic on one Xeon vCPU, one BLAS thread, blocks of 64 built
+# the step as fast as blocks of 128 or faster (N = 224, 480, 660, 880,
+# 1820: 2.4, 13.2, 22.1, 43 and 514 ms against 2.3, 13.8, 22.6, 48 and
+# 585 ms) with half the memory per block; blocks of 256 took 1.2-1.7x
+# longer, and blocks of 32 gained 7-11 % at N = 480 and 1820 but lost
+# 24 % at N = 880.
+COLUMN_BLOCK = 64
 
 # theta_m: the largest 1-norm of A for which m Taylor terms of exp(A)
 # meet double precision (Al-Mohy & Higham 2011, Table 3.1; m <= 30 from
@@ -62,14 +74,24 @@ THETA = {
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
 
-# Work units for choosing how to step: a sparse product with w columns
-# costs nnz * w units plus CALL_OVERHEAD, and a frame of the dense step
-# costs N^2 (one pass over the step). On one Xeon vCPU, one BLAS thread,
-# over the eleven benchmark hierarchies (N = 140-1980), a product of the
-# N x 4 state took 2.4 ns per nonzero and column plus 12 us per call
-# (a least-squares fit), so a call costs about 5000 units; a dense frame
-# took 1.2-3.6 ns per entry.
-CALL_OVERHEAD = 5000
+# Work units for choosing how to step the real Pauli form: a sparse
+# product of the N x 4 state costs nnz units per column plus
+# CALL_OVERHEAD; a product with COLUMN_BLOCK identity columns, which
+# vectorises better, BLOCK_WORK per nonzero and column; and a frame of
+# the dense step DENSE_WORK per entry of the step. On one Xeon vCPU, one
+# BLAS thread, over the eleven benchmark hierarchies (N = 140-1980) and
+# N = 336: the N x 4 product took 0.80 ns per nonzero and column plus
+# 3.7-5.4 us per call (least-squares fits, three runs), so a call costs
+# 4600-6700 units; a 64-column product took 0.39-0.50 ns per nonzero
+# and column, about half a unit; a dense frame took 0.19-0.28 ns per
+# entry up to N = 480 and 0.75-1.17 ns from N = 660 (0.24-1.45 units).
+# Timing both ways of 16 (hierarchy, frames) cases, these weights pick
+# the faster way in all 16; the complex-arithmetic weights (5000, 1, 1)
+# picked it in 13, forming no dense step at N = 336 or at N = 480 over
+# 200 frames, where it is twice as fast.
+CALL_OVERHEAD = 6000
+BLOCK_WORK = 0.5
+DENSE_WORK = 0.75
 
 
 @dataclass(frozen=True)
@@ -150,6 +172,36 @@ def hierarchy_generator(h, q_op, coeffs, rates, tail, depth):
     return gen
 
 
+def pauli_form(gen):
+    """The real matrix of a hierarchy generator in the Hermitian basis.
+
+    Returns the CSR matrix 1/2 (I (x) B0)^H gen (I (x) B0), which acts on
+    the coordinates of every auxiliary in the basis I, sigma_x, sigma_y,
+    sigma_z (PAULI_BASIS). Every entry of B0 is 0, +-1 or +-i, so each
+    entry of the result is half a signed sum of entries of ``gen`` and
+    of i times them; when every rate and the terminator are real and Q
+    is Hermitian, each auxiliary stays Hermitian and the imaginary parts
+    cancel exactly.
+
+    Raises
+    ------
+    ConfigurationError
+        If any imaginary part is nonzero: the hierarchy does not keep
+        its auxiliaries Hermitian.
+    """
+    ados = sparse.eye_array(gen.shape[0] // len(PAULI_BASIS))
+    to_pauli = sparse.kron(ados, PAULI_BASIS, format="csr")
+    from_pauli = sparse.kron(ados, 0.5 * PAULI_BASIS.conj().T, format="csr")
+    pauli = from_pauli @ gen @ to_pauli
+    if np.any(pauli.data.imag):
+        raise ConfigurationError(
+            "the hierarchy does not keep its auxiliaries Hermitian (largest "
+            f"imaginary part {np.abs(pauli.data.imag).max():.3g} in the Pauli "
+            "basis); the rates and terminator must be real and Q Hermitian"
+        )
+    return pauli.real.sorted_indices()
+
+
 @dataclass(frozen=True)
 class TaylorPlan:
     """exp(A + mu I) as s substeps of the degree-m Taylor series of A / s.
@@ -157,9 +209,9 @@ class TaylorPlan:
     Attributes
     ----------
     shifted : scipy.sparse.csr_array
-        A, the matrix with its mean diagonal mu taken off.
-    mu : complex
-        The shift, trace / N.
+        A, the matrix with its mean diagonal mu taken off, real or complex.
+    mu : float or complex
+        The shift, trace / N; real when the trace is.
     degree, substeps : int
         m and s, minimising m * s subject to ||A||_1 / s <= theta_m.
     norm : float
@@ -167,7 +219,7 @@ class TaylorPlan:
     """
 
     shifted: sparse.csr_array
-    mu: complex
+    mu: float | complex
     degree: int
     substeps: int
     norm: float
@@ -176,7 +228,7 @@ class TaylorPlan:
     def of(cls, gen_dt):
         """Plan exp(gen_dt) for a sparse square ``gen_dt``."""
         n = gen_dt.shape[0]
-        mu = complex(gen_dt.trace()) / n
+        mu = gen_dt.trace().item() / n
         shifted = sparse.csr_array(gen_dt - mu * sparse.eye_array(n))
         norm = float(abs(shifted).sum(axis=0).max())
         degree, substeps = min(
@@ -191,9 +243,13 @@ class TaylorPlan:
         return self.degree * self.substeps
 
     def apply(self, b):
-        """exp(A + mu I) b for a dense ``b``, leaving ``b`` untouched."""
+        """exp(A + mu I) b for a dense ``b``, leaving ``b`` untouched.
+
+        The result has the common dtype of ``b`` and A.
+        """
         eta = np.exp(self.mu / self.substeps)
-        out = np.array(b, dtype=complex)
+        out = np.asarray(b)
+        out = out.astype(np.promote_types(out.dtype, self.shifted.dtype))
         for _ in range(self.substeps):
             term = out
             for j in range(1, self.degree + 1):
@@ -207,10 +263,10 @@ class TaylorPlan:
 def _dense_step(plan):
     """Dense exp(G dt) of a planned series, COLUMN_BLOCK columns at a time."""
     n = plan.shifted.shape[0]
-    step = np.empty((n, n), dtype=complex)
+    step = np.empty((n, n), dtype=plan.shifted.dtype)
     for start in range(0, n, COLUMN_BLOCK):
         width = min(COLUMN_BLOCK, n - start)
-        columns = np.zeros((n, width), dtype=complex)
+        columns = np.zeros((n, width), dtype=plan.shifted.dtype)
         columns[start + np.arange(width), np.arange(width)] = 1.0
         step[:, start:start + width] = plan.apply(columns)
     return step
@@ -220,12 +276,13 @@ def _prefers_dense_step(plan, n_steps, width):
     """Whether forming the dense step beats Taylor frames on ``width`` columns.
 
     Estimated in CALL_OVERHEAD's work units. The dense step costs its
-    ceil(N / COLUMN_BLOCK) applications of the series plus N^2 per
-    frame; Taylor frames cost one application per frame.
+    ceil(N / COLUMN_BLOCK) applications of the series plus a pass over
+    the N^2 step per frame; Taylor frames cost one application per frame.
     """
     n, nnz = plan.shifted.shape[0], plan.shifted.nnz
-    dense = (plan.products * (n * nnz + math.ceil(n / COLUMN_BLOCK) * CALL_OVERHEAD)
-             + n_steps * n * n)
+    dense = (plan.products * (BLOCK_WORK * n * nnz
+                              + math.ceil(n / COLUMN_BLOCK) * CALL_OVERHEAD)
+             + n_steps * DENSE_WORK * n * n)
     frames = n_steps * plan.products * (width * nnz + CALL_OVERHEAD)
     return dense <= frames
 
@@ -234,14 +291,18 @@ def gen_heom(params, cfg, grid):
     """Open-system basis trajectories from the hierarchy integrator.
 
     The grid step exp(G dt) of the hierarchy generator G is one Taylor
-    series of G's sparse form, planned once and exact to double
-    precision. Either it forms the dense step and every frame is one
-    dense product with the stacked auxiliary state, or it acts on that
-    state at every frame; the cheaper way by a work estimate is taken.
-    A DEBUG record on this module's logger reports the hierarchy size,
-    the generator's nonzeros, the way taken, the series' degree,
-    substeps and 1-norm, the sparse products made, the set-up and
-    stepping times and the peak auxiliary entry.
+    series of the sparse, real Pauli form of G (``pauli_form``), planned
+    once and exact to double precision. Either it forms the dense step
+    and every frame is one dense product with the stacked auxiliary
+    state, or it acts on that state at every frame; the cheaper way by a
+    work estimate is taken. The state starts from the inputs I, sigma_x,
+    sigma_y and sigma_z; the maps of the |a><b| basis follow from its
+    physical block by one change of basis, exact at frame 0. A DEBUG
+    record on this module's logger reports the hierarchy size, the
+    nonzeros of G and of the real Pauli form that is stepped, the way
+    taken, the series' degree, substeps and 1-norm, the sparse products
+    made, the set-up and stepping times and the peak auxiliary entry
+    (in Pauli coordinates).
 
     Parameters
     ----------
@@ -254,6 +315,8 @@ def gen_heom(params, cfg, grid):
 
     Raises
     ------
+    ConfigurationError
+        If the Pauli form of G is not real (``pauli_form``).
     DivergenceError
         If any hierarchy entry exceeds the divergence guard, naming the
         offending step.
@@ -263,8 +326,9 @@ def gen_heom(params, cfg, grid):
         params.lam, params.gamma, params.beta, cfg.n_matsubara
     )
     tail = matsubara_tail(params.lam, params.gamma, params.beta, cfg.n_matsubara)
-    gen_dt = hierarchy_generator(params.hamiltonian, params.coupling_op,
-                                 coeffs, rates, tail, cfg.depth) * grid.dt
+    gen = hierarchy_generator(params.hamiltonian, params.coupling_op,
+                              coeffs, rates, tail, cfg.depth)
+    gen_dt = pauli_form(gen) * grid.dt
     plan = TaylorPlan.of(gen_dt)
     blk = params.dim ** 2
     n = gen_dt.shape[0]
@@ -276,10 +340,11 @@ def gen_heom(params, cfg, grid):
         products = plan.products * grid.n_steps
     built = time.perf_counter()
 
-    state = np.zeros((n, blk), dtype=complex)
+    # the inputs I, sigma_x, sigma_y, sigma_z in Pauli coordinates
+    state = np.zeros((n, blk))
     state[:blk, :] = np.eye(blk)
-    maps = np.empty((grid.n_steps + 1, blk, blk), dtype=complex)
-    maps[0] = state[:blk]
+    frames = np.empty((grid.n_steps + 1, blk, blk))
+    frames[0] = state[:blk]
     run_peak = 1.0
     for k in range(1, grid.n_steps + 1):
         state = plan.apply(state) if step is None else step @ state
@@ -292,13 +357,15 @@ def gen_heom(params, cfg, grid):
                 time=k * grid.dt,
             )
         run_peak = max(run_peak, peak)
-        maps[k] = state[:blk]
+        frames[k] = state[:blk]
     log.debug(
-        "hierarchy: %d rows (%d ADOs), %d nonzeros; %s, Taylor degree %d, "
-        "%d substeps, 1-norm %.6g, %d sparse products; set up in %.3f s, "
-        "%d steps in %.3f s, peak auxiliary entry %.3g",
-        n, n // blk, gen_dt.nnz, way, plan.degree, plan.substeps, plan.norm,
-        products, built - started, grid.n_steps, time.perf_counter() - built,
-        run_peak,
+        "hierarchy: %d rows (%d ADOs), %d nonzeros, %d in the real Pauli form; "
+        "%s, Taylor degree %d, %d substeps, 1-norm %.6g, %d sparse products; "
+        "set up in %.3f s, %d steps in %.3f s, peak auxiliary entry %.3g",
+        n, n // blk, gen.nnz, gen_dt.nnz, way, plan.degree, plan.substeps,
+        plan.norm, products, built - started, grid.n_steps,
+        time.perf_counter() - built, run_peak,
     )
+    # back to the |a><b| basis: E_k = B0 M_k B0^H / 2, so E_0 = I exactly
+    maps = PAULI_BASIS @ frames @ (0.5 * PAULI_BASIS.conj().T)
     return BasisTrajectorySet.from_maps(grid, maps)

@@ -52,7 +52,7 @@ class SpinBosonParams:
         Inverse temperature.
     coupling_op : ndarray
         Hermitian 2x2 system operator the bath couples to; defaults to
-        sigma_z (site dephasing).
+        sigma_z (site dephasing). Its Hermitian part is kept.
     """
 
     omega0: float
@@ -80,7 +80,9 @@ class SpinBosonParams:
             )
         if not is_hermitian(op):
             raise ConfigurationError("coupling_op must be Hermitian")
-        object.__setattr__(self, "coupling_op", op)
+        # the Hermitian part, equal to op when op is exactly Hermitian: the
+        # hierarchy steps in real arithmetic only for an exactly Hermitian Q
+        object.__setattr__(self, "coupling_op", 0.5 * (op + op.conj().T))
 
     @property
     def dim(self):

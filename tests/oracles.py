@@ -17,8 +17,10 @@ nested-loop memory recursion (one 4x4 product per lag and step) behind
 squares over the generalized Pauli basis behind the fitted
 ``ttmkit.kernels.extract_liouvillian``, and scipy's ``expm_multiply``
 over blocks of identity columns behind the dense hierarchy step of
-``ttmkit.heom``, and the frequency quadrature of the dephasing exponent
-behind the mode sum of ``ttmkit.models.lineshape``. ``projected_tensors``
+``ttmkit.heom``, the complex stepping of the |a><b| basis behind the
+real Pauli form that ``ttmkit.heom.gen_heom`` steps, and the frequency
+quadrature of the dephasing exponent behind the mode sum of
+``ttmkit.models.lineshape``. ``projected_tensors``
 gives a hierarchy's transfer tensors in Nakajima-Zwanzig form, with no
 peel.
 """
@@ -30,6 +32,12 @@ from scipy.integrate import quad
 from scipy.sparse.linalg import expm_multiply
 
 from ttmkit.errors import DimensionError
+from ttmkit.heom import (
+    TaylorPlan,
+    _dense_step,
+    _prefers_dense_step,
+    hierarchy_generator,
+)
 from ttmkit.liouville import (
     PAULI,
     liouvillian_superop,
@@ -38,7 +46,7 @@ from ttmkit.liouville import (
     unitary_superop,
 )
 from ttmkit.maps import MapValidationReport
-from ttmkit.models import bath_correlation_modes
+from ttmkit.models import bath_correlation_modes, matsubara_tail
 from ttmkit.tensors import TransferTensorSequence
 from ttmkit.trajectories import BasisTrajectorySet, TimeGrid
 
@@ -360,6 +368,35 @@ def reference_step_propagator(gen_dt, block=128):
         columns[start + np.arange(width), np.arange(width)] = 1.0
         step[:, start:start + width] = expm_multiply(gen_dt, columns)
     return step
+
+
+def reference_gen_heom(params, cfg, grid):
+    """Basis trajectories of the hierarchy, stepped in complex arithmetic.
+
+    The stepping ``ttmkit.heom.gen_heom`` did before it stepped the real
+    Pauli form: the complex generator's Taylor plan applied to the N x 4
+    state of the |a><b| inputs, as the dense step or as Taylor frames by
+    the library's cost rule, with no divergence guard and no log.
+    """
+    coeffs, rates = bath_correlation_modes(
+        params.lam, params.gamma, params.beta, cfg.n_matsubara
+    )
+    tail = matsubara_tail(params.lam, params.gamma, params.beta, cfg.n_matsubara)
+    gen_dt = hierarchy_generator(params.hamiltonian, params.coupling_op,
+                                 coeffs, rates, tail, cfg.depth) * grid.dt
+    plan = TaylorPlan.of(gen_dt)
+    blk = params.dim ** 2
+    n = gen_dt.shape[0]
+    step = _dense_step(plan) if _prefers_dense_step(plan, grid.n_steps, blk) else None
+
+    state = np.zeros((n, blk), dtype=complex)
+    state[:blk, :] = np.eye(blk)
+    maps = np.empty((grid.n_steps + 1, blk, blk), dtype=complex)
+    maps[0] = state[:blk]
+    for k in range(1, grid.n_steps + 1):
+        state = plan.apply(state) if step is None else step @ state
+        maps[k] = state[:blk]
+    return BasisTrajectorySet.from_maps(grid, maps)
 
 
 def reference_dephasing_exponent(t, lam, gamma, beta):

@@ -31,6 +31,7 @@ from ttmkit.models import bath_correlation_modes, matsubara_tail
 from oracles import (
     _multi_indices,
     projected_tensors,
+    reference_gen_heom,
     reference_hierarchy_generator,
     reference_step_propagator,
 )
@@ -55,6 +56,12 @@ SWEEP = (
        for beta, n in [(1.0, 3), (0.5, 2), (0.25, 1), (0.125, 1)]]
 )
 CLI_PIPELINE = (spin_boson(0.2, 1.0, 1.0), 5, 2)
+# C4's strong-coupling point, the benchmark's extrapolate hierarchy
+C4 = (spin_boson(2.0, 1.0, 0.5), 12, 2)
+# The eleven hierarchies the benchmark runs, with their grid steps.
+BENCHMARK_HIERARCHIES = ([(*C4, 0.05)] + [(*point, 0.01) for point in SWEEP]
+                         + [(*CLI_PIPELINE, 0.05)])
+BENCHMARK_IDS = ["c4", *(f"sweep-{i}" for i in range(len(SWEEP))), "cli-pipeline"]
 
 
 def generator_args(params, depth, n_matsubara):
@@ -66,9 +73,15 @@ def generator_args(params, depth, n_matsubara):
 
 
 def sparse_step_generator(params, depth, n_matsubara, dt):
-    """The sparse G dt whose exponential gen_heom steps with."""
+    """The sparse complex G dt of the |a><b| basis."""
     return heom_module.hierarchy_generator(
         *generator_args(params, depth, n_matsubara)) * dt
+
+
+def pauli_step_generator(params, depth, n_matsubara, dt):
+    """The real G dt of the Pauli basis, whose exponential gen_heom steps with."""
+    return heom_module.pauli_form(heom_module.hierarchy_generator(
+        *generator_args(params, depth, n_matsubara))) * dt
 
 
 # Each hierarchy names the way gen_heom takes for it, so both ways are
@@ -76,9 +89,11 @@ def sparse_step_generator(params, depth, n_matsubara, dt):
 STEPPING_CASES = pytest.mark.parametrize(
     "lam,gamma,dt,n_steps,depth,n_matsubara,dense", [
         (0.1, 1.0, 0.1, 20, 3, 1, True),
-        (2.0, 1.0, 0.05, 40, 6, 2, False),  # stiff, like C4 (N = 336)
-        (8.0, 5.0, 0.01, 40, 6, 2, False),  # stiff, like the top C6 point
-    ], ids=["weak", "stiff-c4", "stiff-c6"])
+        (2.0, 1.0, 0.05, 40, 6, 2, True),  # stiff, like C4 (N = 336)
+        (8.0, 5.0, 0.01, 40, 6, 2, True),  # stiff, like the top C6 point
+        (2.0, 1.0, 0.05, 10, 6, 2, False),  # too few frames to form the step
+        (8.0, 5.0, 0.01, 10, 6, 2, False),
+    ], ids=["weak", "stiff-c4", "stiff-c6", "stiff-c4-short", "stiff-c6-short"])
 
 
 def test_pure_dephasing_matches_quadrature():
@@ -118,9 +133,10 @@ def test_stepping_matches_exact_exponential(lam, gamma, dt, n_steps, depth,
     params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=lam, gamma=gamma,
                              beta=0.5)
     grid = TimeGrid(dt=dt, n_steps=n_steps)
-    gen_dt = sparse_step_generator(params, depth, n_matsubara, dt)
-    plan = heom_module.TaylorPlan.of(gen_dt)
+    plan = heom_module.TaylorPlan.of(
+        pauli_step_generator(params, depth, n_matsubara, dt))
     assert heom_module._prefers_dense_step(plan, n_steps, 4) == dense
+    gen_dt = sparse_step_generator(params, depth, n_matsubara, dt)
     trajs = gen_heom(params, HeomConfig(depth=depth, n_matsubara=n_matsubara),
                      grid)
     step = expm(gen_dt.toarray())
@@ -134,13 +150,61 @@ def test_stepping_matches_exact_exponential(lam, gamma, dt, n_steps, depth,
     assert deviation < 1e-12
 
 
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "frames"])
+@pytest.mark.parametrize("params,depth,n_matsubara,dt", BENCHMARK_HIERARCHIES,
+                         ids=BENCHMARK_IDS)
+def test_real_form_matches_the_complex_oracle(monkeypatch, params, depth,
+                                              n_matsubara, dt, dense):
+    # both ways of stepping the real Pauli form against the complex
+    # stepping of the |a><b| basis, which keeps its own cost rule
+    monkeypatch.setattr(heom_module, "_prefers_dense_step",
+                        lambda plan, n_steps, width: dense)
+    cfg = HeomConfig(depth=depth, n_matsubara=n_matsubara)
+    grid = TimeGrid(dt=dt, n_steps=4)
+    trajs = gen_heom(params, cfg, grid)
+    assert trajs.initial_defect() == 0.0
+    assert trajs.dagger_defect() < 1e-12
+    oracle = reference_gen_heom(params, cfg, grid)
+    assert np.abs(trajs.data - oracle.data).max() <= 1e-12
+
+
+@pytest.mark.parametrize("q_op,rate_shift", [
+    (np.array([[1.0, 1.0], [0.0, -1.0]]), 0.0),  # Q not Hermitian
+    (np.diag([1.0, -1.0]), 0.1j),                # a complex decay rate
+], ids=["non-hermitian-q", "complex-rate"])
+def test_step_refuses_a_generator_whose_pauli_form_is_not_real(monkeypatch,
+                                                               q_op,
+                                                               rate_shift):
+    params = spin_boson(0.5, 1.0, 0.5)
+    h, _, coeffs, rates, tail, depth = generator_args(params, 3, 1)
+    gen = heom_module.hierarchy_generator(h, q_op, coeffs, rates + rate_shift,
+                                          tail, depth)
+    with pytest.raises(ConfigurationError, match="Hermitian"):
+        heom_module.pauli_form(gen)
+    monkeypatch.setattr(heom_module, "hierarchy_generator", lambda *args: gen)
+    with pytest.raises(ConfigurationError, match="Hermitian"):
+        gen_heom(params, HeomConfig(depth=3, n_matsubara=1),
+                 TimeGrid(dt=0.05, n_steps=2))
+
+
+def test_coupling_hermitian_to_rounding_steps_as_the_exact_one():
+    # the parameters keep the Hermitian part of a coupling operator that
+    # passes their 1e-12 check, so its Pauli form is real
+    grid = TimeGrid(dt=0.05, n_steps=3)
+    cfg = HeomConfig(depth=3, n_matsubara=1)
+    runs = [gen_heom(spin_boson(0.5, 1.0, 0.5, coupling_op=q), cfg, grid).data
+            for q in (np.array([[1.0, 1e-14], [0.0, -1.0]]), np.diag([1.0, -1.0]))]
+    assert np.abs(runs[0] - runs[1]).max() <= 1e-13
+
+
 @STEPPING_CASES
 def test_dense_step_matches_expm_multiply(lam, gamma, dt, n_steps, depth,
                                           n_matsubara, dense):
     params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=lam, gamma=gamma,
                              beta=0.5)
-    gen_dt = sparse_step_generator(params, depth, n_matsubara, dt)
+    gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
     step = heom_module._dense_step(heom_module.TaylorPlan.of(gen_dt))
+    assert step.dtype == float
     assert np.abs(step - reference_step_propagator(gen_dt)).max() <= 1e-14
 
 
@@ -176,21 +240,28 @@ def test_taylor_plan_minimises_products(x, degree, substeps):
     plan = heom_module.TaylorPlan.of(sparse.csr_array(np.diag(diagonal)))
     assert (plan.degree, plan.substeps) == (degree, substeps)
     assert plan.mu == 0.5 and plan.norm == x
+    # a real matrix keeps a real shift, and the series keeps its operand's dtype
+    assert isinstance(plan.mu, float)
     exact = np.diag(np.exp(diagonal))
-    assert np.abs(plan.apply(np.eye(2)) - exact).max() <= 1e-14 * exact.max()
+    for operand in (np.eye(2), np.eye(2, dtype=complex)):
+        out = plan.apply(operand)
+        assert out.dtype == operand.dtype
+        assert np.abs(out - exact).max() <= 1e-14 * exact.max()
 
 
-@pytest.mark.parametrize("params,depth,n_steps,dense", [
+@pytest.mark.parametrize("params,depth,dt,n_steps,dense", [
     # cli_pipeline's hierarchy (N = 224) over its 800-frame window
     (SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=0.2, gamma=1.0,
-                     beta=1.0), 5, 800, True),
+                     beta=1.0), 5, 0.05, 800, True),
     # C4's strong-coupling hierarchy (N = 1820) over 1000 frames
     (SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=2.0, gamma=1.0,
-                     beta=0.5), 12, 1000, False),
-], ids=["cli-pipeline", "c4"])
-def test_cost_rule_picks_the_way(params, depth, n_steps, dense):
-    plan = heom_module.TaylorPlan.of(
-        sparse_step_generator(params, depth, 2, 0.05))
+                     beta=0.5), 12, 0.05, 1000, False),
+    # heom_sweep's N = 480 point over 200 frames: the dense step took
+    # half the time of Taylor frames
+    (SWEEP[2][0], SWEEP[2][1], 0.01, 200, True),
+], ids=["cli-pipeline", "c4", "sweep-2"])
+def test_cost_rule_picks_the_way(params, depth, dt, n_steps, dense):
+    plan = heom_module.TaylorPlan.of(pauli_step_generator(params, depth, 2, dt))
     assert heom_module._prefers_dense_step(plan, n_steps, 4) == dense
 
 
@@ -217,10 +288,13 @@ def test_generation_logs_size_cost_and_peak(caplog):
     (record,) = [r for r in caplog.records if r.name == "ttmkit.heom"]
     assert record.levelno == logging.DEBUG
     nnz = sparse_step_generator(params, 3, 1, 0.1).nnz
+    real_nnz = pauli_step_generator(params, 3, 1, 0.1).nnz
+    assert real_nnz < nnz
     # C(3 + 2, 2) = 10 ADOs of 2 x 2 blocks; a small hierarchy forms the
     # dense step from ceil(40 / COLUMN_BLOCK) = 1 block of columns
     match = re.fullmatch(
-        rf"hierarchy: 40 rows \(10 ADOs\), {nnz} nonzeros; dense step, Taylor "
+        rf"hierarchy: 40 rows \(10 ADOs\), {nnz} nonzeros, {real_nnz} in the "
+        r"real Pauli form; dense step, Taylor "
         r"degree (\d+), (\d+) substeps, 1-norm (\S+), (\d+) sparse products; "
         r"set up in (\S+) s, 10 steps in (\S+) s, peak auxiliary entry (\S+)",
         record.getMessage())
@@ -289,6 +363,32 @@ def test_sparse_solve_reproduces_the_stored_steady_states(workload, index,
         stored = stored[index]
     stored = np.asarray(stored)
     assert np.abs(rho - (stored[..., 0] + 1j * stored[..., 1])).max() <= 1e-12
+
+
+@pytest.mark.parametrize("workload,index,point,dt", [
+    *(("heom_sweep", i, point, 0.01) for i, point in enumerate(SWEEP)
+      if i in (0, 1, 2, 7, 8)),
+    ("cli_pipeline", None, CLI_PIPELINE, 0.05),
+], ids=[*(f"sweep-{i}" for i in (0, 1, 2, 7, 8)), "cli-pipeline"])
+def test_summed_projected_tensors_fix_the_stored_steady_states(workload, index,
+                                                               point, dt):
+    # the exact sum of every transfer tensor, sum_k P U (Q U)^(k-1) P =
+    # P U (1 - Q U)^-1 P, has the hierarchy's stationary state as its
+    # fixed point (the N <= 480 hierarchies of the benchmark)
+    step = expm(sparse_step_generator(*point, dt).toarray())
+    returns = step.copy()
+    returns[:4] = 0.0  # Q U
+    first = np.linalg.solve(np.eye(len(step)) - returns, np.eye(len(step), 4))
+    total = (step @ first)[:4]
+    w, v = np.linalg.eig(total)
+    rho = v[:, np.argmin(np.abs(w - 1.0))].reshape(2, 2)
+    rho = rho / np.trace(rho)
+    rho = 0.5 * (rho + rho.conj().T)
+    stored = json.loads(REFERENCE.read_text())[workload]["steady_state"]
+    if index is not None:
+        stored = stored[index]
+    stored = np.asarray(stored)
+    assert np.abs(rho - (stored[..., 0] + 1j * stored[..., 1])).max() <= 1e-10
 
 
 @pytest.mark.parametrize("n_modes", range(6))
