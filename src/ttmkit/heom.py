@@ -14,9 +14,10 @@ built only as a CSR matrix (int32 indices) from its Kronecker terms.
 Every rate and the terminator are real and Q is Hermitian, so every
 auxiliary stays Hermitian (Tanimura, J. Chem. Phys. 153, 020901, 2020)
 and, in the basis I, sigma_x, sigma_y, sigma_z of each auxiliary, G is
-a real matrix. ``gen_heom`` steps that real Pauli form, obtained from G
-by an exact congruence that refuses any nonzero imaginary part, and
-maps the physical block back to the |a><b| basis once, for all frames.
+a real matrix. G is built in that real Pauli form, each D^2 x D^2 block
+converted by an exact congruence that refuses any nonzero imaginary
+part; ``gen_heom`` steps it and maps the physical block back to the
+|a><b| basis once, for all frames.
 exp(G dt) acts through one truncated Taylor series of the sparse G dt
 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011), planned once
 per hierarchy: the degree m and the number of substeps s come from the
@@ -120,16 +121,27 @@ class HeomConfig:
 
 
 def hierarchy_generator(h, q_op, coeffs, rates, tail, depth):
-    """Sparse generator of the full auxiliary hierarchy.
+    """Sparse real generator of the full auxiliary hierarchy.
 
-    Returns the CSR matrix ``gen`` (int32 indices) such that the stacked
-    (renormalized) auxiliary vector obeys x' = gen x, with the physical
-    block first. Over the sorted occupations n it is the Kronecker sum
+    Returns the float64 CSR matrix ``gen`` (int32 indices) such that the
+    stacked (renormalized) auxiliary vector obeys x' = gen x, with the
+    physical block first and every auxiliary in the coordinates of the
+    basis I, sigma_x, sigma_y, sigma_z (PAULI_BASIS). Over the sorted
+    occupations n, the generator of the |a><b| basis is the Kronecker sum
     I (x) S - diag(n . rates) (x) I + sum_k [R_k (x) C + L_k (x) Lambda_k]
     (S: system superoperator and terminator; C = -i[Q, .]; R_k, L_k and
     Lambda_k: mode k's raising and lowering ladders and lowering
-    superoperator). Its D^2 x D^2 blocks are placed in one pass, since a
-    sparse sum would flip the sign of zero parts; exact zeros are dropped.
+    superoperator). Each of its D^2 x D^2 blocks T becomes 1/2 B0^H T B0;
+    every entry of B0 is 0, +-1 or +-i, so when every rate and the
+    terminator are real and Q is Hermitian the imaginary parts cancel
+    exactly. The blocks are placed in one pass, since a sparse sum would
+    flip the sign of zero parts; exact zeros are dropped.
+
+    Raises
+    ------
+    ConfigurationError
+        If any block has a nonzero imaginary part in the Pauli basis: the
+        hierarchy does not keep its auxiliaries Hermitian.
     """
     blk = h.shape[0] ** 2
     # the occupations, sorted: each mode's count prepended to the rest's
@@ -160,46 +172,23 @@ def hierarchy_generator(h, q_op, coeffs, rates, tail, depth):
         blocks += [(-1j * np.sqrt(raised[:, k] * abs_c[k]))[:, None, None] * commut,
                    np.sqrt(raised[:, k] / safe_c[k])[:, None, None] * lower_op]
 
+    blocks = (0.5 * PAULI_BASIS.conj().T) @ np.concatenate(blocks) @ PAULI_BASIS
+    if np.any(blocks.imag):
+        raise ConfigurationError(
+            "the hierarchy does not keep its auxiliaries Hermitian (largest "
+            f"imaginary part {np.abs(blocks.imag).max():.3g} in the Pauli "
+            "basis); the rates and terminator must be real and Q Hermitian"
+        )
     # int32 holds the indices of any hierarchy that fits in memory
     rows, cols = (np.concatenate(a).astype(np.int32) for a in (rows, cols))
     i, j = np.indices((blk, blk), dtype=np.int32)
     n = len(occ) * blk
-    gen = sparse.csr_array((np.concatenate(blocks).ravel(),
+    gen = sparse.csr_array((blocks.real.ravel(),
                             ((rows[:, None, None] * blk + i).ravel(),
                              (cols[:, None, None] * blk + j).ravel())),
                            shape=(n, n))
     gen.eliminate_zeros()
     return gen
-
-
-def pauli_form(gen):
-    """The real matrix of a hierarchy generator in the Hermitian basis.
-
-    Returns the CSR matrix 1/2 (I (x) B0)^H gen (I (x) B0), which acts on
-    the coordinates of every auxiliary in the basis I, sigma_x, sigma_y,
-    sigma_z (PAULI_BASIS). Every entry of B0 is 0, +-1 or +-i, so each
-    entry of the result is half a signed sum of entries of ``gen`` and
-    of i times them; when every rate and the terminator are real and Q
-    is Hermitian, each auxiliary stays Hermitian and the imaginary parts
-    cancel exactly.
-
-    Raises
-    ------
-    ConfigurationError
-        If any imaginary part is nonzero: the hierarchy does not keep
-        its auxiliaries Hermitian.
-    """
-    ados = sparse.eye_array(gen.shape[0] // len(PAULI_BASIS))
-    to_pauli = sparse.kron(ados, PAULI_BASIS, format="csr")
-    from_pauli = sparse.kron(ados, 0.5 * PAULI_BASIS.conj().T, format="csr")
-    pauli = from_pauli @ gen @ to_pauli
-    if np.any(pauli.data.imag):
-        raise ConfigurationError(
-            "the hierarchy does not keep its auxiliaries Hermitian (largest "
-            f"imaginary part {np.abs(pauli.data.imag).max():.3g} in the Pauli "
-            "basis); the rates and terminator must be real and Q Hermitian"
-        )
-    return pauli.real.sorted_indices()
 
 
 @dataclass(frozen=True)
@@ -291,18 +280,18 @@ def gen_heom(params, cfg, grid):
     """Open-system basis trajectories from the hierarchy integrator.
 
     The grid step exp(G dt) of the hierarchy generator G is one Taylor
-    series of the sparse, real Pauli form of G (``pauli_form``), planned
-    once and exact to double precision. Either it forms the dense step
-    and every frame is one dense product with the stacked auxiliary
-    state, or it acts on that state at every frame; the cheaper way by a
-    work estimate is taken. The state starts from the inputs I, sigma_x,
-    sigma_y and sigma_z; the maps of the |a><b| basis follow from its
-    physical block by one change of basis, exact at frame 0. A DEBUG
-    record on this module's logger reports the hierarchy size, the
-    nonzeros of G and of the real Pauli form that is stepped, the way
-    taken, the series' degree, substeps and 1-norm, the sparse products
-    made, the set-up and stepping times and the peak auxiliary entry
-    (in Pauli coordinates).
+    series of the sparse, real Pauli form of G (``hierarchy_generator``),
+    planned once and exact to double precision. Either it forms the
+    dense step and every frame is one dense product with the stacked
+    auxiliary state, or it acts on that state at every frame; the
+    cheaper way by a work estimate is taken. The state starts from the
+    inputs I, sigma_x, sigma_y and sigma_z; the maps of the |a><b| basis
+    follow from its physical block by one change of basis, exact at
+    frame 0. A DEBUG record on this module's logger reports the
+    hierarchy size, the nonzeros of the real Pauli form that is stepped,
+    the way taken, the series' degree, substeps and 1-norm, the sparse
+    products made, the set-up and stepping times and the peak auxiliary
+    entry (in Pauli coordinates).
 
     Parameters
     ----------
@@ -316,7 +305,7 @@ def gen_heom(params, cfg, grid):
     Raises
     ------
     ConfigurationError
-        If the Pauli form of G is not real (``pauli_form``).
+        If the Pauli form of G is not real (``hierarchy_generator``).
     DivergenceError
         If any hierarchy entry exceeds the divergence guard, naming the
         offending step.
@@ -326,9 +315,8 @@ def gen_heom(params, cfg, grid):
         params.lam, params.gamma, params.beta, cfg.n_matsubara
     )
     tail = matsubara_tail(params.lam, params.gamma, params.beta, cfg.n_matsubara)
-    gen = hierarchy_generator(params.hamiltonian, params.coupling_op,
-                              coeffs, rates, tail, cfg.depth)
-    gen_dt = pauli_form(gen) * grid.dt
+    gen_dt = hierarchy_generator(params.hamiltonian, params.coupling_op,
+                                 coeffs, rates, tail, cfg.depth) * grid.dt
     plan = TaylorPlan.of(gen_dt)
     blk = params.dim ** 2
     n = gen_dt.shape[0]
@@ -359,10 +347,10 @@ def gen_heom(params, cfg, grid):
         run_peak = max(run_peak, peak)
         frames[k] = state[:blk]
     log.debug(
-        "hierarchy: %d rows (%d ADOs), %d nonzeros, %d in the real Pauli form; "
+        "hierarchy: %d rows (%d ADOs), %d nonzeros in the real Pauli form; "
         "%s, Taylor degree %d, %d substeps, 1-norm %.6g, %d sparse products; "
         "set up in %.3f s, %d steps in %.3f s, peak auxiliary entry %.3g",
-        n, n // blk, gen.nnz, gen_dt.nnz, way, plan.degree, plan.substeps,
+        n, n // blk, gen_dt.nnz, way, plan.degree, plan.substeps,
         plan.norm, products, built - started, grid.n_steps,
         time.perf_counter() - built, run_peak,
     )

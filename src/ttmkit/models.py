@@ -129,11 +129,14 @@ def matsubara_tail(lam, gamma, beta, n_matsubara):
 
     The full expansion satisfies sum_k c_k / nu_k = lam (2/(beta gamma) - 1j);
     subtracting the retained modes leaves the coefficient of the
-    time-local correction applied by the hierarchy terminator.
+    time-local correction applied by the hierarchy terminator. It is
+    real: the Drude pole's -1j lam gamma / gamma cancels the -1j lam, and
+    the rounding-level imaginary remainder is dropped, since the
+    hierarchy keeps its auxiliaries Hermitian only for a real terminator.
     """
     coeffs, rates = bath_correlation_modes(lam, gamma, beta, n_matsubara)
     total = lam * (2.0 / (beta * gamma) - 1.0j)
-    return total - np.sum(coeffs / rates)
+    return (total - np.sum(coeffs / rates)).real
 
 
 def lineshape(times, lam, gamma, beta):

@@ -7,13 +7,15 @@ is a genuine cross-check rather than a reimplementation.
 
 The ``reference_*`` functions are the direct forms of code the library
 now runs batched or in closed form, kept as oracles for it: the dense
-per-pair hierarchy generator (with its recursive ``_multi_indices``)
-behind the block assembly of ``ttmkit.heom.hierarchy_generator``, the
-nested-loop memory recursion (one 4x4 product per lag and step) behind
-``ttmkit.tensors``, the per-superoperator diagnostics behind
-``ttmkit.maps.validate_maps`` and the stack helpers of
-``ttmkit.liouville``, the frame-layout basis checks behind
-``BasisTrajectorySet.initial_defect``/``dagger_defect``, and the least
+per-pair hierarchy generator of the |a><b| basis (with its recursive
+``_multi_indices``) and the congruence ``pauli_form`` that takes it to
+the Pauli basis, behind the block assembly of
+``ttmkit.heom.hierarchy_generator``, the nested-loop memory recursion
+(one 4x4 product per lag and step) behind ``ttmkit.tensors``, the
+per-superoperator diagnostics behind ``ttmkit.maps.validate_maps`` and
+the stack helpers of ``ttmkit.liouville``, the frame-layout basis
+checks behind ``BasisTrajectorySet.initial_defect``/``dagger_defect``,
+and the least
 squares over the generalized Pauli basis behind the fitted
 ``ttmkit.kernels.extract_liouvillian``, and scipy's ``expm_multiply``
 over blocks of identity columns behind the dense hierarchy step of
@@ -28,15 +30,16 @@ peel.
 import math
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import quad
 from scipy.sparse.linalg import expm_multiply
 
-from ttmkit.errors import DimensionError
+from ttmkit.errors import ConfigurationError, DimensionError
 from ttmkit.heom import (
+    PAULI_BASIS,
     TaylorPlan,
     _dense_step,
     _prefers_dense_step,
-    hierarchy_generator,
 )
 from ttmkit.liouville import (
     PAULI,
@@ -354,6 +357,36 @@ def reference_hierarchy_generator(h, q_op, coeffs, rates, tail, depth):
     return gen
 
 
+def pauli_form(gen):
+    """The real matrix of a hierarchy generator in the Hermitian basis.
+
+    Returns the CSR matrix 1/2 (I (x) B0)^H gen (I (x) B0), which acts on
+    the coordinates of every auxiliary in the basis I, sigma_x, sigma_y,
+    sigma_z (PAULI_BASIS). Every entry of B0 is 0, +-1 or +-i, so each
+    entry of the result is half a signed sum of entries of ``gen`` and
+    of i times them; when every rate and the terminator are real and Q
+    is Hermitian, each auxiliary stays Hermitian and the imaginary parts
+    cancel exactly.
+
+    Raises
+    ------
+    ConfigurationError
+        If any imaginary part is nonzero: the hierarchy does not keep
+        its auxiliaries Hermitian.
+    """
+    ados = sparse.eye_array(gen.shape[0] // len(PAULI_BASIS))
+    to_pauli = sparse.kron(ados, PAULI_BASIS, format="csr")
+    from_pauli = sparse.kron(ados, 0.5 * PAULI_BASIS.conj().T, format="csr")
+    pauli = from_pauli @ gen @ to_pauli
+    if np.any(pauli.data.imag):
+        raise ConfigurationError(
+            "the hierarchy does not keep its auxiliaries Hermitian (largest "
+            f"imaginary part {np.abs(pauli.data.imag).max():.3g} in the Pauli "
+            "basis); the rates and terminator must be real and Q Hermitian"
+        )
+    return pauli.real.sorted_indices()
+
+
 def reference_step_propagator(gen_dt, block=128):
     """Dense exp(gen_dt) of a sparse ``gen_dt`` by scipy's ``expm_multiply``.
 
@@ -374,16 +407,18 @@ def reference_gen_heom(params, cfg, grid):
     """Basis trajectories of the hierarchy, stepped in complex arithmetic.
 
     The stepping ``ttmkit.heom.gen_heom`` did before it stepped the real
-    Pauli form: the complex generator's Taylor plan applied to the N x 4
-    state of the |a><b| inputs, as the dense step or as Taylor frames by
-    the library's cost rule, with no divergence guard and no log.
+    Pauli form: the Taylor plan of the complex generator (the CSR form of
+    ``reference_hierarchy_generator``) applied to the N x 4 state of the
+    |a><b| inputs, as the dense step or as Taylor frames by the library's
+    cost rule, with no divergence guard and no log.
     """
     coeffs, rates = bath_correlation_modes(
         params.lam, params.gamma, params.beta, cfg.n_matsubara
     )
     tail = matsubara_tail(params.lam, params.gamma, params.beta, cfg.n_matsubara)
-    gen_dt = hierarchy_generator(params.hamiltonian, params.coupling_op,
-                                 coeffs, rates, tail, cfg.depth) * grid.dt
+    gen_dt = sparse.csr_array(reference_hierarchy_generator(
+        params.hamiltonian, params.coupling_op, coeffs, rates, tail,
+        cfg.depth)) * grid.dt
     plan = TaylorPlan.of(gen_dt)
     blk = params.dim ** 2
     n = gen_dt.shape[0]

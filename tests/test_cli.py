@@ -494,6 +494,16 @@ def test_generate_near_the_drude_pole_is_exit_2(tmp_path):
     assert not out.exists()
 
 
+def test_generate_at_a_slow_bath_is_exit_0(tmp_path):
+    # the terminator of this bath rounds to a complex number with an
+    # imaginary part of 2.8e-17; it is real, and the hierarchy is stepped
+    out = tmp_path / "slow.json"
+    assert run(["generate", "--model", "heom", "--dt", "0.1", "--steps", "3",
+                "--lambda", "0.2", "--gamma", "0.05", "--beta", "0.5",
+                "--out", out]) == 0
+    assert out.exists()
+
+
 def test_wavenumber_units_roundtrip(tmp_path):
     # 53.08 fs steps at a 100 cm^-1 splitting: one dimensionless time unit
     traj = tmp_path / "traj.json"

@@ -30,6 +30,7 @@ from ttmkit.models import bath_correlation_modes, matsubara_tail
 
 from oracles import (
     _multi_indices,
+    pauli_form,
     projected_tensors,
     reference_gen_heom,
     reference_hierarchy_generator,
@@ -73,15 +74,15 @@ def generator_args(params, depth, n_matsubara):
 
 
 def sparse_step_generator(params, depth, n_matsubara, dt):
-    """The sparse complex G dt of the |a><b| basis."""
-    return heom_module.hierarchy_generator(
-        *generator_args(params, depth, n_matsubara)) * dt
+    """The sparse complex G dt of the |a><b| basis (the reference build)."""
+    return sparse.csr_array(reference_hierarchy_generator(
+        *generator_args(params, depth, n_matsubara))) * dt
 
 
 def pauli_step_generator(params, depth, n_matsubara, dt):
     """The real G dt of the Pauli basis, whose exponential gen_heom steps with."""
-    return heom_module.pauli_form(heom_module.hierarchy_generator(
-        *generator_args(params, depth, n_matsubara))) * dt
+    return heom_module.hierarchy_generator(
+        *generator_args(params, depth, n_matsubara)) * dt
 
 
 # Each hierarchy names the way gen_heom takes for it, so both ways are
@@ -177,14 +178,28 @@ def test_step_refuses_a_generator_whose_pauli_form_is_not_real(monkeypatch,
                                                                rate_shift):
     params = spin_boson(0.5, 1.0, 0.5)
     h, _, coeffs, rates, tail, depth = generator_args(params, 3, 1)
-    gen = heom_module.hierarchy_generator(h, q_op, coeffs, rates + rate_shift,
-                                          tail, depth)
-    with pytest.raises(ConfigurationError, match="Hermitian"):
-        heom_module.pauli_form(gen)
-    monkeypatch.setattr(heom_module, "hierarchy_generator", lambda *args: gen)
-    with pytest.raises(ConfigurationError, match="Hermitian"):
+    with pytest.raises(ConfigurationError, match="auxiliaries Hermitian"):
+        heom_module.hierarchy_generator(h, q_op, coeffs, rates + rate_shift,
+                                        tail, depth)
+    # the same Q past the parameters' own check, and the same bath
+    object.__setattr__(params, "coupling_op", q_op)
+    monkeypatch.setattr(heom_module, "bath_correlation_modes",
+                        lambda *args: (coeffs, rates + rate_shift))
+    with pytest.raises(ConfigurationError, match="auxiliaries Hermitian"):
         gen_heom(params, HeomConfig(depth=3, n_matsubara=1),
                  TimeGrid(dt=0.05, n_steps=2))
+
+
+def test_terminator_rounding_keeps_a_slow_bath_steppable():
+    # at lambda = 0.2, gamma = 0.05, beta = 0.5 the terminator's sum
+    # rounds to an imaginary part of 2.8e-17, which the real Pauli form
+    # refused before matsubara_tail returned the real part
+    params = spin_boson(0.2, 0.05, 0.5)
+    assert isinstance(matsubara_tail(0.2, 0.05, 0.5, 2), float)
+    trajs = gen_heom(params, HeomConfig(depth=5, n_matsubara=2),
+                     TimeGrid(dt=0.1, n_steps=3))
+    assert trajs.initial_defect() == 0.0
+    assert trajs.dagger_defect() < 1e-12
 
 
 def test_coupling_hermitian_to_rounding_steps_as_the_exact_one():
@@ -287,14 +302,13 @@ def test_generation_logs_size_cost_and_peak(caplog):
                  TimeGrid(dt=0.1, n_steps=10))
     (record,) = [r for r in caplog.records if r.name == "ttmkit.heom"]
     assert record.levelno == logging.DEBUG
-    nnz = sparse_step_generator(params, 3, 1, 0.1).nnz
-    real_nnz = pauli_step_generator(params, 3, 1, 0.1).nnz
-    assert real_nnz < nnz
+    nnz = pauli_step_generator(params, 3, 1, 0.1).nnz
+    assert nnz < sparse_step_generator(params, 3, 1, 0.1).nnz
     # C(3 + 2, 2) = 10 ADOs of 2 x 2 blocks; a small hierarchy forms the
     # dense step from ceil(40 / COLUMN_BLOCK) = 1 block of columns
     match = re.fullmatch(
-        rf"hierarchy: 40 rows \(10 ADOs\), {nnz} nonzeros, {real_nnz} in the "
-        r"real Pauli form; dense step, Taylor "
+        rf"hierarchy: 40 rows \(10 ADOs\), {nnz} nonzeros in the real Pauli "
+        r"form; dense step, Taylor "
         r"degree (\d+), (\d+) substeps, 1-norm (\S+), (\d+) sparse products; "
         r"set up in (\S+) s, 10 steps in (\S+) s, peak auxiliary entry (\S+)",
         record.getMessage())
@@ -321,13 +335,13 @@ def test_generator_is_the_dense_reference_bit_for_bit(params, depth,
     # C4 at lambda = 2 is also the benchmark's extrapolate hierarchy
     args = generator_args(params, depth, n_matsubara)
     gen = heom_module.hierarchy_generator(*args)
-    dense = sparse.csr_array(reference_hierarchy_generator(*args))
-    assert gen.format == "csr"
+    reference = pauli_form(sparse.csr_array(reference_hierarchy_generator(*args)))
+    assert gen.format == "csr" and gen.dtype == np.float64
     assert gen.indices.dtype == gen.indptr.dtype == np.int32
-    assert np.array_equal(gen.indptr, dense.indptr)
-    assert np.array_equal(gen.indices, dense.indices)
-    # byte equality also pins the sign of every zero real or imaginary part
-    assert gen.data.tobytes() == dense.data.tobytes()
+    assert np.array_equal(gen.indptr, reference.indptr)
+    assert np.array_equal(gen.indices, reference.indices)
+    # byte equality pins the last bit of every entry
+    assert gen.data.tobytes() == reference.data.tobytes()
 
 
 def test_generator_build_never_forms_the_dense_matrix():
@@ -350,14 +364,15 @@ def test_generator_build_never_forms_the_dense_matrix():
 def test_sparse_solve_reproduces_the_stored_steady_states(workload, index,
                                                           point):
     # the stationary state of each hierarchy, as the benchmark's stored
-    # reference defines it: the null vector of the generator with row 0
-    # replaced by the unit-trace condition, physical block, Hermitian part
+    # reference defines it: the null vector of the real generator with
+    # the row of the physical I coordinate replaced by the unit-trace
+    # condition 2 x_0 = 1, mapped back from the Pauli basis
     gen = heom_module.hierarchy_generator(*generator_args(*point)).tolil()
-    rhs = np.zeros(gen.shape[0], dtype=complex)
+    rhs = np.zeros(gen.shape[0])
     gen[0, :] = 0.0
-    gen[0, 0] = gen[0, 3] = rhs[0] = 1.0
-    rho = spsolve(gen.tocsc(), rhs)[:4].reshape(2, 2)
-    rho = 0.5 * (rho + rho.conj().T)
+    gen[0, 0], rhs[0] = 2.0, 1.0
+    x = spsolve(gen.tocsc(), rhs)
+    rho = (heom_module.PAULI_BASIS @ x[:4]).reshape(2, 2)
     stored = json.loads(REFERENCE.read_text())[workload]["steady_state"]
     if index is not None:
         stored = stored[index]
