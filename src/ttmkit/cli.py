@@ -113,25 +113,20 @@ def _parse_initial(spec, dim):
 def cmd_generate(args):
     omega0, j, lam, gamma, beta, dt = _convert_units(args)
     grid = TimeGrid(dt=dt, n_steps=args.steps)
-    coupling = COUPLING_OPS[args.coupling]
+    # unitary too: meta records the bath numbers, and analyze reads beta back
+    params = SpinBosonParams(
+        omega0=omega0, j_coupling=j, lam=lam, gamma=gamma, beta=beta,
+        coupling_op=COUPLING_OPS[args.coupling],
+    )
     if args.model == "unitary":
-        trajs = gen_unitary(tls_hamiltonian(omega0, j), grid)
+        trajs = gen_unitary(params.hamiltonian, grid)
+    elif args.model == "lindblad":
+        trajs = gen_lindblad(params.hamiltonian, [params.coupling_op], [lam], grid)
+    elif args.model == "dephasing":
+        trajs = gen_dephasing_analytic(params, grid)
     else:
-        params = SpinBosonParams(
-            omega0=omega0, j_coupling=j, lam=lam, gamma=gamma, beta=beta,
-            coupling_op=coupling,
-        )
-        if args.model == "lindblad":
-            trajs = gen_lindblad(
-                params.hamiltonian, [coupling], [lam], grid
-            )
-        elif args.model == "dephasing":
-            trajs = gen_dephasing_analytic(params, grid)
-        else:
-            cfg = HeomConfig(
-                depth=args.heom_depth, n_matsubara=args.heom_matsubara
-            )
-            trajs = gen_heom(params, cfg, grid)
+        cfg = HeomConfig(depth=args.heom_depth, n_matsubara=args.heom_matsubara)
+        trajs = gen_heom(params, cfg, grid)
     meta = {
         "model": args.model,
         "omega0": omega0,

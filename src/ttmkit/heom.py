@@ -261,8 +261,8 @@ def _dense_step(plan):
     return step
 
 
-def _prefers_dense_step(plan, n_steps, width):
-    """Whether forming the dense step beats Taylor frames on ``width`` columns.
+def _prefers_dense_step(plan, n_steps):
+    """Whether forming the dense step beats Taylor frames on the N x 4 state.
 
     Estimated in CALL_OVERHEAD's work units. The dense step costs its
     ceil(N / COLUMN_BLOCK) applications of the series plus a pass over
@@ -272,7 +272,7 @@ def _prefers_dense_step(plan, n_steps, width):
     dense = (plan.products * (BLOCK_WORK * n * nnz
                               + math.ceil(n / COLUMN_BLOCK) * CALL_OVERHEAD)
              + n_steps * DENSE_WORK * n * n)
-    frames = n_steps * plan.products * (width * nnz + CALL_OVERHEAD)
+    frames = n_steps * plan.products * (4 * nnz + CALL_OVERHEAD)
     return dense <= frames
 
 
@@ -320,7 +320,7 @@ def gen_heom(params, cfg, grid):
     plan = TaylorPlan.of(gen_dt)
     blk = params.dim ** 2
     n = gen_dt.shape[0]
-    if _prefers_dense_step(plan, grid.n_steps, blk):
+    if _prefers_dense_step(plan, grid.n_steps):
         way, step = "dense step", _dense_step(plan)
         products = plan.products * math.ceil(n / COLUMN_BLOCK)
     else:

@@ -63,12 +63,16 @@ class SpinBosonParams:
     coupling_op: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ConfigurationError(f"lam must be nonnegative, got {self.lam}")
-        if self.gamma <= 0:
-            raise ConfigurationError(f"gamma must be positive, got {self.gamma}")
-        if self.beta <= 0:
-            raise ConfigurationError(f"beta must be positive, got {self.beta}")
+        for name in ("omega0", "j_coupling"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
+        if not 0 <= self.lam < np.inf:
+            raise ConfigurationError(f"lam must be in [0, inf), got {self.lam}")
+        if not 0 < self.gamma < np.inf:
+            raise ConfigurationError(f"gamma must be in (0, inf), got {self.gamma}")
+        if not 0 < self.beta < np.inf:
+            raise ConfigurationError(f"beta must be in (0, inf), got {self.beta}")
         op = self.coupling_op
         if op is None:
             op = SIGMA_Z
@@ -186,8 +190,8 @@ def lineshape(times, lam, gamma, beta):
 
 def beta_from_kelvin(temperature_k, unit_cm):
     """Temperature in Kelvin -> dimensionless inverse temperature."""
-    if temperature_k <= 0:
-        raise ConfigurationError("temperature must be positive")
+    if not 0 < temperature_k < np.inf:
+        raise ConfigurationError("temperature must be positive and finite")
     return unit_cm / (KB_WAVENUMBER_PER_KELVIN * temperature_k)
 
 

@@ -16,13 +16,13 @@ from .liouville import hermiticity_defect, superop_stack
 
 
 def check_step(dt):
-    """Refuse a grid step that is not positive (``ValueError``).
+    """Refuse a grid step that is not positive and finite (``ValueError``).
 
     The one step rule of :class:`TimeGrid` and the map, tensor and
     kernel sequences.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
 
 
 @dataclass(frozen=True)

@@ -291,9 +291,10 @@ def projected_tensors(plan, n):
     ``plan``, P the projector on the physical block (the first 4 rows)
     and Q = 1 - P, splitting every path at its first return to the
     physical block gives T_k = P U (Q U)^(k-1) P: the Nakajima-Zwanzig
-    form of the tensors, with no subtraction.
+    form of the tensors, with no subtraction. They are in the basis of
+    the plan's generator (|a><b| or Pauli), stepped in its dtype.
     """
-    v = np.zeros((plan.shifted.shape[0], 4), dtype=complex)
+    v = np.zeros((plan.shifted.shape[0], 4), dtype=plan.shifted.dtype)
     v[:4] = np.eye(4)
     tensors = np.empty((n, 4, 4), dtype=complex)
     for k in range(n):
@@ -422,7 +423,7 @@ def reference_gen_heom(params, cfg, grid):
     plan = TaylorPlan.of(gen_dt)
     blk = params.dim ** 2
     n = gen_dt.shape[0]
-    step = _dense_step(plan) if _prefers_dense_step(plan, grid.n_steps, blk) else None
+    step = _dense_step(plan) if _prefers_dense_step(plan, grid.n_steps) else None
 
     state = np.zeros((n, blk), dtype=complex)
     state[:blk, :] = np.eye(blk)

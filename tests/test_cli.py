@@ -494,6 +494,34 @@ def test_generate_near_the_drude_pole_is_exit_2(tmp_path):
     assert not out.exists()
 
 
+# A non-finite model number or step on each model, and the quantity the
+# refusal names.
+NON_FINITE = {
+    "lindblad-dt": (["--model", "lindblad", "--dt", "inf"], "dt"),
+    "lindblad-lambda": (["--model", "lindblad", "--lambda", "nan"], "lam"),
+    "unitary-dt": (["--model", "unitary", "--dt", "inf"], "dt"),
+    "unitary-omega0": (["--model", "unitary", "--omega0", "nan"], "omega0"),
+    "heom-lambda": (["--model", "heom", "--lambda", "inf"], "lam"),
+    "heom-gamma": (["--model", "heom", "--gamma", "inf"], "gamma"),
+    "heom-beta": (["--model", "heom", "--beta", "inf"], "beta"),
+    "dephasing-beta": (["--model", "dephasing", "--beta", "inf"], "beta"),
+    "wavenumber-temperature": (["--model", "unitary", "--units", "wavenumber",
+                                "--omega0", "100", "--temperature", "nan"],
+                               "temperature"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_non_finite_model_number_is_exit_2_naming_it(tmp_path, caplog, case):
+    flags, name = NON_FINITE[case]
+    out = tmp_path / "g.json"
+    # the case's flags come last, so its --dt overrides this one
+    assert run(["generate", "--dt", "0.05", "--steps", "10", "--heom-depth",
+                "2", *flags, "--out", out]) == 2
+    assert f"invalid input: {name} must be" in caplog.text
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generate_at_a_slow_bath_is_exit_0(tmp_path):
     # the terminator of this bath rounds to a complex number with an
     # imaginary part of 2.8e-17; it is real, and the hierarchy is stepped

@@ -17,15 +17,17 @@ from ttmkit import (
     HeomConfig,
     SpinBosonParams,
     TimeGrid,
+    TransferTensorSequence,
     extract_maps,
     gen_dephasing_analytic,
     gen_heom,
     gen_unitary,
     maps_to_tensors,
+    truncation_error,
 )
 from ttmkit.errors import ConfigurationError, DivergenceError
 from ttmkit import heom as heom_module
-from ttmkit.liouville import SIGMA_X
+from ttmkit.liouville import SIGMA_X, superop_norm
 from ttmkit.models import bath_correlation_modes, matsubara_tail
 
 from oracles import (
@@ -57,6 +59,8 @@ SWEEP = (
        for beta, n in [(1.0, 3), (0.5, 2), (0.25, 1), (0.125, 1)]]
 )
 CLI_PIPELINE = (spin_boson(0.2, 1.0, 1.0), 5, 2)
+# C4's couplings and depths (gamma = 1, beta = 0.5, 2 Matsubara modes)
+C4_POINTS = [(0.01, 4), (0.1, 6), (0.5, 8), (2.0, 12)]
 # C4's strong-coupling point, the benchmark's extrapolate hierarchy
 C4 = (spin_boson(2.0, 1.0, 0.5), 12, 2)
 # The eleven hierarchies the benchmark runs, with their grid steps.
@@ -136,7 +140,7 @@ def test_stepping_matches_exact_exponential(lam, gamma, dt, n_steps, depth,
     grid = TimeGrid(dt=dt, n_steps=n_steps)
     plan = heom_module.TaylorPlan.of(
         pauli_step_generator(params, depth, n_matsubara, dt))
-    assert heom_module._prefers_dense_step(plan, n_steps, 4) == dense
+    assert heom_module._prefers_dense_step(plan, n_steps) == dense
     gen_dt = sparse_step_generator(params, depth, n_matsubara, dt)
     trajs = gen_heom(params, HeomConfig(depth=depth, n_matsubara=n_matsubara),
                      grid)
@@ -159,7 +163,7 @@ def test_real_form_matches_the_complex_oracle(monkeypatch, params, depth,
     # both ways of stepping the real Pauli form against the complex
     # stepping of the |a><b| basis, which keeps its own cost rule
     monkeypatch.setattr(heom_module, "_prefers_dense_step",
-                        lambda plan, n_steps, width: dense)
+                        lambda plan, n_steps: dense)
     cfg = HeomConfig(depth=depth, n_matsubara=n_matsubara)
     grid = TimeGrid(dt=dt, n_steps=4)
     trajs = gen_heom(params, cfg, grid)
@@ -245,6 +249,21 @@ def test_peeled_tensors_match_the_projected_hierarchy(params, depth, dt, n):
     assert np.abs(peeled - projected_tensors(plan, n)).max() <= 1e-13
 
 
+def test_exact_tail_beyond_the_learned_window_peaks_at_its_first_tensor():
+    # the premise of C4 and C8: the memory cut at K = 100 frames discards
+    # no exact tensor larger than truncation_error's ||T_101|| (measured
+    # 1.51e-6, 1.67e-6, 6.23e-6 and 1.24e-5 at T_101), which is itself
+    # below the last learned ||T_100||
+    for lam, depth in C4_POINTS:
+        plan = heom_module.TaylorPlan.of(
+            pauli_step_generator(spin_boson(lam, 1.0, 0.5), depth, 2, 0.05))
+        pauli = projected_tensors(plan, 400)
+        exact = TransferTensorSequence(dim=2, dt=0.05, tensors=(
+            heom_module.PAULI_BASIS @ pauli @ (0.5 * heom_module.PAULI_BASIS.conj().T)))
+        norms = [superop_norm(t) for t in exact.tensors]
+        assert truncation_error(exact, 100) == max(norms[100:]) < norms[99], lam
+
+
 @pytest.mark.parametrize("x,degree,substeps", [
     (0.0, 1, 1),    # a multiple of the identity: the shift is exact
     (1.0, 18, 1),   # theta_17 < 1 <= theta_18
@@ -264,20 +283,25 @@ def test_taylor_plan_minimises_products(x, degree, substeps):
         assert np.abs(out - exact).max() <= 1e-14 * exact.max()
 
 
-@pytest.mark.parametrize("params,depth,dt,n_steps,dense", [
-    # cli_pipeline's hierarchy (N = 224) over its 800-frame window
-    (SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=0.2, gamma=1.0,
-                     beta=1.0), 5, 0.05, 800, True),
-    # C4's strong-coupling hierarchy (N = 1820) over 1000 frames
-    (SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=2.0, gamma=1.0,
-                     beta=0.5), 12, 0.05, 1000, False),
-    # heom_sweep's N = 480 point over 200 frames: the dense step took
-    # half the time of Taylor frames
-    (SWEEP[2][0], SWEEP[2][1], 0.01, 200, True),
-], ids=["cli-pipeline", "c4", "sweep-2"])
-def test_cost_rule_picks_the_way(params, depth, dt, n_steps, dense):
-    plan = heom_module.TaylorPlan.of(pauli_step_generator(params, depth, 2, dt))
-    assert heom_module._prefers_dense_step(plan, n_steps, 4) == dense
+# The frames each benchmark hierarchy is stepped over (C4 1000, the sweep
+# 200, cli_pipeline 800) and the way the cost rule takes. Whole gen_heom
+# runs, dense against Taylor frames (ms, minimum of 3, one Xeon vCPU, one
+# BLAS thread): sweep-0 9.6/53.3, sweep-1 13.5/65.6, sweep-2 49.8/113,
+# sweep-3 283/143, sweep-4 1658/334, sweep-5 1760/184, sweep-6 131/116,
+# sweep-7 9.0/66.8, sweep-8 11.6/89.1, cli_pipeline 19.6/322; the rule
+# takes the faster way at each.
+BENCHMARK_WAYS = [(1000, False)] + [(200, i in (0, 1, 2, 7, 8))
+                                    for i in range(len(SWEEP))] + [(800, True)]
+
+
+@pytest.mark.parametrize("params,depth,n_matsubara,dt,n_steps,dense", [
+    (*point, *way) for point, way in zip(BENCHMARK_HIERARCHIES, BENCHMARK_WAYS)
+], ids=BENCHMARK_IDS)
+def test_cost_rule_picks_the_way(params, depth, n_matsubara, dt, n_steps,
+                                 dense):
+    plan = heom_module.TaylorPlan.of(
+        pauli_step_generator(params, depth, n_matsubara, dt))
+    assert heom_module._prefers_dense_step(plan, n_steps) == dense
 
 
 def test_generation_ignores_the_global_random_state():
@@ -320,14 +344,13 @@ def test_generation_logs_size_cost_and_peak(caplog):
 
 
 @pytest.mark.parametrize("params,depth,n_matsubara", [
-    *[(spin_boson(lam, 1.0, 0.5), depth, 2)
-      for lam, depth in [(0.01, 4), (0.1, 6), (0.5, 8), (2.0, 12)]],
+    *[(spin_boson(lam, 1.0, 0.5), depth, 2) for lam, depth in C4_POINTS],
     *SWEEP,
     CLI_PIPELINE,
     (C7A, 8, 2),
     # no coupling: every ladder block is an exact zero and is dropped
     (spin_boson(0.0, 1.0, 0.5), 4, 2),
-], ids=[*(f"c4-lam{lam}" for lam in (0.01, 0.1, 0.5, 2.0)),
+], ids=[*(f"c4-lam{lam}" for lam, _ in C4_POINTS),
         *(f"sweep-{i}" for i in range(len(SWEEP))),
         "cli-pipeline", "c7a", "lam0"])
 def test_generator_is_the_dense_reference_bit_for_bit(params, depth,
@@ -422,7 +445,7 @@ def test_divergence_guard_reports_step(monkeypatch, dense):
     # physical entry scale, which every healthy run exceeds immediately
     monkeypatch.setattr(heom_module, "DIVERGENCE_GUARD", 1e-3)
     monkeypatch.setattr(heom_module, "_prefers_dense_step",
-                        lambda plan, n_steps, width: dense)
+                        lambda plan, n_steps: dense)
     params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=0.1, gamma=1.0,
                              beta=0.5)
     with pytest.raises(DivergenceError) as info:

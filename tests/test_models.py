@@ -1,5 +1,7 @@
 """Spin-boson parameters, bath correlation modes and the lineshape."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -30,6 +32,11 @@ def test_params_validation():
     with pytest.raises(ConfigurationError):
         SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=0.1, gamma=1.0,
                         beta=0.0)
+    # every model number must be finite, and the message names it
+    valid = dict(omega0=1.0, j_coupling=1.0, lam=0.1, gamma=1.0, beta=1.0)
+    for name, bad in product(valid, (np.nan, np.inf, -np.inf)):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be"):
+            SpinBosonParams(**{**valid, name: bad})
 
 
 def test_params_refuse_a_coupling_operator_that_is_not_two_level():

@@ -14,7 +14,8 @@ def test_time_grid_times():
     np.testing.assert_allclose(grid.times, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
-@pytest.mark.parametrize("dt,n", [(0.0, 5), (-0.1, 5), (0.1, 0)])
+@pytest.mark.parametrize("dt,n", [(0.0, 5), (-0.1, 5), (0.1, 0), (np.inf, 5),
+                                  (np.nan, 5)])
 def test_time_grid_validation(dt, n):
     with pytest.raises(ValueError):
         TimeGrid(dt=dt, n_steps=n)
