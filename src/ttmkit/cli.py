@@ -213,6 +213,12 @@ def _parse_elements(spec, dim):
 
 def cmd_kernel(args):
     tensors, doc = fileio.load_tensors(args.tensors)
+    # parsed before anything is written, so a bad spec leaves no product
+    d = tensors.dim
+    if args.elements:
+        pairs = _parse_elements(args.elements, d)
+    else:
+        pairs = [((a, b), (c, e)) for a, b, c, e in np.ndindex((d,) * 4)]
     meta = dict(doc.get("meta", {}))
     if args.fit_liouvillian or not {"omega0", "j"} <= meta.keys():
         fit = extract_liouvillian(tensors.tensors[0], tensors.dt)
@@ -231,11 +237,6 @@ def cmd_kernel(args):
     fileio.save_kernel(args.out, kernel, meta=meta)
     log.info("wrote %s (%d kernel samples)", args.out, len(kernel))
     if args.table:
-        if args.elements:
-            pairs = _parse_elements(args.elements, tensors.dim)
-        else:
-            d = tensors.dim
-            pairs = [((a, b), (c, e)) for a, b, c, e in np.ndindex((d,) * 4)]
         columns = ["s", "time"]
         for src, dst in pairs:
             label = f"{src[0]}{src[1]}to{dst[0]}{dst[1]}"

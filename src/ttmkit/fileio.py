@@ -12,15 +12,11 @@ shortest-roundtrip repr in compact JSON, so files parse back bit-exact
 and reruns are byte-identical. All writes go through a temp file in the
 target directory followed by an atomic rename.
 
-Each kind carries its payload as whole arrays (D the dimension, n the
-header's ``n_steps``):
-
-- ``maps`` (``ttm generate``): ``maps``, the dynamical maps E_0..E_n,
-  shape (n + 1, D², D²);
-- ``state`` (``ttm propagate``): ``frames``, shape (n + 1, D, D);
-- ``tensors`` (``ttm learn``): ``tensors``, T_1..T_n, shape (n, D², D²);
-- ``kernel`` (``ttm kernel``): ``liouvillian``, shape (D², D²), and
-  ``kernels``, shape (n, D², D²).
+Each kind carries its payload as whole arrays. :data:`PAYLOADS` names
+them for every kind, in file order, with each one's shape in terms of
+the header's dimension D and step count n. One writer and one reader
+work from that table, so the writer refuses any payload whose file the
+reader would refuse.
 
 A file of kind ``trajectory``, the earlier layout of basis runs and
 states, is refused by its kind; tensors and kernel documents keep their
@@ -34,14 +30,28 @@ import tempfile
 
 import numpy as np
 
-from .errors import NumericalError, SchemaError
+from .errors import DimensionError, NumericalError, SchemaError
 from .tensors import TransferTensorSequence
-from .trajectories import BasisTrajectorySet, TimeGrid
+from .trajectories import BasisTrajectorySet, TimeGrid, check_step
 from .kernels import KernelSequence
 
 FORMAT_VERSION = 1
 VECTORIZATION = "row-major"
 UNITS_NOTE = "dimensionless, hbar=1, energy in J"
+
+# The payload arrays of every kind, in file order: field -> shape as a
+# function of the header's dimension D and step count n.
+PAYLOADS = {
+    # ``ttm generate``: the dynamical maps E_0..E_n
+    "maps": {"maps": lambda d, n: (n + 1, d * d, d * d)},
+    # ``ttm propagate``: the state at t_0..t_n
+    "state": {"frames": lambda d, n: (n + 1, d, d)},
+    # ``ttm learn``: the transfer tensors T_1..T_n
+    "tensors": {"tensors": lambda d, n: (n, d * d, d * d)},
+    # ``ttm kernel``: the generator and the kernel samples K_1..K_n
+    "kernel": {"liouvillian": lambda d, n: (d * d, d * d),
+               "kernels": lambda d, n: (n, d * d, d * d)},
+}
 
 
 def encode_array(a):
@@ -58,7 +68,7 @@ def decode_array(obj, shape, path, field):
     """
     expected = tuple(shape) + (2,)
     try:
-        arr = np.asarray(obj, dtype=float)
+        arr = np.asarray(obj, dtype=float, order="C")
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: {field} is not a numeric array") from exc
     if arr.shape != expected:
@@ -68,7 +78,9 @@ def decode_array(obj, shape, path, field):
         )
     if not np.isfinite(arr).all():
         raise SchemaError(f"{path}: {field} holds a non-finite value")
-    return arr[..., 0] + 1j * arr[..., 1]
+    # a view of the pairs as complex numbers keeps the sign of a zero;
+    # re + 1j * im would turn -0.0 into 0.0
+    return arr.view(complex)[..., 0]
 
 
 def _atomic_write_text(path, text):
@@ -92,16 +104,31 @@ def _dump_json(path, doc):
     _atomic_write_text(path, text + "\n")
 
 
-def _header(kind, dim, dt, n_steps):
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": kind,
-        "dim": int(dim),
-        "dt": float(dt),
-        "n_steps": int(n_steps),
-        "vectorization": VECTORIZATION,
-        "units": UNITS_NOTE,
-    }
+def _save(path, kind, dim, dt, n_steps, arrays, meta=None, **fields):
+    """Write a ``kind`` document: header, ``meta`` if given, the payload
+    ``arrays`` in :data:`PAYLOADS` order, other ``fields`` as they are.
+
+    Raises :class:`DimensionError` for an array not of the kind's shape
+    and ``ValueError`` for a step not positive and finite, writing nothing.
+    """
+    check_step(dt)
+    if dim < 1 or n_steps < 0:
+        raise DimensionError(f"{path}: dim {dim} and n_steps {n_steps} "
+                             "describe no document, not written")
+    doc = dict(fields, format_version=FORMAT_VERSION, kind=kind, dim=int(dim),
+               dt=float(dt), n_steps=int(n_steps), vectorization=VECTORIZATION,
+               units=UNITS_NOTE)
+    if meta:
+        doc["meta"] = meta
+    for (field, shape), array in zip(PAYLOADS[kind].items(), arrays,
+                                     strict=True):
+        expected = shape(dim, n_steps)
+        if np.shape(array) != expected:
+            raise DimensionError(f"{path}: {field} has shape "
+                                 f"{np.shape(array)}, expected {expected}, "
+                                 "not written")
+        doc[field] = encode_array(array)
+    _dump_json(path, doc)
 
 
 # JSON yields exact Python types, so ``type(v) is int`` also refuses bools.
@@ -128,7 +155,9 @@ def _read_json(path):
     return doc
 
 
-def _load_checked(path, *kinds):
+def _load(path, *kinds):
+    """Checked document of one of ``kinds``: (doc, arrays, meta), with the
+    kind's payload arrays in :data:`PAYLOADS` order."""
     doc = _read_json(path)
     if doc.get("format_version") != FORMAT_VERSION:
         raise SchemaError(
@@ -155,16 +184,16 @@ def _load_checked(path, *kinds):
         if type(value) not in (int, float) or not math.isfinite(value):
             raise SchemaError(f"{path}: meta {key} {value!r} is not a "
                               "finite number")
-    return doc
+    arrays = [decode_array(doc.get(field), shape(doc["dim"], doc["n_steps"]),
+                           path, field)
+              for field, shape in PAYLOADS[doc["kind"]].items()]
+    return doc, arrays, meta
 
 
 def save_basis_trajectories(path, trajs, meta=None):
     """Write a BasisTrajectorySet as a kind='maps' document of its E_k."""
-    doc = _header("maps", trajs.dim, trajs.grid.dt, trajs.grid.n_steps)
-    if meta:
-        doc["meta"] = meta
-    doc["maps"] = encode_array(trajs.maps)
-    _dump_json(path, doc)
+    _save(path, "maps", trajs.dim, trajs.grid.dt, trajs.grid.n_steps,
+          [trajs.maps], meta)
 
 
 def load_basis_trajectories(path):
@@ -175,27 +204,25 @@ def load_basis_trajectories(path):
     trajs : BasisTrajectorySet
     meta : dict
     """
-    doc = _load_checked(path, "maps")
-    n_steps = doc["n_steps"]
+    doc, (maps,), meta = _load(path, "maps")
     try:
-        grid = TimeGrid(dt=float(doc["dt"]), n_steps=n_steps)
+        grid = TimeGrid(dt=float(doc["dt"]), n_steps=doc["n_steps"])
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
-    d2 = doc["dim"] ** 2
-    maps = decode_array(doc.get("maps"), (n_steps + 1, d2, d2), path, "maps")
-    return BasisTrajectorySet.from_maps(grid, maps), doc.get("meta", {})
+    return BasisTrajectorySet.from_maps(grid, maps), meta
 
 
 def save_state_trajectory(path, frames, dt, meta=None, summary=None):
-    """Write a single propagated state as a kind='state' document."""
+    """Write a single propagated state as a kind='state' document.
+
+    Raises :class:`DimensionError` unless ``frames`` has shape
+    (n_steps + 1, D, D) and ``ValueError`` unless ``dt`` is positive
+    and finite; nothing is written then.
+    """
     frames = np.asarray(frames, dtype=complex)
-    doc = _header("state", frames.shape[1], dt, frames.shape[0] - 1)
-    if meta:
-        doc["meta"] = meta
-    if summary:
-        doc["summary"] = summary
-    doc["frames"] = encode_array(frames)
-    _dump_json(path, doc)
+    fields = {"summary": summary} if summary else {}
+    _save(path, "state", frames.shape[-1], dt, len(frames) - 1, [frames],
+          meta, **fields)
 
 
 def load_state_trajectory(path):
@@ -207,15 +234,8 @@ def load_state_trajectory(path):
     dt : float
     meta : dict
     """
-    doc = _load_checked(path, "state")
-    return _state_frames(path, doc), float(doc["dt"]), doc.get("meta", {})
-
-
-def _state_frames(path, doc):
-    dim = doc["dim"]
-    n_steps = doc["n_steps"]
-    return decode_array(doc.get("frames"), (n_steps + 1, dim, dim), path,
-                        "frames")
+    doc, (frames,), meta = _load(path, "state")
+    return frames, float(doc["dt"]), meta
 
 
 def save_tensors(path, tensors, profile=None, truncation=None, meta=None):
@@ -225,15 +245,12 @@ def save_tensors(path, tensors, profile=None, truncation=None, meta=None):
     truncation) and ``truncation`` the norm of the first discarded
     tensor; both are diagnostics, not needed to reload.
     """
-    doc = _header("tensors", tensors.dim, tensors.dt, len(tensors))
-    doc["cutoff"] = len(tensors)
-    if profile is not None:
-        doc["markovianity_profile"] = [float(x) for x in profile]
-    doc["truncation_error"] = None if truncation is None else float(truncation)
-    if meta:
-        doc["meta"] = meta
-    doc["tensors"] = encode_array(tensors.tensors)
-    _dump_json(path, doc)
+    fields = {} if profile is None else {
+        "markovianity_profile": [float(x) for x in profile]}
+    _save(path, "tensors", tensors.dim, tensors.dt, len(tensors),
+          [tensors.tensors], meta, cutoff=len(tensors),
+          truncation_error=None if truncation is None else float(truncation),
+          **fields)
 
 
 def load_tensors(path):
@@ -245,16 +262,9 @@ def load_tensors(path):
     doc : dict
         The full document, for access to diagnostics and meta.
     """
-    doc = _load_checked(path, "tensors")
-    return _tensor_sequence(path, doc), doc
-
-
-def _tensor_sequence(path, doc):
-    dim = doc["dim"]
-    count = doc["n_steps"]
-    d2 = dim * dim
-    tensors = decode_array(doc.get("tensors"), (count, d2, d2), path, "tensors")
-    return TransferTensorSequence(dim=dim, dt=float(doc["dt"]), tensors=tensors)
+    doc, (tensors,), _ = _load(path, "tensors")
+    return TransferTensorSequence(dim=doc["dim"], dt=float(doc["dt"]),
+                                  tensors=tensors), doc
 
 
 def load_state_or_tensors(path):
@@ -266,10 +276,11 @@ def load_state_or_tensors(path):
         The state frames or the tensor sequence, by the document's kind.
     meta : dict
     """
-    doc = _load_checked(path, "state", "tensors")
+    doc, (array,), meta = _load(path, "state", "tensors")
     if doc["kind"] == "tensors":
-        return _tensor_sequence(path, doc), doc.get("meta", {})
-    return _state_frames(path, doc), doc.get("meta", {})
+        return TransferTensorSequence(dim=doc["dim"], dt=float(doc["dt"]),
+                                      tensors=array), meta
+    return array, meta
 
 
 def load_initial_state(path, dim):
@@ -286,12 +297,8 @@ def load_initial_state(path, dim):
 
 def save_kernel(path, kernel, meta=None):
     """Write a KernelSequence as a kind='kernel' document."""
-    doc = _header("kernel", kernel.dim, kernel.dt, len(kernel))
-    if meta:
-        doc["meta"] = meta
-    doc["liouvillian"] = encode_array(kernel.liouvillian)
-    doc["kernels"] = encode_array(kernel.kernels)
-    _dump_json(path, doc)
+    _save(path, "kernel", kernel.dim, kernel.dt, len(kernel),
+          [kernel.liouvillian, kernel.kernels], meta)
 
 
 def load_kernel(path):
@@ -302,16 +309,9 @@ def load_kernel(path):
     kernel : KernelSequence
     meta : dict
     """
-    doc = _load_checked(path, "kernel")
-    dim = doc["dim"]
-    count = doc["n_steps"]
-    d2 = dim * dim
-    liou = decode_array(doc.get("liouvillian"), (d2, d2), path, "liouvillian")
-    kernels = decode_array(doc.get("kernels"), (count, d2, d2), path, "kernels")
-    kernel = KernelSequence(
-        dim=dim, dt=float(doc["dt"]), liouvillian=liou, kernels=kernels
-    )
-    return kernel, doc.get("meta", {})
+    doc, (liou, kernels), meta = _load(path, "kernel")
+    return KernelSequence(dim=doc["dim"], dt=float(doc["dt"]),
+                          liouvillian=liou, kernels=kernels), meta
 
 
 def write_table(path, columns, rows):

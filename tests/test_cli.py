@@ -378,6 +378,18 @@ def test_wrong_kind_is_exit_2(lindblad_run, tmp_path):
                 "--out", tmp_path / "a.tsv"]) == 2
 
 
+@pytest.mark.parametrize("elements", ["00->22", "00->00,"])
+def test_bad_elements_is_exit_2_without_products(lindblad_run, tmp_path,
+                                                 elements):
+    # an index past D = 2, and an empty element after the comma
+    out = tmp_path / "kernel.json"
+    table = tmp_path / "kernel.tsv"
+    assert run(["kernel", lindblad_run / "tensors.json", "--out", out,
+                "--table", table, "--elements", elements]) == 2
+    assert not out.exists()
+    assert not table.exists()
+
+
 @pytest.mark.parametrize("cutoff", ["0", "61"])
 def test_cutoff_k_out_of_range_is_exit_2(lindblad_run, tmp_path, cutoff):
     # the reference run has 60 steps, so K lies in 1..60

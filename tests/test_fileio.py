@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +29,8 @@ from ttmkit import (
     write_table,
 )
 from ttmkit.cli import main
-from ttmkit.errors import NumericalError, SchemaError
+from ttmkit.errors import DimensionError, NumericalError, SchemaError
+from ttmkit.fileio import PAYLOADS
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -102,9 +105,29 @@ def test_rewrite_is_byte_identical(trajs, tmp_path):
     save_basis_trajectories(a, trajs)
     save_basis_trajectories(b, trajs)
     assert a.read_bytes() == b.read_bytes()
-    # and so is writing back what was read
-    save_basis_trajectories(b, load_basis_trajectories(a)[0])
-    assert a.read_bytes() == b.read_bytes()
+    # and so is writing back what was read, for every kind
+    meta = {"model": "test", "omega0": 1.0}
+    tensors = maps_to_tensors(extract_maps(trajs))
+    profile = markovianity_profile(tensors)
+    kernel = extract_kernel(tensors,
+                            liouvillian_superop(tls_hamiltonian(1.0, 0.4)))
+
+    def load_tensors_and_diagnostics(path):
+        back, doc = load_tensors(path)
+        return (back, doc["markovianity_profile"], doc["truncation_error"],
+                doc["meta"])
+
+    for save, args, load in [
+        (save_basis_trajectories, (trajs, meta), load_basis_trajectories),
+        (save_state_trajectory, (trajs.data[1], 0.1, meta),
+         load_state_trajectory),
+        (save_tensors, (tensors.truncated(5), profile, float(profile[5]), meta),
+         load_tensors_and_diagnostics),
+        (save_kernel, (kernel, meta), load_kernel),
+    ]:
+        save(a, *args)
+        save(b, *load(a))
+        assert a.read_bytes() == b.read_bytes(), save.__name__
 
 
 def test_header_fields_present(trajs, tmp_path):
@@ -152,37 +175,55 @@ def test_corrupted_documents_are_rejected(trajs, tmp_path, mutate):
     assert main(["learn", str(path), "--out", str(tmp_path / "t.json")]) == 2
 
 
+def _maps_doc(trajs, path):
+    save_basis_trajectories(path, trajs)
+    return load_basis_trajectories
+
+
 def _state_doc(trajs, path):
     save_state_trajectory(path, trajs.data[0], dt=0.1)
-    return load_state_trajectory, "frames"
+    return load_state_trajectory
 
 
 def _tensors_doc(trajs, path):
     save_tensors(path, maps_to_tensors(extract_maps(trajs)))
-    return load_tensors, "tensors"
+    return load_tensors
 
 
 def _kernel_doc(trajs, path):
     tensors = maps_to_tensors(extract_maps(trajs))
     liou = liouvillian_superop(tls_hamiltonian(1.0, 0.4))
     save_kernel(path, extract_kernel(tensors, liou))
-    return load_kernel, "kernels"
+    return load_kernel
 
 
-@pytest.mark.parametrize("write", [_state_doc, _tensors_doc, _kernel_doc])
+_WRITERS = {"maps": _maps_doc, "state": _state_doc, "tensors": _tensors_doc,
+            "kernel": _kernel_doc}
+
+
+def _last_leaf(payload):
+    while isinstance(payload[-1], list):
+        payload = payload[-1]
+    return payload
+
+
+@pytest.mark.parametrize("write", [_WRITERS[kind] for kind in PAYLOADS])
 @pytest.mark.parametrize("mutate", [
     lambda payload: payload.pop(),
-    lambda payload: payload[-1][0][0].__setitem__(0, None),
+    lambda payload: _last_leaf(payload).__setitem__(0, None),
 ], ids=["one-sample-short", "null-entry"])
 def test_payload_shape_and_finiteness_are_checked(trajs, tmp_path, write,
                                                   mutate):
+    # every payload field of the kind, one at a time
     path = tmp_path / "doc.json"
-    load, field = write(trajs, path)
-    doc = json.loads(path.read_text())
-    mutate(doc[field])
-    path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError, match=field):
-        load(path)
+    load = write(trajs, path)
+    text = path.read_text()
+    for field in PAYLOADS[json.loads(text)["kind"]]:
+        doc = json.loads(text)
+        mutate(doc[field])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"doc.json: {field} "):
+            load(path)
 
 
 @pytest.mark.parametrize("key,value", [
@@ -243,6 +284,23 @@ def test_non_finite_frame_is_refused_without_a_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("shape, dt, error", [
+    ((3, 2, 2), 0.0, ValueError),
+    ((3, 2, 2), -0.1, ValueError),
+    ((3, 2, 2), np.inf, ValueError),
+    ((3, 2, 3), 0.1, DimensionError),
+    ((3, 2), 0.1, DimensionError),
+    ((0, 2, 2), 0.1, DimensionError),
+], ids=["dt-0", "dt-negative", "dt-inf", "frames-3x2x3", "frames-3x2",
+        "no-frames"])
+def test_state_writer_refuses_what_the_reader_refuses(tmp_path, shape, dt,
+                                                      error):
+    target = tmp_path / "run.json"
+    with pytest.raises(error):
+        save_state_trajectory(target, np.zeros(shape), dt=dt)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_overwrite_keeps_previous_content_on_failure(tmp_path, monkeypatch):
     target = tmp_path / "out.json"
     save_state_trajectory(target, np.zeros((2, 2, 2)), dt=0.1)
@@ -265,3 +323,16 @@ def test_write_table_format(tmp_path):
                                     "0.33333333333333331"]
     with pytest.raises(ValueError):
         write_table(path, ["a", "b"], [[1]])
+
+
+def test_readme_lists_every_payload_field():
+    # the "Files." list of the README: one bullet per kind, its payload
+    # fields in backticks after the colon
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("There are four kinds:\n\n", 1)[1].split("\n\n")[0]
+    listed = {}
+    for bullet in ("\n" + block).split("\n- ")[1:]:
+        kind, fields = re.fullmatch(r"`(\w+)` \(`\w+`\): (.*)", bullet,
+                                    re.S).groups()
+        listed[kind] = re.findall(r"`(\w+)`", fields)
+    assert listed == {kind: list(fields) for kind, fields in PAYLOADS.items()}
