@@ -212,6 +212,9 @@ def _parse_elements(spec, dim):
 
 
 def cmd_kernel(args):
+    if args.elements and not args.table:
+        raise ConfigurationError("--elements selects the columns of "
+                                 "--table; give --table too")
     tensors, doc = fileio.load_tensors(args.tensors)
     # parsed before anything is written, so a bad spec leaves no product
     d = tensors.dim

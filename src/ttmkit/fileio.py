@@ -3,26 +3,34 @@
 Every document carries the same header block (format version, kind,
 dimension, grid step, vectorization convention, unit note), checked in
 one place on load together with the optional ``meta`` object, whose
-model numbers (omega0, j, lambda, gamma, beta) must be finite. Every
-complex payload goes through one codec, :func:`encode_array` and
-:func:`decode_array`: the array's own nesting with [re, im] pairs as
-the leaves, decoded in a single call that checks the exact shape and
-refuses non-finite entries. Floats are emitted with Python's
-shortest-roundtrip repr in compact JSON, so files parse back bit-exact
-and reruns are byte-identical. All writes go through a temp file in the
-target directory followed by an atomic rename.
+model numbers (omega0, j, lambda, gamma, beta) must be finite. The
+header, ``meta`` and every diagnostic stay plain JSON. All writes go
+through a temp file in the target directory followed by an atomic
+rename.
 
 Each kind carries its payload as whole arrays. :data:`PAYLOADS` names
 them for every kind, in file order, with each one's shape in terms of
 the header's dimension D and step count n. One writer and one reader
 work from that table, so the writer refuses any payload whose file the
-reader would refuse.
+reader would refuse. Each payload is one base64 string of the array's
+C-order bytes as little-endian complex128 (``"<c16"``); its shape is
+not stored but follows from the table and the header. The reader
+checks the byte length against that shape and refuses non-finite
+entries, and the writer refuses them before anything is written.
+Bytes parse back bit-exact, the sign of a zero included, so reruns
+and rewrites are byte-identical.
+
+The nested codec, :func:`encode_array` and :func:`decode_array`, with
+[re, im] pairs as the leaves, serves the JSON that is not a payload: a
+state file's ``summary.final_state`` and the hand-written initial
+state that :func:`load_initial_state` reads.
 
 A file of kind ``trajectory``, the earlier layout of basis runs and
-states, is refused by its kind; tensors and kernel documents keep their
-layout.
+states, is refused by its kind, and a file of format version 1, whose
+payloads were nested lists, by its version.
 """
 
+import base64
 import json
 import math
 import os
@@ -35,9 +43,13 @@ from .tensors import TransferTensorSequence
 from .trajectories import BasisTrajectorySet, TimeGrid, check_step
 from .kernels import KernelSequence
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 VECTORIZATION = "row-major"
 UNITS_NOTE = "dimensionless, hbar=1, energy in J"
+
+# Every payload array is one base64 string of its C-order bytes in this
+# dtype, little-endian complex128 whatever the host's byte order.
+PAYLOAD_DTYPE = np.dtype("<c16")
 
 # The payload arrays of every kind, in file order: field -> shape as a
 # function of the header's dimension D and step count n.
@@ -83,6 +95,43 @@ def decode_array(obj, shape, path, field):
     return arr.view(complex)[..., 0]
 
 
+def _encode_payload(array, path, field):
+    """Base64 of ``array``'s C-order :data:`PAYLOAD_DTYPE` bytes.
+
+    Raises :class:`NumericalError` naming ``path`` and ``field`` for a
+    non-finite entry.
+    """
+    array = np.ascontiguousarray(array, dtype=PAYLOAD_DTYPE)
+    if not np.isfinite(array).all():
+        raise NumericalError(f"{path}: {field} holds a non-finite value, "
+                             "not written")
+    return base64.b64encode(array.data).decode("ascii")
+
+
+def _decode_payload(obj, shape, path, field):
+    """Writable complex array of ``shape`` from :func:`_encode_payload`'s
+    string.
+
+    Raises :class:`SchemaError` naming ``path`` and ``field`` unless
+    ``obj`` is valid base64 of exactly that many finite entries.
+    """
+    if not isinstance(obj, str):
+        raise SchemaError(f"{path}: {field} is not a base64 string")
+    try:
+        raw = base64.b64decode(obj, validate=True)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {field} is not valid base64 ({exc})"
+                          ) from exc
+    expected = PAYLOAD_DTYPE.itemsize * math.prod(shape)
+    if len(raw) != expected:
+        raise SchemaError(f"{path}: {field} holds {len(raw)} bytes, expected "
+                          f"{expected} for shape {tuple(shape)}")
+    arr = np.frombuffer(raw, dtype=PAYLOAD_DTYPE).reshape(shape)
+    if not np.isfinite(arr).all():
+        raise SchemaError(f"{path}: {field} holds a non-finite value")
+    return arr.astype(complex)
+
+
 def _atomic_write_text(path, text):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
@@ -108,8 +157,9 @@ def _save(path, kind, dim, dt, n_steps, arrays, meta=None, **fields):
     """Write a ``kind`` document: header, ``meta`` if given, the payload
     ``arrays`` in :data:`PAYLOADS` order, other ``fields`` as they are.
 
-    Raises :class:`DimensionError` for an array not of the kind's shape
-    and ``ValueError`` for a step not positive and finite, writing nothing.
+    Raises :class:`DimensionError` for an array not of the kind's shape,
+    ``ValueError`` for a step not positive and finite and
+    :class:`NumericalError` for a non-finite entry, writing nothing.
     """
     check_step(dt)
     if dim < 1 or n_steps < 0:
@@ -127,7 +177,7 @@ def _save(path, kind, dim, dt, n_steps, arrays, meta=None, **fields):
             raise DimensionError(f"{path}: {field} has shape "
                                  f"{np.shape(array)}, expected {expected}, "
                                  "not written")
-        doc[field] = encode_array(array)
+        doc[field] = _encode_payload(array, path, field)
     _dump_json(path, doc)
 
 
@@ -184,8 +234,8 @@ def _load(path, *kinds):
         if type(value) not in (int, float) or not math.isfinite(value):
             raise SchemaError(f"{path}: meta {key} {value!r} is not a "
                               "finite number")
-    arrays = [decode_array(doc.get(field), shape(doc["dim"], doc["n_steps"]),
-                           path, field)
+    arrays = [_decode_payload(doc.get(field),
+                              shape(doc["dim"], doc["n_steps"]), path, field)
               for field, shape in PAYLOADS[doc["kind"]].items()]
     return doc, arrays, meta
 

@@ -6,6 +6,7 @@ acceptance report. The heavy hierarchy runs share module-scoped
 fixtures; everything is deterministic (fixed seeds, no sampling).
 """
 
+import base64
 import json
 import time
 
@@ -301,10 +302,11 @@ def test_criterion_09_stored_payload_scales_as_k_d4(tmp_path):
         path = tmp_path / f"tensors_{k}_{dim}.json"
         save_tensors(path, seq, profile=markovianity_profile(seq))
         doc = json.loads(path.read_text())
-        payload = np.asarray(doc["tensors"])
-        counts[(k, dim)] = payload.size // 2
-        ok = ok and payload.shape == (k, d2, d2, 2)
-        ok = ok and payload.size // 2 == k * dim ** 4
+        # one base64 string of 16 bytes (little-endian complex128) per entry
+        payload = base64.b64decode(doc["tensors"], validate=True)
+        counts[(k, dim)] = len(payload) // 16
+        ok = ok and len(payload) % 16 == 0
+        ok = ok and len(payload) // 16 == k * dim ** 4
     detail = ", ".join(f"K={k},D={d}: {n} entries (want {k * d ** 4})"
                        for (k, d), n in counts.items())
     _verdict("C9", ok, detail)

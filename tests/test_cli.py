@@ -1,6 +1,7 @@
 """Command-line pipeline: formats, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from payloads import edit_payload, read_payload
 from ttmkit import (
     TransferTensorSequence,
     cli,
@@ -18,6 +20,7 @@ from ttmkit import (
     save_tensors,
 )
 from ttmkit.cli import main
+from ttmkit.fileio import encode_array
 from ttmkit.models import beta_from_kelvin, time_from_fs
 
 
@@ -68,6 +71,33 @@ def test_propagate_summary_block(lindblad_run):
     assert doc["summary"]["max_trace_drift"] < 1e-8
 
 
+def test_final_state_and_cutoff_read_with_json_and_numpy(heom_run):
+    # the benchmark's checks read these two without ttmkit: the cutoff as
+    # a JSON number, the final state as nested [re, im] pairs
+    with open(heom_run / "tensors.json") as handle:
+        cutoff = json.load(handle)["cutoff"]
+    with open(heom_run / "state.json") as handle:
+        pairs = np.asarray(json.load(handle)["summary"]["final_state"],
+                           dtype=float)
+    final = pairs[..., 0] + 1j * pairs[..., 1]
+    assert cutoff == len(load_tensors(heom_run / "tensors.json")[0]) == 100
+    frames, _, _ = load_state_trajectory(heom_run / "state.json")
+    assert final.shape == (2, 2)
+    assert np.array_equal(final, frames[-1])
+
+
+def test_non_finite_propagation_is_exit_3_without_a_file(tmp_path, caplog):
+    # T_1 = 1e200 * identity overflows within two steps
+    tensors = tmp_path / "tensors.json"
+    save_tensors(tensors, TransferTensorSequence(
+        dim=2, dt=0.1, tensors=1e200 * np.eye(4)[None]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(["propagate", tensors, "--steps", "3",
+                    "--out", tmp_path / "run.json"]) == 3
+    assert "frames holds a non-finite value, not written" in caplog.text
+    assert [p.name for p in tmp_path.iterdir()] == ["tensors.json"]
+
+
 def test_heom_generate_and_kernel(tmp_path):
     traj = tmp_path / "traj.json"
     tensors = tmp_path / "tensors.json"
@@ -83,7 +113,7 @@ def test_heom_generate_and_kernel(tmp_path):
                 "--elements", "00->00,01->01"]) == 0
     doc = json.loads(kern.read_text())
     assert doc["kind"] == "kernel"
-    assert len(doc["kernels"]) == 40
+    assert len(read_payload(doc, "kernels")) == 40
     lines = table.read_text().splitlines()
     assert lines[0].startswith("# s\ttime\t")
     assert len(lines) == 41
@@ -256,14 +286,17 @@ def test_kernel_fits_the_generator_of_another_dim(lindblad_run, tmp_path):
     assert run(["kernel", tensors, "--fit-liouvillian", "--out", out]) == 0
 
 
-def _payload(doc):
-    """The one payload array of a maps, state or tensors document."""
-    return next(doc[key] for key in ("maps", "frames", "tensors")
-                if key in doc)
+def _payload_field(doc):
+    """The one payload field of a maps, state or tensors document."""
+    return next(key for key in ("maps", "frames", "tensors") if key in doc)
+
+
+def _edit_payload(doc, edit):
+    edit_payload(doc, _payload_field(doc), edit)
 
 
 def _poison(doc):
-    _payload(doc)[0][0][0][0] = float("nan")
+    _edit_payload(doc, lambda a: np.put(a, 0, np.nan))
 
 
 # Each corruption edits the parsed document in place, or returns the
@@ -274,29 +307,30 @@ CORRUPTIONS = {
     "no-dim": lambda doc: doc.pop("dim"),
     "dt-string": lambda doc: doc.update(dt=str(doc["dt"])),
     "nan-payload": _poison,
-    "short-payload": lambda doc: _payload(doc).pop(),
+    "short-payload": lambda doc: _edit_payload(doc, lambda a: a[:-1]),
     "meta-list": lambda doc: doc.update(meta=[1.0, 1.0]),
 }
 
 
-def _basis_frames(doc, row, col):
-    """Frames of |row><col| in a maps document: column row*D + col of E_k.
-
-    The [re, im] leaves are the document's own, so editing one edits it.
-    """
-    column = row * doc["dim"] + col
-    return [[[e[a * doc["dim"] + b][column] for b in range(doc["dim"])]
-             for a in range(doc["dim"])] for e in doc["maps"]]
+def _basis_frames(maps, row, col):
+    """Frames of |row><col| in a maps payload: column row*D + col of E_k,
+    as a view, so editing it edits the payload."""
+    dim = math.isqrt(maps.shape[-1])
+    return maps[:, :, row * dim + col].reshape(len(maps), dim, dim)
 
 
 def _off_basis(doc):
     # |0><0| no longer starts from itself
-    _basis_frames(doc, 0, 0)[0][0][0][0] = 2.0
+    def move(maps):
+        _basis_frames(maps, 0, 0)[0, 0, 0] = 2.0
+    edit_payload(doc, "maps", move)
 
 
 def _broken_adjoint(doc):
     # frame 5 of |0><1| is no longer the adjoint of that of |1><0|
-    _basis_frames(doc, 0, 1)[5][0][0][0] += 0.5
+    def shift(maps):
+        _basis_frames(maps, 0, 1)[5, 0, 0] += 0.5
+    edit_payload(doc, "maps", shift)
 
 
 def _old_layout(doc):
@@ -305,11 +339,19 @@ def _old_layout(doc):
     if doc["kind"] == "state":
         doc.update(kind="trajectory", content="state")
         return
-    dim = doc["dim"]
-    entries = [{"row": i, "col": j, "frames": _basis_frames(doc, i, j)}
+    dim, maps = doc["dim"], read_payload(doc, "maps")
+    entries = [{"row": i, "col": j,
+                "frames": encode_array(_basis_frames(maps, i, j))}
                for i in range(dim) for j in range(dim)]
     del doc["maps"]
     doc.update(kind="trajectory", content="basis", trajectories=entries)
+
+
+def _version_1(doc):
+    # the layout before base64 payloads: [re, im] pairs nested as the array
+    field = _payload_field(doc)
+    doc.update({"format_version": 1,
+                field: encode_array(read_payload(doc, field))})
 
 
 # Corruptions only a basis trajectory can have: frames that parse but
@@ -328,7 +370,8 @@ CORPUS = [(r, c) for r in READS for c in CORRUPTIONS] + [
     ("learn-basis", c) for c in NOT_MAPS] + [
     ("kernel-tensors", "dim-3"), ("analyze-state", "dim-3"),
     ("analyze-tensors", "dim-3"),
-    ("learn-basis", "old-layout"), ("analyze-state", "old-layout")]
+    ("learn-basis", "old-layout"), ("analyze-state", "old-layout"),
+    ("learn-basis", "version-1"), ("propagate-tensors", "version-1")]
 
 
 @pytest.mark.parametrize("reads, corruption", CORPUS,
@@ -346,8 +389,8 @@ def test_corrupt_input_is_exit_2_naming_the_file(lindblad_run, tmp_path,
             save_state_trajectory(bad, np.broadcast_to(SIGMA3, (101, 3, 3)),
                                   doc["dt"], meta=doc["meta"])
     else:
-        text = {**CORRUPTIONS, **NOT_MAPS, "old-layout": _old_layout}[
-            corruption](doc)
+        text = {**CORRUPTIONS, **NOT_MAPS, "old-layout": _old_layout,
+                "version-1": _version_1}[corruption](doc)
         bad.write_text(text if isinstance(text, str) else json.dumps(doc))
     out = tmp_path / "out"
     options = [tmp_path / o if o.endswith(".tsv") else o for o in options]
@@ -355,6 +398,8 @@ def test_corrupt_input_is_exit_2_naming_the_file(lindblad_run, tmp_path,
     assert str(bad) in caplog.text
     if corruption == "old-layout":
         assert f"{bad}: kind 'trajectory', expected '" in caplog.text
+    if corruption == "version-1":
+        assert f"{bad}: format_version 1, expected 2" in caplog.text
     written = sorted(p.name for p in tmp_path.iterdir() if p != bad)
     # only analyze writes its table first, and only rows it could read
     if command == "analyze" and corruption == "dim-3":
@@ -388,6 +433,16 @@ def test_bad_elements_is_exit_2_without_products(lindblad_run, tmp_path,
                 "--table", table, "--elements", elements]) == 2
     assert not out.exists()
     assert not table.exists()
+
+
+def test_elements_without_table_is_exit_2(lindblad_run, tmp_path, caplog):
+    # the elements select columns of the table, so alone they would be
+    # ignored
+    out = tmp_path / "kernel.json"
+    assert run(["kernel", lindblad_run / "tensors.json", "--out", out,
+                "--elements", "00->00"]) == 2
+    assert "--table" in caplog.text
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("cutoff", ["0", "61"])

@@ -1,5 +1,6 @@
 """On-disk formats: exact roundtrips, schema rejection, atomicity."""
 
+import base64
 import json
 import os
 import re
@@ -8,9 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from payloads import edit_payload, read_payload
 from ttmkit import (
     SIGMA_Z,
+    BasisTrajectorySet,
+    KernelSequence,
     TimeGrid,
+    TransferTensorSequence,
     extract_kernel,
     extract_maps,
     gen_lindblad,
@@ -30,7 +35,7 @@ from ttmkit import (
 )
 from ttmkit.cli import main
 from ttmkit.errors import DimensionError, NumericalError, SchemaError
-from ttmkit.fileio import PAYLOADS
+from ttmkit.fileio import PAYLOADS, encode_array
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -54,11 +59,14 @@ def test_basis_trajectory_roundtrip_is_exact(trajs, tmp_path):
 def test_state_trajectory_roundtrip_is_exact(tmp_path):
     rng = np.random.default_rng(11)
     frames = rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
+    frames[1, 0, 1] = complex(-0.0, -0.0)
     path = tmp_path / "run.json"
     save_state_trajectory(path, frames, dt=0.05, summary={"note": 1})
     back, dt, _ = load_state_trajectory(path)
     assert dt == 0.05
-    assert np.array_equal(back, frames)
+    # every bit, the signs of zeros included
+    assert back.tobytes() == frames.tobytes()
+    back[0, 0, 0] = 0.0     # a writable array
 
 
 def test_tensor_roundtrip_and_diagnostics(trajs, tmp_path):
@@ -83,7 +91,8 @@ def test_tensor_payload_is_cutoff_times_d4(trajs, tmp_path):
     path = tmp_path / "tensors.json"
     save_tensors(path, tensors)
     doc = json.loads(path.read_text())
-    payload = sum(len(t) * len(t[0]) for t in doc["tensors"])
+    # 16 bytes per complex entry
+    payload = len(base64.b64decode(doc["tensors"], validate=True)) / 16
     assert payload == 5 * 2**4
 
 
@@ -134,19 +143,33 @@ def test_header_fields_present(trajs, tmp_path):
     path = tmp_path / "trajs.json"
     save_basis_trajectories(path, trajs)
     doc = json.loads(path.read_text())
-    assert doc["format_version"] == 1
+    assert doc["format_version"] == 2
     assert doc["kind"] == "maps"
     assert doc["vectorization"] == "row-major"
     assert "units" in doc and "dim" in doc and "dt" in doc
-    # one payload array: the maps E_0..E_n as [re, im] pairs
-    assert np.shape(doc["maps"]) == (9, 4, 4, 2)
+    # one payload array: the maps E_0..E_n as the base64 of their
+    # little-endian complex128 bytes
+    raw = base64.b64decode(doc["maps"], validate=True)
+    assert len(raw) == 9 * 4 * 4 * 16
+    assert np.array_equal(np.frombuffer(raw, "<c16").reshape(9, 4, 4),
+                          trajs.maps)
     assert "content" not in doc
 
 
 def _initial_frames_only(doc):
     # consistent, but the frames span no time step
+    edit_payload(doc, "maps", lambda a: a[:1])
     doc["n_steps"] = 0
-    doc["maps"] = doc["maps"][:1]
+
+
+def _drop_bytes(doc, field, count):
+    raw = base64.b64decode(doc[field])
+    doc[field] = base64.b64encode(raw[:-count]).decode("ascii")
+
+
+def _version_1(doc):
+    # the layout before base64 payloads: nested [re, im] pairs
+    doc.update(format_version=1, maps=encode_array(read_payload(doc, "maps")))
 
 
 @pytest.mark.parametrize("mutate", [
@@ -155,14 +178,18 @@ def _initial_frames_only(doc):
     lambda d: d.update(kind="tensors"),
     lambda d: d.update(vectorization="column-major"),
     lambda d: d.pop("dt"),
-    lambda d: d["maps"].pop(),
+    lambda d: edit_payload(d, "maps", lambda a: a[:-1]),
     lambda d: d.pop("maps"),
     lambda d: d.update(maps="x"),
-    lambda d: d["maps"][0].pop(),
-    lambda d: d["maps"][0][0].pop(),
-    lambda d: d["maps"][1][0][1].__setitem__(0, None),
-    lambda d: d["maps"][1][0][1].__setitem__(1, np.inf),
+    lambda d: edit_payload(d, "maps", lambda a: a.reshape(-1)[:-1]),
+    lambda d: _drop_bytes(d, "maps", 8),
+    lambda d: d.update(maps=None),
+    lambda d: edit_payload(d, "maps", lambda a: np.put(a.imag, 17, np.inf)),
     _initial_frames_only,
+    lambda d: d.update(maps=encode_array(read_payload(d, "maps"))),
+    lambda d: d.update(maps="!" + d["maps"][1:]),
+    lambda d: edit_payload(d, "maps", lambda a: np.put(a, 17, np.nan)),
+    _version_1,
 ])
 def test_corrupted_documents_are_rejected(trajs, tmp_path, mutate):
     path = tmp_path / "trajs.json"
@@ -201,17 +228,19 @@ _WRITERS = {"maps": _maps_doc, "state": _state_doc, "tensors": _tensors_doc,
             "kernel": _kernel_doc}
 
 
-def _last_leaf(payload):
-    while isinstance(payload[-1], list):
-        payload = payload[-1]
-    return payload
-
-
 @pytest.mark.parametrize("write", [_WRITERS[kind] for kind in PAYLOADS])
 @pytest.mark.parametrize("mutate", [
-    lambda payload: payload.pop(),
-    lambda payload: _last_leaf(payload).__setitem__(0, None),
-], ids=["one-sample-short", "null-entry"])
+    lambda doc, field: edit_payload(doc, field, lambda a: a[:-1]),
+    lambda doc, field: doc.update({field: None}),
+    lambda doc, field: doc.update({field: encode_array(read_payload(doc,
+                                                                    field))}),
+    lambda doc, field: doc.update({field: doc[field][:-2] + "*="}),
+    lambda doc, field: edit_payload(doc, field,
+                                    lambda a: np.put(a, -1, np.nan)),
+    lambda doc, field: edit_payload(doc, field,
+                                    lambda a: np.put(a.imag, -1, -np.inf)),
+], ids=["one-sample-short", "null-entry", "nested-list", "bad-base64",
+        "nan-bytes", "inf-bytes"])
 def test_payload_shape_and_finiteness_are_checked(trajs, tmp_path, write,
                                                   mutate):
     # every payload field of the kind, one at a time
@@ -220,7 +249,7 @@ def test_payload_shape_and_finiteness_are_checked(trajs, tmp_path, write,
     text = path.read_text()
     for field in PAYLOADS[json.loads(text)["kind"]]:
         doc = json.loads(text)
-        mutate(doc[field])
+        mutate(doc, field)
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=f"doc.json: {field} "):
             load(path)
@@ -282,6 +311,41 @@ def test_non_finite_frame_is_refused_without_a_file(tmp_path):
         save_state_trajectory(target, frames, dt=0.1)
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+# Writers of each kind from its payload arrays, by field.
+_SAVERS = {
+    "maps": lambda path, grid, a: save_basis_trajectories(
+        path, BasisTrajectorySet.from_maps(grid, a["maps"])),
+    "state": lambda path, grid, a: save_state_trajectory(path, a["frames"],
+                                                         grid.dt),
+    "tensors": lambda path, grid, a: save_tensors(
+        path, TransferTensorSequence(dim=2, dt=grid.dt, tensors=a["tensors"])),
+    "kernel": lambda path, grid, a: save_kernel(
+        path, KernelSequence(dim=2, dt=grid.dt, liouvillian=a["liouvillian"],
+                             kernels=a["kernels"])),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf)],
+                         ids=["nan", "inf", "imaginary-inf"])
+@pytest.mark.parametrize("kind", list(PAYLOADS))
+def test_writer_refuses_non_finite_payloads(tmp_path, kind, value):
+    # each payload field of the kind in turn holds one non-finite entry
+    grid = TimeGrid(dt=0.1, n_steps=3)
+    for field in PAYLOADS[kind]:
+        arrays = {f: np.zeros(shape(2, grid.n_steps), dtype=complex)
+                  for f, shape in PAYLOADS[kind].items()}
+        arrays[field].flat[-1] = value
+        with pytest.raises(NumericalError,
+                           match=f"out.json: {field} .*, not written"):
+            _SAVERS[kind](tmp_path / "out.json", grid, arrays)
+        assert list(tmp_path.iterdir()) == []
+    # the same arrays, all finite, are written
+    _SAVERS[kind](tmp_path / "out.json", grid,
+                  {f: np.zeros(shape(2, grid.n_steps), dtype=complex)
+                   for f, shape in PAYLOADS[kind].items()})
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 @pytest.mark.parametrize("shape, dt, error", [
