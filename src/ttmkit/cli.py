@@ -169,8 +169,11 @@ def cmd_learn(args):
 def cmd_propagate(args):
     tensors, doc = fileio.load_tensors(args.tensors)
     rho0 = _parse_initial(args.initial, tensors.dim)
-    frames = propagate(tensors, len(tensors), rho0, args.steps)
-    traces = np.abs(np.einsum("kii->k", frames) - 1.0)
+    # overflowing tensors leave non-finite frames, which the writer
+    # refuses (exit 3); numpy's warnings would only repeat that on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        frames = propagate(tensors, len(tensors), rho0, args.steps)
+        traces = np.abs(np.einsum("kii->k", frames) - 1.0)
     drift = float(traces.max())
     summary = {
         "final_state": fileio.encode_array(frames[-1]),

@@ -19,8 +19,10 @@ and the least
 squares over the generalized Pauli basis behind the fitted
 ``ttmkit.kernels.extract_liouvillian``, and scipy's ``expm_multiply``
 over blocks of identity columns behind the dense hierarchy step of
-``ttmkit.heom``, the complex stepping of the |a><b| basis behind the
-real Pauli form that ``ttmkit.heom.gen_heom`` steps, and the frequency
+``ttmkit.heom``, the complex stepping of the |a><b| basis, with the
+truncated Taylor series ``TaylorPlan`` the hierarchy was stepped with
+before its Chebyshev plan, behind the real Pauli form that
+``ttmkit.heom.gen_heom`` steps, and the frequency
 quadrature of the dephasing exponent behind the mode sum of
 ``ttmkit.models.lineshape``. ``projected_tensors``
 gives a hierarchy's transfer tensors in Nakajima-Zwanzig form, with no
@@ -28,6 +30,7 @@ peel.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -35,12 +38,7 @@ from scipy.integrate import quad
 from scipy.sparse.linalg import expm_multiply
 
 from ttmkit.errors import ConfigurationError, DimensionError
-from ttmkit.heom import (
-    PAULI_BASIS,
-    TaylorPlan,
-    _dense_step,
-    _prefers_dense_step,
-)
+from ttmkit.heom import PAULI_BASIS
 from ttmkit.liouville import (
     PAULI,
     liouvillian_superop,
@@ -284,11 +282,81 @@ def reference_fit_hamiltonian(t1, dt):
     return sum(c * g for c, g in zip(coeff, basis))
 
 
+# theta_m: the largest 1-norm of A for which m Taylor terms of exp(A)
+# meet double precision (Al-Mohy & Higham 2011, Table 3.1; m <= 30 from
+# Higham & Al-Mohy, Acta Numerica 19, 159, 2010, Table A.3).
+THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+
+
+@dataclass(frozen=True)
+class TaylorPlan:
+    """exp(A + mu I) as s substeps of the degree-m Taylor series of A / s.
+
+    The hierarchy's exponential before ``ttmkit.heom.ChebyshevPlan``
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011), kept as the
+    oracle of the complex stepping and of the projected tensors.
+
+    Attributes
+    ----------
+    shifted : scipy.sparse.csr_array
+        A, the matrix with its mean diagonal mu taken off, real or complex.
+    mu : float or complex
+        The shift, trace / N; real when the trace is.
+    degree, substeps : int
+        m and s, minimising m * s subject to ||A||_1 / s <= theta_m.
+    norm : float
+        The exact 1-norm of A.
+    """
+
+    shifted: sparse.csr_array
+    mu: float | complex
+    degree: int
+    substeps: int
+    norm: float
+
+    @classmethod
+    def of(cls, gen_dt):
+        """Plan exp(gen_dt) for a sparse square ``gen_dt``."""
+        n = gen_dt.shape[0]
+        mu = gen_dt.trace().item() / n
+        shifted = sparse.csr_array(gen_dt - mu * sparse.eye_array(n))
+        norm = float(abs(shifted).sum(axis=0).max())
+        degree, substeps = min(
+            ((m, max(1, math.ceil(norm / theta))) for m, theta in THETA.items()),
+            key=lambda pair: pair[0] * pair[1],
+        )
+        return cls(shifted, mu, degree, substeps, norm)
+
+    def apply(self, b):
+        """exp(A + mu I) b for a dense ``b``, leaving ``b`` untouched.
+
+        The result has the common dtype of ``b`` and A.
+        """
+        eta = np.exp(self.mu / self.substeps)
+        out = np.asarray(b)
+        out = out.astype(np.promote_types(out.dtype, self.shifted.dtype))
+        for _ in range(self.substeps):
+            term = out
+            for j in range(1, self.degree + 1):
+                term = self.shifted @ term
+                term *= 1.0 / (self.substeps * j)
+                out += term
+            out *= eta
+        return out
+
+
 def projected_tensors(plan, n):
     """Exact transfer tensors T_1..T_n of a two-level hierarchy.
 
-    With U = exp(G dt) applied by the ``ttmkit.heom.TaylorPlan``
-    ``plan``, P the projector on the physical block (the first 4 rows)
+    With U = exp(G dt) applied by the ``TaylorPlan`` ``plan``, P the projector on the physical block (the first 4 rows)
     and Q = 1 - P, splitting every path at its first return to the
     physical block gives T_k = P U (Q U)^(k-1) P: the Nakajima-Zwanzig
     form of the tensors, with no subtraction. They are in the basis of
@@ -392,7 +460,7 @@ def reference_step_propagator(gen_dt, block=128):
     """Dense exp(gen_dt) of a sparse ``gen_dt`` by scipy's ``expm_multiply``.
 
     Acts on ``block`` identity columns per call, as the hierarchy step
-    was formed before its own Taylor series replaced this.
+    was formed before the library's own series replaced this.
     """
     n = gen_dt.shape[0]
     step = np.empty((n, n), dtype=complex)
@@ -410,8 +478,7 @@ def reference_gen_heom(params, cfg, grid):
     The stepping ``ttmkit.heom.gen_heom`` did before it stepped the real
     Pauli form: the Taylor plan of the complex generator (the CSR form of
     ``reference_hierarchy_generator``) applied to the N x 4 state of the
-    |a><b| inputs, as the dense step or as Taylor frames by the library's
-    cost rule, with no divergence guard and no log.
+    |a><b| inputs at every frame, with no divergence guard and no log.
     """
     coeffs, rates = bath_correlation_modes(
         params.lam, params.gamma, params.beta, cfg.n_matsubara
@@ -422,15 +489,13 @@ def reference_gen_heom(params, cfg, grid):
         cfg.depth)) * grid.dt
     plan = TaylorPlan.of(gen_dt)
     blk = params.dim ** 2
-    n = gen_dt.shape[0]
-    step = _dense_step(plan) if _prefers_dense_step(plan, grid.n_steps) else None
 
-    state = np.zeros((n, blk), dtype=complex)
+    state = np.zeros((gen_dt.shape[0], blk), dtype=complex)
     state[:blk, :] = np.eye(blk)
     maps = np.empty((grid.n_steps + 1, blk, blk), dtype=complex)
     maps[0] = state[:blk]
     for k in range(1, grid.n_steps + 1):
-        state = plan.apply(state) if step is None else step @ state
+        state = plan.apply(state)
         maps[k] = state[:blk]
     return BasisTrajectorySet.from_maps(grid, maps)
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import expm
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import expm_multiply, spsolve
+from scipy.special import ive
 
 from ttmkit import (
     HeomConfig,
@@ -31,6 +32,7 @@ from ttmkit.liouville import SIGMA_X, superop_norm
 from ttmkit.models import bath_correlation_modes, matsubara_tail
 
 from oracles import (
+    TaylorPlan,
     _multi_indices,
     pauli_form,
     projected_tensors,
@@ -94,11 +96,14 @@ def pauli_step_generator(params, depth, n_matsubara, dt):
 STEPPING_CASES = pytest.mark.parametrize(
     "lam,gamma,dt,n_steps,depth,n_matsubara,dense", [
         (0.1, 1.0, 0.1, 20, 3, 1, True),
-        (2.0, 1.0, 0.05, 40, 6, 2, True),  # stiff, like C4 (N = 336)
-        (8.0, 5.0, 0.01, 40, 6, 2, True),  # stiff, like the top C6 point
-        (2.0, 1.0, 0.05, 10, 6, 2, False),  # too few frames to form the step
+        (2.0, 1.0, 0.05, 40, 6, 2, False),  # stiff, like C4 (N = 336)
+        (8.0, 5.0, 0.01, 40, 6, 2, False),  # stiff, like the top C6 point
+        (2.0, 1.0, 0.05, 10, 6, 2, False),
         (8.0, 5.0, 0.01, 10, 6, 2, False),
-    ], ids=["weak", "stiff-c4", "stiff-c6", "stiff-c4-short", "stiff-c6-short"])
+        (2.0, 1.0, 0.05, 200, 6, 2, True),  # enough frames to form the step
+        (8.0, 5.0, 0.01, 400, 6, 2, True),
+    ], ids=["weak", "stiff-c4", "stiff-c6", "stiff-c4-short", "stiff-c6-short",
+            "stiff-c4-long", "stiff-c6-long"])
 
 
 def test_pure_dephasing_matches_quadrature():
@@ -138,8 +143,8 @@ def test_stepping_matches_exact_exponential(lam, gamma, dt, n_steps, depth,
     params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=lam, gamma=gamma,
                              beta=0.5)
     grid = TimeGrid(dt=dt, n_steps=n_steps)
-    plan = heom_module.TaylorPlan.of(
-        pauli_step_generator(params, depth, n_matsubara, dt))
+    plan = heom_module.ChebyshevPlan.of(
+        pauli_step_generator(params, depth, n_matsubara, dt), n_steps)
     assert heom_module._prefers_dense_step(plan, n_steps) == dense
     gen_dt = sparse_step_generator(params, depth, n_matsubara, dt)
     trajs = gen_heom(params, HeomConfig(depth=depth, n_matsubara=n_matsubara),
@@ -222,7 +227,7 @@ def test_dense_step_matches_expm_multiply(lam, gamma, dt, n_steps, depth,
     params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=lam, gamma=gamma,
                              beta=0.5)
     gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
-    step = heom_module._dense_step(heom_module.TaylorPlan.of(gen_dt))
+    step = heom_module._dense_step(heom_module.ChebyshevPlan.of(gen_dt, 1))
     assert step.dtype == float
     assert np.abs(step - reference_step_propagator(gen_dt)).max() <= 1e-14
 
@@ -245,7 +250,7 @@ def test_peeled_tensors_match_the_projected_hierarchy(params, depth, dt, n):
     trajs = gen_heom(params, HeomConfig(depth=depth, n_matsubara=2),
                      TimeGrid(dt=dt, n_steps=n))
     peeled = maps_to_tensors(extract_maps(trajs)).tensors
-    plan = heom_module.TaylorPlan.of(sparse_step_generator(params, depth, 2, dt))
+    plan = TaylorPlan.of(sparse_step_generator(params, depth, 2, dt))
     assert np.abs(peeled - projected_tensors(plan, n)).max() <= 1e-13
 
 
@@ -255,7 +260,7 @@ def test_exact_tail_beyond_the_learned_window_peaks_at_its_first_tensor():
     # 1.51e-6, 1.67e-6, 6.23e-6 and 1.24e-5 at T_101), which is itself
     # below the last learned ||T_100||
     for lam, depth in C4_POINTS:
-        plan = heom_module.TaylorPlan.of(
+        plan = TaylorPlan.of(
             pauli_step_generator(spin_boson(lam, 1.0, 0.5), depth, 2, 0.05))
         pauli = projected_tensors(plan, 400)
         exact = TransferTensorSequence(dim=2, dt=0.05, tensors=(
@@ -271,7 +276,7 @@ def test_exact_tail_beyond_the_learned_window_peaks_at_its_first_tensor():
 ])
 def test_taylor_plan_minimises_products(x, degree, substeps):
     diagonal = np.array([0.5 + x, 0.5 - x])
-    plan = heom_module.TaylorPlan.of(sparse.csr_array(np.diag(diagonal)))
+    plan = TaylorPlan.of(sparse.csr_array(np.diag(diagonal)))
     assert (plan.degree, plan.substeps) == (degree, substeps)
     assert plan.mu == 0.5 and plan.norm == x
     # a real matrix keeps a real shift, and the series keeps its operand's dtype
@@ -285,12 +290,13 @@ def test_taylor_plan_minimises_products(x, degree, substeps):
 
 # The frames each benchmark hierarchy is stepped over (C4 1000, the sweep
 # 200, cli_pipeline 800) and the way the cost rule takes. Whole gen_heom
-# runs, dense against Taylor frames (ms, minimum of 3, one Xeon vCPU, one
-# BLAS thread): sweep-0 9.6/53.3, sweep-1 13.5/65.6, sweep-2 49.8/113,
-# sweep-3 283/143, sweep-4 1658/334, sweep-5 1760/184, sweep-6 131/116,
-# sweep-7 9.0/66.8, sweep-8 11.6/89.1, cli_pipeline 19.6/322; the rule
-# takes the faster way at each.
-BENCHMARK_WAYS = [(1000, False)] + [(200, i in (0, 1, 2, 7, 8))
+# runs, dense step against windowed frames (ms, minimum of 7, of 3 from
+# N = 1820, one Xeon vCPU, one BLAS thread): c4 5915/1072, sweep-0
+# 6.5/19.2, sweep-1 9.6/13.4, sweep-2 30.1/16.3, sweep-3 201/31.7,
+# sweep-4 1494/85.6, sweep-5 1529/72.2, sweep-6 110/21.8, sweep-7
+# 7.8/11.8, sweep-8 7.9/14.2, cli_pipeline 18.9/43.7; the rule takes the
+# faster way at each.
+BENCHMARK_WAYS = [(1000, False)] + [(200, i in (0, 1, 7, 8))
                                     for i in range(len(SWEEP))] + [(800, True)]
 
 
@@ -299,13 +305,13 @@ BENCHMARK_WAYS = [(1000, False)] + [(200, i in (0, 1, 2, 7, 8))
 ], ids=BENCHMARK_IDS)
 def test_cost_rule_picks_the_way(params, depth, n_matsubara, dt, n_steps,
                                  dense):
-    plan = heom_module.TaylorPlan.of(
-        pauli_step_generator(params, depth, n_matsubara, dt))
+    plan = heom_module.ChebyshevPlan.of(
+        pauli_step_generator(params, depth, n_matsubara, dt), n_steps)
     assert heom_module._prefers_dense_step(plan, n_steps) == dense
 
 
 def test_generation_ignores_the_global_random_state():
-    # the Taylor plan takes the exact 1-norm and draws no random numbers,
+    # the Chebyshev plan takes a Gershgorin box and draws no random numbers,
     # so reruns of `ttm generate` are byte-identical whatever the global
     # generator's state
     params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=8.0, gamma=5.0,
@@ -318,29 +324,190 @@ def test_generation_ignores_the_global_random_state():
     assert np.array_equal(runs[0], runs[1])
 
 
-def test_generation_logs_size_cost_and_peak(caplog):
+def test_generation_logs_size_cost_and_peak(monkeypatch, caplog):
     params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=0.1, gamma=1.0,
                              beta=0.5)
-    with caplog.at_level(logging.DEBUG, logger="ttmkit.heom"):
-        gen_heom(params, HeomConfig(depth=3, n_matsubara=1),
-                 TimeGrid(dt=0.1, n_steps=10))
-    (record,) = [r for r in caplog.records if r.name == "ttmkit.heom"]
-    assert record.levelno == logging.DEBUG
     nnz = pauli_step_generator(params, 3, 1, 0.1).nnz
     assert nnz < sparse_step_generator(params, 3, 1, 0.1).nnz
+    plan = heom_module.ChebyshevPlan.of(pauli_step_generator(params, 3, 1, 0.1), 10)
     # C(3 + 2, 2) = 10 ADOs of 2 x 2 blocks; a small hierarchy forms the
-    # dense step from ceil(40 / COLUMN_BLOCK) = 1 block of columns
-    match = re.fullmatch(
-        rf"hierarchy: 40 rows \(10 ADOs\), {nnz} nonzeros in the real Pauli "
-        r"form; dense step, Taylor "
-        r"degree (\d+), (\d+) substeps, 1-norm (\S+), (\d+) sparse products; "
-        r"set up in (\S+) s, 10 steps in (\S+) s, peak auxiliary entry (\S+)",
-        record.getMessage())
-    assert match, record.getMessage()
-    degree, substeps, products = int(match[1]), int(match[2]), int(match[4])
-    assert products == degree * substeps > 0 and float(match[3]) > 0
-    set_up_s, step_s, peak = map(float, match.groups()[4:])
-    assert set_up_s >= 0 and step_s >= 0 and peak >= 1.0
+    # dense step from ceil(40 / COLUMN_BLOCK) = 1 block of columns by the
+    # one-frame series, and the frames way runs ceil(10 / L) windows
+    for way, dense, window, products in [
+            ("dense step", None, 1, plan.degree(1)),
+            ("frames", False, plan.window, plan.products(10))]:
+        if dense is not None:
+            monkeypatch.setattr(heom_module, "_prefers_dense_step",
+                                lambda plan, n_steps: dense)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="ttmkit.heom"):
+            gen_heom(params, HeomConfig(depth=3, n_matsubara=1),
+                     TimeGrid(dt=0.1, n_steps=10))
+        (record,) = [r for r in caplog.records if r.name == "ttmkit.heom"]
+        assert record.levelno == logging.DEBUG
+        match = re.fullmatch(
+            rf"hierarchy: 40 rows \(10 ADOs\), {nnz} nonzeros in the real Pauli "
+            rf"form; {way}, window (\d+), 1 substeps, Chebyshev degree (\d+), box Re "
+            r"\[(\S+), (\S+)\] \|Im\| <= (\S+), bound (\S+), (\d+) sparse "
+            r"products; set up in (\S+) s, 10 steps in (\S+) s, peak auxiliary "
+            r"entry (\S+)",
+            record.getMessage())
+        assert match, record.getMessage()
+        assert int(match[1]) == window and int(match[2]) == plan.degree(window)
+        lo, hi, eta, bound = map(float, match.groups()[2:6])
+        assert lo < 0 < hi and eta > 0
+        assert 1.0 <= bound <= heom_module.MAX_AMPLIFICATION
+        assert int(match[7]) == products > 0
+        set_up_s, step_s, peak = map(float, match.groups()[7:])
+        assert set_up_s >= 0 and step_s >= 0 and peak >= 1.0
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "frames"])
+def test_coarse_step_is_split_into_substeps(monkeypatch, dense):
+    # at dt = 2 one frame of the stiff C4-like hierarchy (N = 336) would
+    # amplify rounding by 4.7e16, and its error reached 3e-10 unsplit
+    params = spin_boson(2.0, 1.0, 0.5)
+    gen_dt = pauli_step_generator(params, 6, 2, 2.0)
+    plan = heom_module.ChebyshevPlan.of(gen_dt, 5)
+    assert plan.substeps > 1
+    assert plan.bound(plan.window) <= heom_module.MAX_AMPLIFICATION
+    monkeypatch.setattr(heom_module, "_prefers_dense_step",
+                        lambda plan, n_steps: dense)
+    trajs = gen_heom(params, HeomConfig(depth=6, n_matsubara=2),
+                     TimeGrid(dt=2.0, n_steps=5))
+    step = expm(gen_dt.toarray())
+    state = np.zeros((gen_dt.shape[0], 4))
+    state[:4] = np.eye(4)
+    for k in range(1, 6):
+        state = step @ state
+        exact = heom_module.PAULI_BASIS @ state[:4] @ (0.5 * heom_module.PAULI_BASIS.conj().T)
+        assert np.abs(trajs.maps[k] - exact).max() <= 1e-13, k
+
+
+def test_window_holds_at_most_window_entries(monkeypatch, caplog):
+    # a cap of 3 frames of the N x 4 state (N = 40) shortens the window
+    # the bound allows, and the frames stay those of the wider window
+    params = spin_boson(0.1, 1.0, 0.5)
+    cfg, grid = HeomConfig(depth=3, n_matsubara=1), TimeGrid(dt=0.1, n_steps=10)
+    monkeypatch.setattr(heom_module, "_prefers_dense_step",
+                        lambda plan, n_steps: False)
+    wide = gen_heom(params, cfg, grid)
+    monkeypatch.setattr(heom_module, "WINDOW_ENTRIES", 40 * 4 * 3)
+    with caplog.at_level(logging.DEBUG, logger="ttmkit.heom"):
+        narrow = gen_heom(params, cfg, grid)
+    assert "frames, window 3," in caplog.text
+    assert np.abs(narrow.data - wide.data).max() <= 1e-14
+
+
+def series_terms(plan, k):
+    """|a_j(k)| rho^j of a plan's series for substep k, j = 0..511, by ive."""
+    j = np.arange(512)
+    z = k * plan.half
+    with np.errstate(divide="ignore"):
+        terms = np.exp(np.log(np.where(j == 0, 1.0, 2.0)) + z * (plan.shift + 1.0)
+                       + np.log(ive(j, z)) + j * np.log(plan.rho))
+    assert terms[-1] < 1e-40  # the rest of the series is negligible
+    return terms
+
+
+def test_chebyshev_plan_matches_rotation_blocks():
+    # a real matrix of blocks [[a, -b], [b, a]], whose exponential is
+    # e^(k a) times a rotation by k b: the box is Re [-1, 0], |Im| <= 1.
+    # Rounding grows with the bound M of the window: every frame is within
+    # 1e-14 of the exact one over 4 frames (M = 33), and within the plan's
+    # 2^-43 = MAX_AMPLIFICATION * 2^-53 over the widest window (M = 572)
+    a = np.array([0.0, -0.25, -0.5, -1.0])
+    b = np.array([1.0, 0.5, -0.25, 0.0])
+    blocks = np.stack([np.stack([a, -b], -1), np.stack([b, a], -1)], -2)
+    matrix = sparse.csr_array(sparse.block_diag(blocks))
+    for window, bound in [(4, 1e-14), (50, 2.0 ** -43)]:
+        plan = heom_module.ChebyshevPlan.of(matrix, window)
+        assert (plan.lo, plan.hi, plan.eta) == (-1.0, 0.0, 1.0)
+        assert plan.window == min(window, 8)
+        frames = plan.apply(np.eye(8), plan.coefficients(plan.window))
+        for k, frame in enumerate(frames, 1):
+            rotation = np.exp(k * a)[:, None, None] * np.stack(
+                [np.stack([np.cos(k * b), -np.sin(k * b)], -1),
+                 np.stack([np.sin(k * b), np.cos(k * b)], -1)], -2)
+            exact = sparse.block_diag(rotation).toarray()
+            assert np.abs(frame - exact).max() <= bound * np.abs(exact).max(), k
+
+
+# The benchmark hierarchies and C7a with the frames they are stepped over.
+PLAN_CASES = pytest.mark.parametrize("params,depth,n_matsubara,dt,n_steps", [
+    *((*point, n_steps) for point, (n_steps, _) in zip(BENCHMARK_HIERARCHIES,
+                                                      BENCHMARK_WAYS)),
+    (C7A, 8, 2, 0.0025, 1600),
+], ids=[*BENCHMARK_IDS, "c7a"])
+
+
+@PLAN_CASES
+def test_chebyshev_degree_is_the_least_meeting_the_tail_bound(
+        params, depth, n_matsubara, dt, n_steps):
+    # (1 + sqrt 2) sum_{j > n} |a_j(k)| rho^j < 2^-53 at every frame of the
+    # window, and not at n - 1
+    plan = heom_module.ChebyshevPlan.of(
+        pauli_step_generator(params, depth, n_matsubara, dt), n_steps)
+    n = plan.degree(plan.window)
+    tails = [(1 + np.sqrt(2)) * np.array([series_terms(plan, k)[m + 1:].sum()
+                                          for m in (n, n - 1)])
+             for k in range(1, plan.window + 1)]
+    assert max(tail[0] for tail in tails) < 2.0 ** -53
+    assert max(tail[1] for tail in tails) >= 2.0 ** -53
+
+
+@PLAN_CASES
+def test_chebyshev_window_is_the_widest_within_the_amplification_bound(
+        params, depth, n_matsubara, dt, n_steps):
+    plan = heom_module.ChebyshevPlan.of(
+        pauli_step_generator(params, depth, n_matsubara, dt), n_steps)
+    bounds = [series_terms(plan, k).sum() for k in range(1, plan.window + 2)]
+    assert max(bounds[:-1]) <= heom_module.MAX_AMPLIFICATION
+    assert plan.window == n_steps or bounds[-1] > heom_module.MAX_AMPLIFICATION
+    assert plan.bound(plan.window) == pytest.approx(max(bounds[:-1]), rel=1e-12)
+
+
+@PLAN_CASES
+def test_first_two_windows_match_the_exponential(params, depth, n_matsubara,
+                                                 dt, n_steps):
+    # every frame k of two windows against scipy's expm_multiply of
+    # k G dt, from the inputs I, sigma_x, sigma_y, sigma_z
+    gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
+    plan = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
+    state = np.zeros((gen_dt.shape[0], 4))
+    state[:4] = np.eye(4)
+    coefficients = plan.coefficients(plan.window)
+    first = plan.apply(state, coefficients)
+    frames = np.concatenate([first, plan.apply(first[-1], coefficients)])
+    exact = expm_multiply(gen_dt, state, start=0, stop=len(frames),
+                          num=len(frames) + 1, endpoint=True)[1:]
+    assert np.abs(frames - exact).max() <= 1e-13
+
+
+@pytest.mark.parametrize("params,depth,n_matsubara,dt,n_steps", [
+    (*point, n_steps) for point, (n_steps, _) in zip(BENCHMARK_HIERARCHIES,
+                                                     BENCHMARK_WAYS)
+], ids=BENCHMARK_IDS)
+def test_stepping_matches_the_taylor_oracle_over_the_benchmark_frames(
+        params, depth, n_matsubara, dt, n_steps):
+    # the way gen_heom takes against the Taylor series it was stepped
+    # with before, applied to the real Pauli form at every frame
+    trajs = gen_heom(params, HeomConfig(depth=depth, n_matsubara=n_matsubara),
+                     TimeGrid(dt=dt, n_steps=n_steps))
+    plan = TaylorPlan.of(pauli_step_generator(params, depth, n_matsubara, dt))
+    state = np.zeros((plan.shifted.shape[0], 4))
+    state[:4] = np.eye(4)
+    pauli = np.empty((n_steps + 1, 4, 4))
+    pauli[0] = np.eye(4)
+    for k in range(1, n_steps + 1):
+        state = plan.apply(state)
+        pauli[k] = state[:4]
+    taylor = heom_module.PAULI_BASIS @ pauli @ (0.5 * heom_module.PAULI_BASIS.conj().T)
+    assert np.abs(trajs.maps - taylor).max() <= 2e-12
+    # the trace does not drift: scaling G dt - c as (G dt - c) / h in place
+    # of the plan's (2 / h) G dt - 2 (c / h) reads 8.9e-13 at C4
+    traces = np.einsum("bkii->bk", trajs.data)
+    assert np.abs(traces - traces[:, :1]).max() <= 2e-13
 
 
 @pytest.mark.parametrize("params,depth,n_matsubara", [
@@ -453,6 +620,35 @@ def test_divergence_guard_reports_step(monkeypatch, dense):
                  TimeGrid(dt=0.1, n_steps=10))
     assert info.value.step == 1
     assert info.value.time == pytest.approx(0.1)
+
+
+def test_divergence_mid_window_names_the_first_frame_over_the_guard(
+        monkeypatch):
+    # stiff, like the top C6 point: the peak entry of the state first
+    # rises above 1 (the conserved I coordinate) at a frame inside the
+    # second window; the guard between that peak and every earlier one
+    # must name that frame, not the window's end
+    params = spin_boson(8.0, 5.0, 0.5)
+    gen_dt = pauli_step_generator(params, 6, 2, 0.01)
+    window = heom_module.ChebyshevPlan.of(gen_dt, 20).window
+    step = expm(gen_dt.toarray())
+    state = np.zeros((gen_dt.shape[0], 4))
+    state[:4] = np.eye(4)
+    peaks = []
+    for _ in range(20):
+        state = step @ state
+        peaks.append(np.abs(state).max())
+    first = next(k for k in range(2, 21) if peaks[k - 1] > max(peaks[:k - 1]) + 1e-3)
+    assert first % window != 0
+    monkeypatch.setattr(heom_module, "DIVERGENCE_GUARD",
+                        0.5 * (max(peaks[:first - 1]) + peaks[first - 1]))
+    monkeypatch.setattr(heom_module, "_prefers_dense_step",
+                        lambda plan, n_steps: False)
+    with pytest.raises(DivergenceError) as info:
+        gen_heom(params, HeomConfig(depth=6, n_matsubara=2),
+                 TimeGrid(dt=0.01, n_steps=20))
+    assert info.value.step == first
+    assert info.value.time == pytest.approx(first * 0.01)
 
 
 @pytest.mark.parametrize("kwargs", [
