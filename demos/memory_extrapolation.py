@@ -26,8 +26,8 @@ print(f"reference run: {TOTAL} steps of dt={DT}; "
 ref = gen_heom(params, HeomConfig(depth=8, n_matsubara=2),
                TimeGrid(dt=DT, n_steps=TOTAL))
 
-window = BasisTrajectorySet(dim=2, grid=TimeGrid(dt=DT, n_steps=LEARN),
-                            data=ref.data[:, :LEARN + 1].copy())
+window = BasisTrajectorySet.from_maps(TimeGrid(dt=DT, n_steps=LEARN),
+                                      ref.maps[:LEARN + 1])
 tensors = maps_to_tensors(extract_maps(window))
 
 norms = markovianity_profile(tensors)
@@ -35,16 +35,16 @@ print("\ntail norms ||T_s|| (memory fingerprint):")
 for s in (1, 2, 5, 10, 20, 40, 70, 100):
     print(f"  s={s:3d}  t={s * DT:5.2f}  {norms[s - 1]:.3e}")
 
-cutoff = choose_cutoff(tensors, tol=1e-5)
+cutoff = choose_cutoff(norms, tol=1e-5)
 print(f"\ncutoff rule (tail below 1e-5): K = {cutoff}, "
       f"first discarded norm {truncation_error(tensors, cutoff):.2e}")
 
 rho0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 frames = propagate(tensors.truncated(cutoff), cutoff, rho0, TOTAL)
 
-# the reference evolution of the same initial state, column-combined
-# from the basis trajectories: rho0 = e11 is basis column 0
-exact = ref.data[0]
+# the reference evolution of the same initial state: rho0 = e11 is the
+# basis element |0><0|
+exact = ref.element(0, 0)
 print("\nextrapolation vs reference (rho_00):")
 print("     t      reference   tensors     |error|")
 for n in range(0, TOTAL + 1, 75):

@@ -68,9 +68,20 @@ COUPLING_OPS = {"sz": SIGMA_Z, "sx": SIGMA_X}
 
 
 def _convert_units(args):
-    """Dimensionless (omega0, j, lam, gamma, beta, dt) from the flags."""
+    """Dimensionless (omega0, j, lam, gamma, beta, dt) from the flags.
+
+    Each unit system reads one temperature flag, ``--beta`` (default 0.5)
+    or ``--temperature``; the other one is refused, not ignored.
+    """
     if args.units == "dimensionless":
-        return (args.omega0, args.j, args.lam, args.gamma, args.beta, args.dt)
+        if args.temperature is not None:
+            raise ConfigurationError("--temperature needs --units wavenumber; "
+                                     "dimensionless units take --beta")
+        beta = 0.5 if args.beta is None else args.beta
+        return (args.omega0, args.j, args.lam, args.gamma, beta, args.dt)
+    if args.beta is not None:
+        raise ConfigurationError("wavenumber units take --temperature in "
+                                 "Kelvin, not --beta")
     unit = args.j if args.j > 0 else args.omega0
     if unit <= 0:
         raise ConfigurationError(
@@ -154,7 +165,7 @@ def cmd_learn(args):
     profile = markovianity_profile(full)
     cutoff_k = args.cutoff_k
     if cutoff_k is None:
-        cutoff_k = choose_cutoff(full, args.cutoff_tol)
+        cutoff_k = choose_cutoff(profile, args.cutoff_tol)
     kept = full.truncated(cutoff_k)
     trunc = truncation_error(full, cutoff_k) if cutoff_k < len(full) else None
     fileio.save_tensors(
@@ -367,8 +378,9 @@ def build_parser():
                        help="bath reorganization energy (default 0.1)")
     p_gen.add_argument("--gamma", type=float, default=1.0,
                        help="bath cutoff frequency (default 1)")
-    p_gen.add_argument("--beta", type=float, default=0.5,
-                       help="inverse temperature, dimensionless units only")
+    p_gen.add_argument("--beta", type=float, default=None,
+                       help="inverse temperature, dimensionless units only "
+                            "(default 0.5)")
     p_gen.add_argument("--temperature", type=float, default=None,
                        help="temperature in Kelvin (wavenumber units only)")
     p_gen.add_argument("--coupling", choices=sorted(COUPLING_OPS),

@@ -10,15 +10,16 @@ rename.
 
 Each kind carries its payload as whole arrays. :data:`PAYLOADS` names
 them for every kind, in file order, with each one's shape in terms of
-the header's dimension D and step count n. One writer and one reader
-work from that table, so the writer refuses any payload whose file the
-reader would refuse. Each payload is one base64 string of the array's
-C-order bytes as little-endian complex128 (``"<c16"``); its shape is
-not stored but follows from the table and the header. The reader
-checks the byte length against that shape and refuses non-finite
-entries, and the writer refuses them before anything is written.
-Bytes parse back bit-exact, the sign of a zero included, so reruns
-and rewrites are byte-identical.
+the header's dimension D and step count n, and :data:`LEAST_STEPS`
+gives each kind's least n. One writer and one reader work from those
+tables, so the writer refuses any payload whose file the reader would
+refuse. Each payload is one base64 string of the array's C-order bytes
+as little-endian complex128 (``"<c16"``); its shape is not stored but
+follows from the table and the header. The reader checks the byte
+length against that shape and refuses non-finite entries, and the
+writer refuses them before anything is written. Bytes parse back
+bit-exact, the sign of a zero included, so reruns and rewrites are
+byte-identical.
 
 The nested codec, :func:`encode_array` and :func:`decode_array`, with
 [re, im] pairs as the leaves, serves the JSON that is not a payload: a
@@ -64,6 +65,9 @@ PAYLOADS = {
     "kernel": {"liouvillian": lambda d, n: (d * d, d * d),
                "kernels": lambda d, n: (n, d * d, d * d)},
 }
+# The least step count n of every kind: a state may be its initial frame
+# alone, but maps span a step and tensors and kernels hold one sample.
+LEAST_STEPS = {"maps": 1, "state": 0, "tensors": 1, "kernel": 1}
 
 
 def encode_array(a):
@@ -157,14 +161,15 @@ def _save(path, kind, dim, dt, n_steps, arrays, meta=None, **fields):
     """Write a ``kind`` document: header, ``meta`` if given, the payload
     ``arrays`` in :data:`PAYLOADS` order, other ``fields`` as they are.
 
-    Raises :class:`DimensionError` for an array not of the kind's shape,
-    ``ValueError`` for a step not positive and finite and
+    Raises :class:`DimensionError` for a dimension below 1, a step count
+    below the kind's :data:`LEAST_STEPS` or an array not of the kind's
+    shape, ``ValueError`` for a step not positive and finite and
     :class:`NumericalError` for a non-finite entry, writing nothing.
     """
     check_step(dt)
-    if dim < 1 or n_steps < 0:
+    if dim < 1 or n_steps < LEAST_STEPS[kind]:
         raise DimensionError(f"{path}: dim {dim} and n_steps {n_steps} "
-                             "describe no document, not written")
+                             f"describe no {kind} document, not written")
     doc = dict(fields, format_version=FORMAT_VERSION, kind=kind, dim=int(dim),
                dt=float(dt), n_steps=int(n_steps), vectorization=VECTORIZATION,
                units=UNITS_NOTE)
@@ -186,7 +191,7 @@ _HEADER_FIELDS = (
     ("dim", lambda v: type(v) is int and v >= 1, "an integer >= 1"),
     ("dt", lambda v: type(v) in (int, float) and 0 < v < math.inf,
      "a finite positive number"),
-    ("n_steps", lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    ("n_steps", lambda v: type(v) is int, "an integer"),
 )
 # Model parameters that the CLI reads back from ``meta``.
 _META_NUMBERS = ("omega0", "j", "lambda", "gamma", "beta")
@@ -224,6 +229,10 @@ def _load(path, *kinds):
             raise SchemaError(f"{path}: missing header field {key!r}")
         if not valid(doc[key]):
             raise SchemaError(f"{path}: {key} {doc[key]!r} is not {want}")
+    least = LEAST_STEPS[doc["kind"]]
+    if doc["n_steps"] < least:
+        raise SchemaError(f"{path}: n_steps {doc['n_steps']} is below {least}, "
+                          f"the least a {doc['kind']} document holds")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise SchemaError(f"{path}: meta is not an object")
@@ -255,10 +264,7 @@ def load_basis_trajectories(path):
     meta : dict
     """
     doc, (maps,), meta = _load(path, "maps")
-    try:
-        grid = TimeGrid(dt=float(doc["dt"]), n_steps=doc["n_steps"])
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    grid = TimeGrid(dt=float(doc["dt"]), n_steps=doc["n_steps"])
     return BasisTrajectorySet.from_maps(grid, maps), meta
 
 

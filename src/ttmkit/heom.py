@@ -23,16 +23,20 @@ G dt (``ChebyshevPlan``), planned once per hierarchy. Gershgorin discs
 of its symmetric and skew parts bound the numerical range to a box; the
 degree is the least whose tail on the Bernstein ellipse around the box
 is below double precision by the Crouzeix-Palencia bound, and the
-window of frames one series serves is the widest whose bound on the
-series' rounding amplification stays within MAX_AMPLIFICATION. The
-vectors T_j(X) v of the series do not depend on time, so one recurrence
-on the stacked state gives every frame of a window as a small
-combination of them. The one-frame series either forms the dense step,
-acting on blocks of identity columns, after which all D^2 basis columns
-ride through one dense product per frame, or the windowed series acts on
-the N x D^2 stacked state with no dense step at all. ``gen_heom`` takes
-whichever a work estimate in N, the nonzeros, the window, the degrees
-and the number of frames finds cheaper.
+window of steps one series serves is the widest whose bound on the
+series' rounding amplification stays within MAX_AMPLIFICATION. Where one
+frame alone would exceed that bound, as at coarse steps, the plan is of
+G dt / s for the fewest substeps s that keep it, and ``gen_heom`` steps
+a grid s times finer and keeps every s-th frame. The vectors T_j(X) v
+of the series do not depend on time, so one recurrence on the stacked
+state gives every step of a window as a small combination of them. The
+one-step series either forms the dense step, acting on blocks of
+identity columns, after which all D^2 basis columns ride through one
+dense product per step, or the windowed series acts on the N x D^2
+stacked state with no dense step at all. Above DENSE_ROWS rows
+``gen_heom`` always takes the windowed series; below, whichever a work
+estimate in N, the nonzeros, the window, the degrees and the number of
+steps finds cheaper.
 """
 
 import logging
@@ -49,7 +53,7 @@ from .errors import ConfigurationError, DivergenceError
 from .generators import _stability_substeps, step_matrix  # noqa: F401
 from .liouville import PAULI, spre, spost
 from .models import bath_correlation_modes, matsubara_tail
-from .trajectories import BasisTrajectorySet
+from .trajectories import BasisTrajectorySet, TimeGrid
 
 log = logging.getLogger(__name__)
 
@@ -59,16 +63,16 @@ DIVERGENCE_GUARD = 1e6
 # 0, +-1 or +-i, so B0 B0^H = 2 I exactly.
 PAULI_BASIS = np.stack([m.reshape(-1) for m in (np.eye(2), *PAULI)], axis=1)
 
-# Identity columns per application of the one-frame series when forming
-# exp(G dt). In real arithmetic on one Xeon vCPU, one BLAS thread, blocks
-# of 64 built the step as fast as blocks of 128 or faster (N = 224, 480,
-# 660, 880, 1820: 2.4, 13.2, 22.1, 43 and 514 ms against 2.3, 13.8, 22.6,
-# 48 and 585 ms, with the Taylor series this step used before) with half
-# the memory per block; blocks of 256 took 1.2-1.7x longer, and blocks of
-# 32 gained 7-11 % at N = 480 and 1820 but lost 24 % at N = 880.
+# Identity columns per application of the one-step series when forming
+# the dense step. On one Xeon vCPU, one BLAS thread (minimum of 3), blocks
+# of 64 formed it within 6 % of the fastest of 32, 64, 128 and 256 where
+# it is formed, up to DENSE_ROWS: N = 224 in 3.5 ms against 3.3-3.5, and
+# N = 480 in 14.4 ms against 15.0, 14.5 and 17.8. Above it, where only
+# tests form the step, blocks of 32 were 8-19 % faster (N = 880 and 1820:
+# 50 and 468 ms against 54 and 574 ms).
 COLUMN_BLOCK = 64
 
-# The largest amplification bound M a window of substeps may have. The
+# The largest amplification bound M a window of steps may have. The
 # series combines vectors whose rounding it amplifies by at most M, so
 # M <= 2^10 keeps a frame within about 2^-43 = 1.1e-13 of the exact
 # exponential, relative to the state: the accuracy the dense step and
@@ -89,31 +93,38 @@ WINDOW_ENTRIES = 2 ** 22
 # one BLAS thread, shared 2-vCPU host), with a fifth of the memory.
 COMBINE_CHUNK = 16
 
-# Work units for choosing how to step the real Pauli form: a step of the
-# recurrence on the N x 4 state costs nnz units per column plus
-# CALL_OVERHEAD; one on COLUMN_BLOCK identity columns, which vectorises
-# better, BLOCK_WORK per nonzero and column; a frame of the dense step
-# DENSE_WORK per entry of the step; combining the stored vectors into a
-# window's frames COMBINE_WORK per entry of a vector and frame; and a
+# The most rows a hierarchy may have for the dense step to be formed. Up
+# to N = 512 the 8 N^2 bytes of the step fit a core's 2 MiB L2 cache;
+# above it the dense product per step runs from memory. Timing both ways
+# on one Xeon vCPU, one BLAS thread, windowed steps were faster in all
+# 24 cases at N = 660 and 880 (lambda 0.1, 2 and 8; 20-1600 frames), by
+# 1.24-9.2 times, and the crossover lies between N = 480 and 660. Those
+# steps need no substeps. At coarse steps, whose window is one substep,
+# the dense step was 2.1-3.2 times faster at N = 660 (dt = 0.5 and 2).
+DENSE_ROWS = 512
+
+# Work units for choosing how to step the real Pauli form up to
+# DENSE_ROWS rows: a step of the recurrence on the N x 4 state costs nnz
+# units per column plus CALL_OVERHEAD; one on COLUMN_BLOCK identity
+# columns, which vectorises better, BLOCK_WORK per nonzero and column; a
+# dense product with the step DENSE_WORK per entry of the step; and a
 # coefficient of the window's series (scipy's ive) COEFFICIENT_WORK. On
 # one Xeon vCPU, one BLAS thread, over the eleven benchmark hierarchies
 # (N = 140-1980) and N = 40 and 336, a step on the N x 4 state took
 # 0.83-1.02 ns per nonzero and column plus 5.0-5.8 us per call
 # (least-squares fits, two runs), so a call costs 5600-6000 units; a
-# 64-column step of the one-frame series, its combination included,
-# 0.6-1.3 units per nonzero and column; a dense frame 0.17-0.43 units
-# per entry up to N = 480 and 0.7-1.2 from N = 660; a combination
-# 0.06-0.12 units; and a coefficient 300-1000 units. Timing both ways of
-# 16 (hierarchy, frames) cases, these weights pick the faster way in all
-# 16, by a factor of 1.6 or more in the estimate; without the
-# coefficient term they take frames at N = 224 over 200 frames, where
-# the dense step is 1.5 times faster. Above N = 480 the dense frame is
-# underestimated, but there the dense step's build alone costs more than
-# windowed frames.
+# 64-column step of the one-step series, its combination included,
+# 0.6-1.3 units per nonzero and column; a dense product 0.17-0.43 units
+# per entry up to N = 480; and a coefficient 300-1000 units. Combining
+# the series' vectors into a window's steps (0.06-0.12 units per entry of
+# a vector and step) is left out: with or without it the estimate takes
+# the same way in every case of the grid timed for DENSE_ROWS up to
+# N = 480, and that way was the faster one or within 10 % of it. Without
+# the coefficient term the rule takes windowed steps at N = 224 over 200
+# frames, where the dense step is 1.5 times faster.
 CALL_OVERHEAD = 6000
 BLOCK_WORK = 0.75
 DENSE_WORK = 0.3
-COMBINE_WORK = 0.08
 COEFFICIENT_WORK = 600
 
 
@@ -215,38 +226,40 @@ def hierarchy_generator(h, q_op, coeffs, rates, tail, depth):
 
 @dataclass(frozen=True)
 class ChebyshevPlan:
-    """exp(k A) b for the substeps k of a window from one Chebyshev series.
+    """exp(k A) b for the steps k of a window from one Chebyshev series.
 
-    A substep is the frame A itself unless one frame alone would exceed
-    the amplification bound below; then it is A / s for the fewest
-    substeps s that keep it. The numerical range W(A) of a real sparse A
+    A is one substep: the matrix the plan is made of, or that matrix
+    divided by the fewest substeps s that keep one step within the
+    amplification bound below (s = 1 unless the step is coarse). Every
+    attribute and method describes A; only the caller that steps a grid
+    s times finer reads s. The numerical range W(A) of a real sparse A
     lies in a box, found in O(nnz): Re z in [lo, hi] from the Gershgorin
     discs of the symmetric part (A + A^T)/2, |Im z| <= eta from those of
     the skew part. With the centre c and half-width h of [lo, hi],
     X = (A - c) / h and exp(z x) = I_0(z) + 2 sum_j I_j(z) T_j(x)
-    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984), substep k is
-    sum_j a_j(k) T_j(X) b with a_j(k) = 2 e^(k hi / s) ive(j, k h / s),
-    a_0 halved. The vectors T_j(X) b do not depend on k, so one
-    three-term recurrence serves every substep of a window. By Crouzeix
-    & Palencia (SIAM J. Matrix Anal. Appl. 38, 649, 2017),
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984), step k is
+    sum_j a_j(k) T_j(X) b with a_j(k) = 2 e^(k hi) ive(j, k h), a_0
+    halved. The vectors T_j(X) b do not depend on k, so one three-term
+    recurrence serves every step of a window. By Crouzeix & Palencia
+    (SIAM J. Matrix Anal. Appl. 38, 649, 2017),
     ||p(A) - f(A)||_2 <= (1 + sqrt 2) max over W(A) of |p - f|, and
     |T_j| <= rho^j on the Bernstein ellipse E_rho through the box's
-    corners. So substep k is exact to double precision at the least
+    corners. So step k is exact to double precision at the least
     degree n with (1 + sqrt 2) sum_{j > n} |a_j(k)| rho^j < 2^-53, and the
     sum M = sum_j |a_j(k)| rho^j bounds how much the series amplifies the
-    rounding of its vectors. Beyond j = k h / s every term grows with k
+    rounding of its vectors. Beyond j = k h every term grows with k
     when hi >= 0, as it is when A has a zero eigenvalue (the hierarchy's
-    conserved trace), so a window's last substep sets its degree and M.
+    conserved trace), so a window's last step sets its degree and M.
 
     Attributes
     ----------
     doubled : scipy.sparse.csr_array
         2 X, formed as (2 / h) A - 2 (c / h) I: a zero row of A keeps the
-        exact diagonal -c / h, and the coefficients take e^(k hi / s) as
-        e^((k h / s) (c / h + 1)) with the same c / h, so they cancel to
+        exact diagonal -c / h, and the coefficients take e^(k hi) as
+        e^((k h) (c / h + 1)) with the same c / h, so they cancel to
         rounding and a conserved trace does not drift.
     half : float
-        h / s, the half-width of one substep's box.
+        h, the half-width of the box.
     shift : float
         c / h.
     eta : float
@@ -254,9 +267,10 @@ class ChebyshevPlan:
     rho : float
         The Bernstein ellipse through the corners of the box scaled to X.
     substeps : int
-        s, the substeps per frame; X and rho do not depend on it.
+        s: A is the matrix given to ``of`` divided by s. X and rho do not
+        depend on it.
     window : int
-        The substeps one series serves.
+        The steps of A one series serves.
     """
 
     doubled: sparse.csr_array
@@ -271,12 +285,13 @@ class ChebyshevPlan:
 
     @classmethod
     def of(cls, gen_dt, window):
-        """Plan exp(k gen_dt) for the widest window of substeps up to ``window``.
+        """Plan exp(k gen_dt / s) for the widest window of steps up to ``window``.
 
-        A frame is one substep unless its bound M would exceed
-        MAX_AMPLIFICATION. The window is the largest number of substeps
-        L <= ``window`` whose bound M stays within MAX_AMPLIFICATION (at
-        least 1). M grows with L, so the search bisects on it.
+        s is 1 unless the bound M of exp(gen_dt) would exceed
+        MAX_AMPLIFICATION; then it is the fewest substeps that keep it.
+        The window is the largest number of steps L <= ``window`` whose
+        bound M stays within MAX_AMPLIFICATION (at least 1). M grows with
+        L, so the search bisects on it.
         """
         diagonal, transposed = gen_dt.diagonal(), gen_dt.T.tocsr()
         sym_radius = abs(gen_dt + transposed).sum(axis=1) / 2 - abs(diagonal)
@@ -300,7 +315,7 @@ class ChebyshevPlan:
         most, least = math.log(MAX_AMPLIFICATION), math.log(MAX_AMPLIFICATION / 2)
         substeps = max(1, math.ceil(growth / least))
         growth /= substeps
-        plan = cls(doubled, half / substeps, shift, eta, rho, substeps, 1)
+        plan = cls(doubled, half / substeps, shift, eta / substeps, rho, substeps, 1)
         low = 1
         if growth > 0:
             low = max(1, min(window, int(least / growth)))
@@ -316,12 +331,12 @@ class ChebyshevPlan:
     @property
     def lo(self):
         """The left end of the box's real range."""
-        return (self.shift - 1.0) * self.half * self.substeps
+        return (self.shift - 1.0) * self.half
 
     @property
     def hi(self):
         """The right end of the box's real range."""
-        return (self.shift + 1.0) * self.half * self.substeps
+        return (self.shift + 1.0) * self.half
 
     def _log_terms(self, k):
         """log(|a_j(k)| rho^j) for j = 0, 1, ... past the negligible tail."""
@@ -342,31 +357,31 @@ class ChebyshevPlan:
         return self._terms[k]
 
     def degree(self, count):
-        """The series degree n for a window of ``count`` substeps."""
+        """The series degree n for a window of ``count`` steps."""
         tails = np.logaddexp.accumulate(self._log_terms(count)[::-1])[::-1]
         return int(np.argmax(tails[1:] < LOG_TAIL))
 
     def bound(self, count):
-        """The amplification bound M for a window of ``count`` substeps."""
+        """The amplification bound M for a window of ``count`` steps."""
         return math.exp(np.logaddexp.reduce(self._log_terms(count)))
 
     def coefficients(self, count):
-        """a_j(k) for the substeps k = 1..``count`` (rows), j = 0..degree(count)."""
+        """a_j(k) for the steps k = 1..``count`` (rows), j = 0..degree(count)."""
         j = np.arange(self.degree(count) + 1)
         z = self.half * np.arange(1, count + 1)[:, None]
         return (np.where(j == 0, 1.0, 2.0) * np.exp(z * (self.shift + 1.0))
                 * ive(j, z))
 
     def products(self, n_steps):
-        """Sparse products to step ``n_steps`` frames, a window at a time."""
-        return math.ceil(n_steps * self.substeps / self.window) * self.degree(self.window)
+        """Sparse products to make ``n_steps`` steps, a window at a time."""
+        return math.ceil(n_steps / self.window) * self.degree(self.window)
 
     def apply(self, b, coefficients):
-        """The substeps sum_j a_j(k) T_j(X) b of ``coefficients``, stacked.
+        """The steps sum_j a_j(k) T_j(X) b of ``coefficients``, stacked.
 
         ``b`` is a real N x m array and is left untouched; row k - 1 of
-        ``coefficients`` gives substep k. The vectors T_j(X) b are combined
-        into the substeps COMBINE_CHUNK at a time, by one small matrix
+        ``coefficients`` gives step k. The vectors T_j(X) b are combined
+        into the steps COMBINE_CHUNK at a time, by one small matrix
         product per chunk.
         """
         count, degree = coefficients.shape[0], coefficients.shape[1] - 1
@@ -388,7 +403,7 @@ class ChebyshevPlan:
 
 
 def _dense_step(plan):
-    """Dense exp(G dt) by the plan's one-substep series, COLUMN_BLOCK columns at a time."""
+    """Dense exp(A) of the plan's one-step series, COLUMN_BLOCK columns at a time."""
     n = plan.doubled.shape[0]
     coefficients = plan.coefficients(1)
     step = np.empty((n, n))
@@ -396,29 +411,27 @@ def _dense_step(plan):
         width = min(COLUMN_BLOCK, n - start)
         columns = np.zeros((n, width))
         columns[start + np.arange(width), np.arange(width)] = 1.0
-        for _ in range(plan.substeps):
-            columns = plan.apply(columns, coefficients)[0]
-        step[:, start:start + width] = columns
+        step[:, start:start + width] = plan.apply(columns, coefficients)[0]
     return step
 
 
 def _prefers_dense_step(plan, n_steps):
-    """Whether forming the dense step beats windowed frames of the N x 4 state.
+    """Whether forming the dense step beats windowed steps of the N x 4 state.
 
-    Estimated in CALL_OVERHEAD's work units. The dense step costs the
-    one-substep series on ceil(N / COLUMN_BLOCK) blocks of columns per
-    substep plus a pass over the N^2 step per frame; windowed frames cost
-    the window's coefficients, its series on the state per window and the
-    combination of the series' vectors into every substep.
+    Never above DENSE_ROWS rows. Up to it, estimated in CALL_OVERHEAD's
+    work units over ``n_steps`` steps of the plan: the dense step costs
+    the one-step series on ceil(N / COLUMN_BLOCK) blocks of columns plus
+    a pass over the N^2 step per step; windowed steps cost the window's
+    coefficients and its series on the state per window.
     """
     n, nnz = plan.doubled.shape[0], plan.doubled.nnz
-    terms = plan.degree(plan.window) + 1
-    dense = (plan.substeps * plan.degree(1)
+    if n > DENSE_ROWS:
+        return False
+    dense = (plan.degree(1)
              * (BLOCK_WORK * n * nnz + math.ceil(n / COLUMN_BLOCK) * CALL_OVERHEAD)
              + n_steps * DENSE_WORK * n * n)
-    frames = (COEFFICIENT_WORK * plan.window * terms
-              + plan.products(n_steps) * (4 * nnz + CALL_OVERHEAD)
-              + n_steps * plan.substeps * terms * COMBINE_WORK * 4 * n)
+    frames = (COEFFICIENT_WORK * plan.window * (plan.degree(plan.window) + 1)
+              + plan.products(n_steps) * (4 * nnz + CALL_OVERHEAD))
     return dense <= frames
 
 
@@ -428,20 +441,24 @@ def gen_heom(params, cfg, grid):
     The frames exp(k G dt) of the hierarchy generator G come from one
     Chebyshev plan of the sparse, real Pauli form of G
     (``hierarchy_generator``), exact to double precision by its bound.
-    Either its one-frame series forms the dense step and every frame is
-    one dense product with the stacked auxiliary state, or one series of
-    the plan's window acts on that state and gives every frame of the
-    window; the cheaper way by a work estimate is taken. A frame is split
-    into substeps only where one frame alone would amplify rounding by
-    more than MAX_AMPLIFICATION, as at coarse steps. The state
-    starts from the inputs I, sigma_x, sigma_y and sigma_z; the maps of
-    the |a><b| basis follow from its physical block by one change of
-    basis, exact at frame 0. A DEBUG record on this module's logger
-    reports the hierarchy size, the nonzeros of the real Pauli form that
-    is stepped, the way taken, its window, substeps and degree, the box of the
-    numerical range and the amplification bound, the sparse products
-    made, the set-up and stepping times and the peak auxiliary entry (in
-    Pauli coordinates).
+    Where one frame alone would amplify rounding by more than
+    MAX_AMPLIFICATION, as at coarse steps, the plan is of G dt / s for
+    the fewest substeps s that keep it; the hierarchy is then stepped on
+    a grid s times finer and every s-th frame is kept. Either the plan's
+    one-step series forms the dense step and every step is one dense
+    product with the stacked auxiliary state, or one series of the
+    plan's window acts on that state and gives every step of the window.
+    Above DENSE_ROWS rows the windowed series is taken, and below it the
+    cheaper way by a work estimate. The state starts from the inputs I,
+    sigma_x, sigma_y and sigma_z; the maps of the |a><b| basis follow
+    from its physical block by one change of basis, exact at frame 0. A
+    DEBUG record on this module's logger reports the hierarchy size, the
+    nonzeros of the real Pauli form that is stepped, the way taken, its
+    window, the substeps per frame, and the degree, the box of the
+    numerical range and the amplification bound, all three of one
+    substep, then the sparse products made over the finer grid (for the
+    dense step, those that form it), the set-up and stepping times and
+    the peak auxiliary entry (in Pauli coordinates).
 
     Parameters
     ----------
@@ -458,7 +475,7 @@ def gen_heom(params, cfg, grid):
         If the Pauli form of G is not real (``hierarchy_generator``).
     DivergenceError
         If any hierarchy entry exceeds the divergence guard, naming the
-        first offending step, within a window too.
+        first offending step of the grid stepped, within a window too.
     """
     started = time.perf_counter()
     coeffs, rates = bath_correlation_modes(
@@ -470,15 +487,16 @@ def gen_heom(params, cfg, grid):
     blk = params.dim ** 2
     n = gen_dt.shape[0]
     plan = ChebyshevPlan.of(gen_dt, min(grid.n_steps, max(1, WINDOW_ENTRIES // (n * blk))))
-    if _prefers_dense_step(plan, grid.n_steps):
-        way, window, per_frame, step = "dense step", 1, 1, _dense_step(plan)
-        products = plan.substeps * plan.degree(1) * math.ceil(n / COLUMN_BLOCK)
+    fine = TimeGrid(dt=grid.dt / plan.substeps, n_steps=grid.n_steps * plan.substeps)
+    if _prefers_dense_step(plan, fine.n_steps):
+        way, window, step = "dense step", 1, _dense_step(plan)
+        products = plan.degree(1) * math.ceil(n / COLUMN_BLOCK)
 
         def advance(state, count):
             return (step @ state)[None]
     else:
-        way, window, per_frame = "frames", plan.window, plan.substeps
-        products = plan.products(grid.n_steps)
+        way, window = "frames", plan.window
+        products = plan.products(fine.n_steps)
         # a last, shorter window takes the first rows of the same series
         series = plan.coefficients(window)
 
@@ -489,29 +507,25 @@ def gen_heom(params, cfg, grid):
     # the inputs I, sigma_x, sigma_y, sigma_z in Pauli coordinates
     state = np.zeros((n, blk))
     state[:blk, :] = np.eye(blk)
-    frames = np.empty((grid.n_steps + 1, blk, blk))
+    frames = np.empty((fine.n_steps + 1, blk, blk))
     frames[0] = state[:blk]
     run_peak = 1.0
-    total = grid.n_steps * per_frame
-    for start in range(0, total, window):
-        block = advance(state, min(window, total - start))
+    for start in range(0, fine.n_steps, window):
+        block = advance(state, min(window, fine.n_steps - start))
         peak = float(np.abs(block).max())
         if not peak <= DIVERGENCE_GUARD:  # NaN too
             peaks = np.abs(block).max(axis=(1, 2))
             bad = int(np.argmax(~(peaks <= DIVERGENCE_GUARD)))
-            k = -(-(start + 1 + bad) // per_frame)  # the frame it falls in
+            k = start + 1 + bad
             raise DivergenceError(
-                f"hierarchy diverged at step {k} (t = {k * grid.dt:.6g}), "
-                f"peak entry {peaks[bad]:.3g}; reduce the step or increase "
-                "depth",
+                f"hierarchy diverged at step {k} of dt = {fine.dt:.6g} (t = "
+                f"{k * fine.dt:.6g}), peak entry {peaks[bad]:.3g}; reduce the "
+                "step or increase depth",
                 step=k,
-                time=k * grid.dt,
+                time=k * fine.dt,
             )
         run_peak = max(run_peak, peak)
-        # the substeps of the block that end a frame
-        first = -(-(start + 1) // per_frame) * per_frame
-        frames[first // per_frame:(start + len(block)) // per_frame + 1] = \
-            block[first - start - 1::per_frame, :blk]
+        frames[start + 1:start + 1 + len(block)] = block[:, :blk]
         state = block[-1]
     log.debug(
         "hierarchy: %d rows (%d ADOs), %d nonzeros in the real Pauli form; "
@@ -523,5 +537,5 @@ def gen_heom(params, cfg, grid):
         built - started, grid.n_steps, time.perf_counter() - built, run_peak,
     )
     # back to the |a><b| basis: E_k = B0 M_k B0^H / 2, so E_0 = I exactly
-    maps = PAULI_BASIS @ frames @ (0.5 * PAULI_BASIS.conj().T)
+    maps = PAULI_BASIS @ frames[::plan.substeps] @ (0.5 * PAULI_BASIS.conj().T)
     return BasisTrajectorySet.from_maps(grid, maps)

@@ -143,8 +143,11 @@ def truncation_error(tensors, k_cutoff):
     return superop_norm(tensors.tensors[k_cutoff])
 
 
-def choose_cutoff(tensors, tol):
+def choose_cutoff(norms, tol):
     """Smallest K whose entire discarded tail stays below ``tol``.
+
+    ``norms`` are the tail norms ||T_s||, s = 1 .. N, of
+    :func:`markovianity_profile`.
 
     Raises
     ------
@@ -157,7 +160,6 @@ def choose_cutoff(tensors, tol):
     """
     if not tol > 0:
         raise ValueError(f"cutoff tolerance must be positive, got {tol}")
-    norms = markovianity_profile(tensors)
     if norms[-1] >= tol:
         raise InsufficientLearningError(
             f"tail norm {norms[-1]:.3g} at s = {len(norms)} still above "

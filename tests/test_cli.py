@@ -349,6 +349,12 @@ def _old_layout(doc):
     doc.update(kind="trajectory", content="basis", trajectories=entries)
 
 
+def _no_tensors(doc):
+    # a tensors document of n_steps 0, whose payload holds no tensor
+    _edit_payload(doc, lambda a: a[:0])
+    doc["n_steps"] = 0
+
+
 def _version_1(doc):
     # the layout before base64 payloads: [re, im] pairs nested as the array
     field = _payload_field(doc)
@@ -373,7 +379,9 @@ CORPUS = [(r, c) for r in READS for c in CORRUPTIONS] + [
     ("kernel-tensors", "dim-3"), ("analyze-state", "dim-3"),
     ("analyze-tensors", "dim-3"),
     ("learn-basis", "old-layout"), ("analyze-state", "old-layout"),
-    ("learn-basis", "version-1"), ("propagate-tensors", "version-1")]
+    ("learn-basis", "version-1"), ("propagate-tensors", "version-1")] + [
+    (r, "no-tensors") for r in ("propagate-tensors", "kernel-tensors",
+                                "analyze-tensors")]
 
 
 @pytest.mark.parametrize("reads, corruption", CORPUS,
@@ -392,7 +400,8 @@ def test_corrupt_input_is_exit_2_naming_the_file(lindblad_run, tmp_path,
                                   doc["dt"], meta=doc["meta"])
     else:
         text = {**CORRUPTIONS, **NOT_MAPS, "old-layout": _old_layout,
-                "version-1": _version_1}[corruption](doc)
+                "version-1": _version_1,
+                "no-tensors": _no_tensors}[corruption](doc)
         bad.write_text(text if isinstance(text, str) else json.dumps(doc))
     out = tmp_path / "out"
     options = [tmp_path / o if o.endswith(".tsv") else o for o in options]
@@ -402,6 +411,8 @@ def test_corrupt_input_is_exit_2_naming_the_file(lindblad_run, tmp_path,
         assert f"{bad}: kind 'trajectory', expected '" in caplog.text
     if corruption == "version-1":
         assert f"{bad}: format_version 1, expected 2" in caplog.text
+    if corruption == "no-tensors":
+        assert f"{bad}: n_steps 0 is below 1" in caplog.text
     written = sorted(p.name for p in tmp_path.iterdir() if p != bad)
     # only analyze writes its table first, and only rows it could read
     if command == "analyze" and corruption == "dim-3":
@@ -588,6 +599,22 @@ def test_non_finite_model_number_is_exit_2_naming_it(tmp_path, caplog, case):
     assert run(["generate", "--dt", "0.05", "--steps", "10", "--heom-depth",
                 "2", *flags, "--out", out]) == 2
     assert f"invalid input: {name} must be" in caplog.text
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags", [
+    ["--temperature", "77"],
+    ["--units", "wavenumber", "--omega0", "100", "--temperature", "300",
+     "--beta", "2"],
+], ids=["temperature-dimensionless", "beta-wavenumber"])
+def test_temperature_flag_the_units_do_not_read_is_exit_2(tmp_path, caplog,
+                                                          flags):
+    # dimensionless units read --beta and wavenumber units --temperature;
+    # the other flag used to be ignored, and the run exited 0
+    out = tmp_path / "g.json"
+    assert run(["generate", "--model", "unitary", "--dt", "0.05", "--steps",
+                "10", *flags, "--out", out]) == 2
+    assert "invalid input: " in caplog.text
     assert list(tmp_path.iterdir()) == []
 
 

@@ -35,7 +35,7 @@ from ttmkit import (
 )
 from ttmkit.cli import main
 from ttmkit.errors import DimensionError, NumericalError, SchemaError
-from ttmkit.fileio import PAYLOADS, encode_array
+from ttmkit.fileio import LEAST_STEPS, PAYLOADS, _save, encode_array
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -253,6 +253,28 @@ def test_payload_shape_and_finiteness_are_checked(trajs, tmp_path, write,
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=f"doc.json: {field} "):
             load(path)
+
+
+@pytest.mark.parametrize("kind", list(PAYLOADS))
+def test_step_count_below_the_kinds_least_is_refused(trajs, tmp_path, kind):
+    # maps of frame 0 alone, and tensors and kernels with no sample, used
+    # to pass the reader and fail in the sequence built from them, naming
+    # no file
+    least = LEAST_STEPS[kind]
+    empty = [np.zeros(shape(2, least - 1)) for shape in PAYLOADS[kind].values()]
+    with pytest.raises(DimensionError, match="not written"):
+        _save(tmp_path / "new.json", kind, 2, 0.1, least - 1, empty)
+    assert not (tmp_path / "new.json").exists()
+    path = tmp_path / "doc.json"
+    load = _WRITERS[kind](trajs, path)
+    doc = json.loads(path.read_text())
+    for field, array in zip(PAYLOADS[kind], empty):
+        edit_payload(doc, field, lambda a: array)
+    doc["n_steps"] = least - 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=f"doc.json: n_steps {least - 1} is "
+                                          f"below {least}, the least a {kind}"):
+        load(path)
 
 
 @pytest.mark.parametrize("key,value", [

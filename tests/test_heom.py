@@ -310,6 +310,23 @@ def test_cost_rule_picks_the_way(params, depth, n_matsubara, dt, n_steps,
     assert heom_module._prefers_dense_step(plan, n_steps) == dense
 
 
+@pytest.mark.parametrize("params,depth,dt,n_steps", [
+    # C4's lambda = 0.5 point (N = 660) over 1000 frames: 0.400 s with the
+    # dense step, 0.193 s with windowed frames (whole gen_heom runs,
+    # minimum of 3, one Xeon vCPU, one BLAS thread)
+    (spin_boson(0.5, 1.0, 0.5), 8, 0.05, 1000),
+    # C4's coupling at depth 8 (N = 660) over 10^4 frames: 3.51 s against
+    # 2.91 s (minimum of 2)
+    (spin_boson(2.0, 1.0, 0.5), 8, 0.05, 10 ** 4),
+], ids=["c4-lam0.5", "c4-depth8-long"])
+def test_no_dense_step_above_dense_rows(params, depth, dt, n_steps):
+    # the work estimate alone formed the dense step at both
+    plan = heom_module.ChebyshevPlan.of(pauli_step_generator(params, depth, 2, dt),
+                                        n_steps)
+    assert plan.doubled.shape[0] == 660 > heom_module.DENSE_ROWS
+    assert not heom_module._prefers_dense_step(plan, n_steps)
+
+
 def test_generation_ignores_the_global_random_state():
     # the Chebyshev plan takes a Gershgorin box and draws no random numbers,
     # so reruns of `ttm generate` are byte-identical whatever the global
@@ -606,20 +623,26 @@ def test_multi_indices_match_brute_force_filter(n_modes):
         assert _multi_indices(n_modes, depth) == brute
 
 
-@pytest.mark.parametrize("dense", [True, False], ids=["dense", "frames"])
-def test_divergence_guard_reports_step(monkeypatch, dense):
+@pytest.mark.parametrize("dense,dt,substeps", [
+    (True, 0.1, 1), (False, 0.1, 1), (True, 2.0, 2), (False, 2.0, 2),
+], ids=["dense", "frames", "dense-coarse", "frames-coarse"])
+def test_divergence_guard_reports_step(monkeypatch, dense, dt, substeps):
     # the guard itself is exercised by lowering the threshold below the
-    # physical entry scale, which every healthy run exceeds immediately
+    # physical entry scale, which every healthy run exceeds immediately;
+    # a coarse step is split into substeps, and the guard names the first
+    # step of the finer grid stepped
     monkeypatch.setattr(heom_module, "DIVERGENCE_GUARD", 1e-3)
     monkeypatch.setattr(heom_module, "_prefers_dense_step",
                         lambda plan, n_steps: dense)
     params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=0.1, gamma=1.0,
                              beta=0.5)
+    assert heom_module.ChebyshevPlan.of(
+        pauli_step_generator(params, 2, 1, dt), 10).substeps == substeps
     with pytest.raises(DivergenceError) as info:
         gen_heom(params, HeomConfig(depth=2, n_matsubara=1),
-                 TimeGrid(dt=0.1, n_steps=10))
+                 TimeGrid(dt=dt, n_steps=10))
     assert info.value.step == 1
-    assert info.value.time == pytest.approx(0.1)
+    assert info.value.time == pytest.approx(dt / substeps)
 
 
 def test_divergence_mid_window_names_the_first_frame_over_the_guard(

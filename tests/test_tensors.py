@@ -175,17 +175,17 @@ def _synthetic_tail(norms):
 
 def test_cutoff_covers_entire_discarded_tail():
     tensors = _synthetic_tail([1e-3, 1e-5, 1e-9, 1e-12])
-    assert choose_cutoff(tensors, tol=1e-8) == 3
-    assert choose_cutoff(tensors, tol=1e-4) == 2
+    assert choose_cutoff(markovianity_profile(tensors), tol=1e-8) == 3
+    assert choose_cutoff(markovianity_profile(tensors), tol=1e-4) == 2
     # a non-monotone dip must not fool the cutoff into stopping early
     bumpy = _synthetic_tail([1e-3, 1e-10, 1e-5, 1e-12])
-    assert choose_cutoff(bumpy, tol=1e-8) == 4
+    assert choose_cutoff(markovianity_profile(bumpy), tol=1e-8) == 4
 
 
 def test_insufficient_learning_reports_tail():
     tensors = _synthetic_tail([1e-3, 1e-5, 1e-9, 1e-12])
     with pytest.raises(InsufficientLearningError) as info:
-        choose_cutoff(tensors, tol=1e-13)
+        choose_cutoff(markovianity_profile(tensors), tol=1e-13)
     assert info.value.tail_norms.shape == (5,)
 
 
