@@ -29,14 +29,22 @@ frame alone would exceed that bound, as at coarse steps, the plan is of
 G dt / s for the fewest substeps s that keep it, and ``gen_heom`` steps
 a grid s times finer and keeps every s-th frame. The vectors T_j(X) v
 of the series do not depend on time, so one recurrence on the stacked
-state gives every step of a window as a small combination of them. The
+state gives every step of a window as a small combination of them. Only
+what is kept is combined: the physical D^2 x D^2 block of every step,
+which becomes a frame, and the whole last step, which the next window
+starts from. The divergence guard reads those; the inner steps' other
+rows are covered by the plan's bound, which caps every entry of a
+window's steps at (1 + sqrt 2) MAX_AMPLIFICATION times the largest
+column norm of the state it starts from. A window that bound cannot
+keep under the guard, or whose kept rows are over it or not finite, is
+formed again in full so the guard names the first step over it. The
 one-step series either forms the dense step, acting on blocks of
 identity columns, after which all D^2 basis columns ride through one
 dense product per step, or the windowed series acts on the N x D^2
 stacked state with no dense step at all. Above DENSE_ROWS rows
-``gen_heom`` always takes the windowed series; below, whichever a work
-estimate in N, the nonzeros, the window, the degrees and the number of
-steps finds cheaper.
+``gen_heom`` takes the windowed series wherever a window spans more
+than one step; otherwise whichever a work estimate in N, the nonzeros,
+the window, the degrees and the number of steps finds cheaper.
 """
 
 import logging
@@ -82,15 +90,19 @@ MAX_AMPLIFICATION = 2.0 ** 10
 # log(2^-53 / (1 + sqrt 2)): the series' tail beyond its degree stays below
 LOG_TAIL = -53 * math.log(2.0) - math.log1p(math.sqrt(2.0))
 
-# Entries of the stacked state a window holds for all its frames at once
-# (32 MB). The bound M lets a window span more frames the smaller the
-# step is: C7a's N = 660 at dt = 0.0025 takes 911 frames, 2.4 M entries.
+# Entries of the stacked state a window may span over all its frames
+# (32 MB). Stepping forms only the physical block of each frame and the
+# last step, so this bounds the full frames a window is formed in when
+# the guard falls back to them. The bound M lets a window span more
+# frames the smaller the step is: C7a's N = 660 at dt = 0.0025 takes 911
+# frames, 2.4 M entries.
 WINDOW_ENTRIES = 2 ** 22
 
-# Chebyshev vectors combined into a window's frames per matrix product.
-# At C4 over 1000 frames (window 4, degree 80) chunks of 16 stepped in
-# 1.14-1.54 s against 1.08-1.68 s holding all 81 vectors (four runs each,
-# one BLAS thread, shared 2-vCPU host), with a fifth of the memory.
+# Chebyshev vectors combined into a window's kept rows per matrix product.
+# At C4 over 1000 frames (window 4, degree 80), four runs each on one Xeon
+# vCPU, one BLAS thread: chunks of 8, 16 and 32 stepped in 1.02, 1.01 and
+# 1.03 s at best, against 1.15 s holding all 81 vectors; the traced peak
+# memory of the run was 2.1, 2.1, 2.4 and 5.3 MB.
 COMBINE_CHUNK = 16
 
 # The most rows a hierarchy may have for the dense step to be formed. Up
@@ -99,8 +111,9 @@ COMBINE_CHUNK = 16
 # on one Xeon vCPU, one BLAS thread, windowed steps were faster in all
 # 24 cases at N = 660 and 880 (lambda 0.1, 2 and 8; 20-1600 frames), by
 # 1.24-9.2 times, and the crossover lies between N = 480 and 660. Those
-# steps need no substeps. At coarse steps, whose window is one substep,
-# the dense step was 2.1-3.2 times faster at N = 660 (dt = 0.5 and 2).
+# steps need no substeps and their windows span many steps. A window of
+# one step, as at coarse steps, is left to the work estimate, with the
+# dense product at MEMORY_DENSE_WORK per entry.
 DENSE_ROWS = 512
 
 # Work units for choosing how to step the real Pauli form up to
@@ -121,11 +134,16 @@ DENSE_ROWS = 512
 # the same way in every case of the grid timed for DENSE_ROWS up to
 # N = 480, and that way was the faster one or within 10 % of it. Without
 # the coefficient term the rule takes windowed steps at N = 224 over 200
-# frames, where the dense step is 1.5 times faster.
+# frames, where the dense step is 1.5 times faster. Above DENSE_ROWS a
+# dense product took 0.97-1.10 units per entry at N = 660-1144 and 1.9-2.0
+# at N = 1820 (two runs), hence MEMORY_DENSE_WORK; with it the rule took
+# the faster way in all ten coarse cases timed at N = 660 and 880
+# (lambda 2 and 8, dt = 0.5 and 2, 40 and 400 frames; see test_heom).
 CALL_OVERHEAD = 6000
 BLOCK_WORK = 0.75
 DENSE_WORK = 0.3
 COEFFICIENT_WORK = 600
+MEMORY_DENSE_WORK = 1.0
 
 
 @dataclass(frozen=True)
@@ -376,17 +394,13 @@ class ChebyshevPlan:
         """Sparse products to make ``n_steps`` steps, a window at a time."""
         return math.ceil(n_steps / self.window) * self.degree(self.window)
 
-    def apply(self, b, coefficients):
-        """The steps sum_j a_j(k) T_j(X) b of ``coefficients``, stacked.
+    def _series(self, b, degree):
+        """The vectors T_j(X) b, j = 0..``degree``, COMBINE_CHUNK at a time.
 
-        ``b`` is a real N x m array and is left untouched; row k - 1 of
-        ``coefficients`` gives step k. The vectors T_j(X) b are combined
-        into the steps COMBINE_CHUNK at a time, by one small matrix
-        product per chunk.
+        Yields (j, chunk): the chunk's vectors from T_j(X) b on, stacked
+        in one array that the next chunk overwrites.
         """
-        count, degree = coefficients.shape[0], coefficients.shape[1] - 1
         vectors = np.empty((COMBINE_CHUNK,) + b.shape)
-        out = np.zeros((count, b.size))
         for j in range(degree + 1):
             slot = j % COMBINE_CHUNK
             if j == 0:
@@ -397,9 +411,39 @@ class ChebyshevPlan:
                 np.subtract(self.doubled @ vectors[slot - 1], vectors[slot - 2],
                             out=vectors[slot])
             if slot == COMBINE_CHUNK - 1 or j == degree:
-                out += (coefficients[:, j - slot:j + 1]
-                        @ vectors[:slot + 1].reshape(slot + 1, -1))
+                yield j - slot, vectors[:slot + 1]
+
+    def apply(self, b, coefficients):
+        """The steps sum_j a_j(k) T_j(X) b of ``coefficients``, stacked.
+
+        ``b`` is a real N x m array and is left untouched; row k - 1 of
+        ``coefficients`` gives step k. The vectors T_j(X) b are combined
+        into the steps COMBINE_CHUNK at a time, by one small matrix
+        product per chunk. Every row of every step is formed: the dense
+        step is formed this way, and a window the divergence guard
+        cannot certify (``gen_heom``) is formed again so.
+        """
+        count, degree = coefficients.shape[0], coefficients.shape[1] - 1
+        out = np.zeros((count, b.size))
+        for j, chunk in self._series(b, degree):
+            out += coefficients[:, j:j + len(chunk)] @ chunk.reshape(len(chunk), -1)
         return out.reshape((count,) + b.shape)
+
+    def apply_heads(self, b, coefficients, rows):
+        """The first ``rows`` rows of every step of ``apply``, and its last step.
+
+        Returns (heads, last): heads is count x ``rows`` x m, last the
+        whole N x m last step. Per chunk of vectors, the heads take one
+        small matrix product and the last step one vector-matrix product;
+        the other rows of the inner steps are never formed.
+        """
+        count, degree = coefficients.shape[0], coefficients.shape[1] - 1
+        heads, last = np.zeros((count, rows * b.shape[1])), np.zeros(b.size)
+        for j, chunk in self._series(b, degree):
+            weights = coefficients[:, j:j + len(chunk)]
+            heads += weights @ chunk[:, :rows].reshape(len(chunk), -1)
+            last += weights[-1] @ chunk.reshape(len(chunk), -1)
+        return heads.reshape(count, rows, b.shape[1]), last.reshape(b.shape)
 
 
 def _dense_step(plan):
@@ -418,18 +462,21 @@ def _dense_step(plan):
 def _prefers_dense_step(plan, n_steps):
     """Whether forming the dense step beats windowed steps of the N x 4 state.
 
-    Never above DENSE_ROWS rows. Up to it, estimated in CALL_OVERHEAD's
-    work units over ``n_steps`` steps of the plan: the dense step costs
-    the one-step series on ceil(N / COLUMN_BLOCK) blocks of columns plus
-    a pass over the N^2 step per step; windowed steps cost the window's
+    Never above DENSE_ROWS rows when a window spans more than one step.
+    Otherwise estimated in CALL_OVERHEAD's work units over ``n_steps``
+    steps of the plan: the dense step costs the one-step series on
+    ceil(N / COLUMN_BLOCK) blocks of columns plus a pass over the N^2
+    step per step (DENSE_WORK per entry up to DENSE_ROWS rows,
+    MEMORY_DENSE_WORK above); windowed steps cost the window's
     coefficients and its series on the state per window.
     """
     n, nnz = plan.doubled.shape[0], plan.doubled.nnz
-    if n > DENSE_ROWS:
+    if n > DENSE_ROWS and plan.window > 1:
         return False
+    per_entry = DENSE_WORK if n <= DENSE_ROWS else MEMORY_DENSE_WORK
     dense = (plan.degree(1)
              * (BLOCK_WORK * n * nnz + math.ceil(n / COLUMN_BLOCK) * CALL_OVERHEAD)
-             + n_steps * DENSE_WORK * n * n)
+             + n_steps * per_entry * n * n)
     frames = (COEFFICIENT_WORK * plan.window * (plan.degree(plan.window) + 1)
               + plan.products(n_steps) * (4 * nnz + CALL_OVERHEAD))
     return dense <= frames
@@ -448,8 +495,17 @@ def gen_heom(params, cfg, grid):
     one-step series forms the dense step and every step is one dense
     product with the stacked auxiliary state, or one series of the
     plan's window acts on that state and gives every step of the window.
-    Above DENSE_ROWS rows the windowed series is taken, and below it the
-    cheaper way by a work estimate. The state starts from the inputs I,
+    Above DENSE_ROWS rows the windowed series is taken where a window
+    spans more than one step, and otherwise the cheaper way by a work
+    estimate. The windowed series forms only the physical block of every
+    step, which is stored, and the whole last step, from which the next
+    window starts; the divergence guard reads those. No entry of an inner
+    step exceeds (1 + sqrt 2) M max_c ||b_c||_2 (``ChebyshevPlan``, with
+    M <= MAX_AMPLIFICATION and b_c the columns the window starts from),
+    so where that is within the guard the inner steps cannot trip it.
+    Where it is not, or a kept entry is over the guard or not finite,
+    the window is formed in full and the guard names the first step
+    over it. The state starts from the inputs I,
     sigma_x, sigma_y and sigma_z; the maps of the |a><b| basis follow
     from its physical block by one change of basis, exact at frame 0. A
     DEBUG record on this module's logger reports the hierarchy size, the
@@ -458,7 +514,8 @@ def gen_heom(params, cfg, grid):
     numerical range and the amplification bound, all three of one
     substep, then the sparse products made over the finer grid (for the
     dense step, those that form it), the set-up and stepping times and
-    the peak auxiliary entry (in Pauli coordinates).
+    the peak entry (in Pauli coordinates) of the rows the guard read: the
+    physical blocks and every window's last step.
 
     Parameters
     ----------
@@ -493,7 +550,8 @@ def gen_heom(params, cfg, grid):
         products = plan.degree(1) * math.ceil(n / COLUMN_BLOCK)
 
         def advance(state, count):
-            return (step @ state)[None]
+            last = step @ state
+            return last[None, :blk], last
     else:
         way, window = "frames", plan.window
         products = plan.products(fine.n_steps)
@@ -501,6 +559,9 @@ def gen_heom(params, cfg, grid):
         series = plan.coefficients(window)
 
         def advance(state, count):
+            return plan.apply_heads(state, series[:count], blk)
+
+        def steps(state, count):
             return plan.apply(state, series[:count])
     built = time.perf_counter()
 
@@ -511,27 +572,40 @@ def gen_heom(params, cfg, grid):
     frames[0] = state[:blk]
     run_peak = 1.0
     for start in range(0, fine.n_steps, window):
-        block = advance(state, min(window, fine.n_steps - start))
-        peak = float(np.abs(block).max())
-        if not peak <= DIVERGENCE_GUARD:  # NaN too
+        count = min(window, fine.n_steps - start)
+        heads, last = advance(state, count)
+        peak, certified = float(np.abs(last).max()), True
+        if count > 1:
+            peak = max(peak, float(np.abs(heads).max()))
+            # no entry of an inner step exceeds (1 + sqrt 2) M ||b_c||_2 over
+            # the columns b_c of the state, with M <= MAX_AMPLIFICATION
+            # (ChebyshevPlan)
+            certified = ((1.0 + math.sqrt(2.0)) * MAX_AMPLIFICATION
+                         * np.linalg.norm(state, axis=0).max() <= DIVERGENCE_GUARD)
+        if not (peak <= DIVERGENCE_GUARD and certified):  # NaN too
+            # every step in full, to name the first over the guard; a
+            # window of one step is its last step
+            block = last[None] if count == 1 else steps(state, count)
             peaks = np.abs(block).max(axis=(1, 2))
-            bad = int(np.argmax(~(peaks <= DIVERGENCE_GUARD)))
-            k = start + 1 + bad
-            raise DivergenceError(
-                f"hierarchy diverged at step {k} of dt = {fine.dt:.6g} (t = "
-                f"{k * fine.dt:.6g}), peak entry {peaks[bad]:.3g}; reduce the "
-                "step or increase depth",
-                step=k,
-                time=k * fine.dt,
-            )
+            over = ~(peaks <= DIVERGENCE_GUARD)
+            if over.any():
+                bad = int(np.argmax(over))
+                k = start + 1 + bad
+                raise DivergenceError(
+                    f"hierarchy diverged at step {k} of dt = {fine.dt:.6g} (t = "
+                    f"{k * fine.dt:.6g}), peak entry {peaks[bad]:.3g}; reduce the "
+                    "step or increase depth",
+                    step=k,
+                    time=k * fine.dt,
+                )
         run_peak = max(run_peak, peak)
-        frames[start + 1:start + 1 + len(block)] = block[:, :blk]
-        state = block[-1]
+        frames[start + 1:start + 1 + count] = heads
+        state = last
     log.debug(
         "hierarchy: %d rows (%d ADOs), %d nonzeros in the real Pauli form; "
         "%s, window %d, %d substeps, Chebyshev degree %d, box Re [%.6g, %.6g] "
         "|Im| <= %.6g, bound %.3g, %d sparse products; set up in %.3f s, %d "
-        "steps in %.3f s, peak auxiliary entry %.3g",
+        "steps in %.3f s, peak entry at window ends %.3g",
         n, n // blk, gen_dt.nnz, way, window, plan.substeps, plan.degree(window),
         plan.lo, plan.hi, plan.eta, plan.bound(window), products,
         built - started, grid.n_steps, time.perf_counter() - built, run_peak,

@@ -14,6 +14,7 @@ from payloads import edit_payload, read_payload
 from ttmkit import (
     TransferTensorSequence,
     cli,
+    heom,
     load_state_trajectory,
     load_tensors,
     save_state_trajectory,
@@ -553,6 +554,25 @@ def test_insufficient_learning_is_exit_3(tmp_path):
     # 1 time unit of learning cannot push the tail below 1e-9
     assert run(["learn", traj, "--cutoff-tol", "1e-9",
                 "--out", tmp_path / "t.json"]) == 3
+
+
+def test_hierarchy_divergence_is_exit_3_naming_the_step(tmp_path, caplog,
+                                                       monkeypatch):
+    # stiff, like the top C6 point (N = 336): the hierarchy takes windowed
+    # frames, and a guard below the entries of the inputs trips at step 1
+    windows = []
+    heads = heom.ChebyshevPlan.apply_heads
+    monkeypatch.setattr(heom.ChebyshevPlan, "apply_heads",
+                        lambda self, *args: windows.append(1) or heads(self, *args))
+    monkeypatch.setattr(heom, "DIVERGENCE_GUARD", 1e-3)
+    out = tmp_path / "h.json"
+    assert run(["generate", "--model", "heom", "--dt", "0.01", "--steps", "10",
+                "--lambda", "8", "--gamma", "5", "--beta", "0.5",
+                "--heom-depth", "6", "--out", out]) == 3
+    assert windows
+    assert ("numerical failure: hierarchy diverged at step 1 of dt = 0.01 "
+            "(t = 0.01)") in caplog.text
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_generate_outputs_are_deterministic(tmp_path):

@@ -324,7 +324,24 @@ def test_no_dense_step_above_dense_rows(params, depth, dt, n_steps):
     plan = heom_module.ChebyshevPlan.of(pauli_step_generator(params, depth, 2, dt),
                                         n_steps)
     assert plan.doubled.shape[0] == 660 > heom_module.DENSE_ROWS
+    assert plan.window > 1
     assert not heom_module._prefers_dense_step(plan, n_steps)
+
+
+@pytest.mark.parametrize("dt,n_steps,dense", [
+    (0.5, 40, False), (0.5, 400, True), (2.0, 40, True), (2.0, 400, True),
+], ids=["dt0.5-40", "dt0.5-400", "dt2-40", "dt2-400"])
+def test_coarse_step_above_dense_rows_takes_the_faster_way(dt, n_steps, dense):
+    # C4's coupling at depth 8 (N = 660): one substep is the whole window,
+    # and the work estimate decides. Whole gen_heom runs, dense step
+    # against windowed frames (s, minimum of 3, one Xeon vCPU, one BLAS
+    # thread): dt = 0.5 (2 substeps) 0.142/0.104 over 40 frames and
+    # 0.407/1.388 over 400; dt = 2 (7 substeps) 0.227/0.422 and 1.114/4.385
+    plan = heom_module.ChebyshevPlan.of(
+        pauli_step_generator(spin_boson(2.0, 1.0, 0.5), 8, 2, dt), n_steps)
+    assert plan.doubled.shape[0] == 660 > heom_module.DENSE_ROWS
+    assert plan.substeps > 1 and plan.window == 1
+    assert heom_module._prefers_dense_step(plan, n_steps * plan.substeps) == dense
 
 
 def test_generation_ignores_the_global_random_state():
@@ -366,8 +383,8 @@ def test_generation_logs_size_cost_and_peak(monkeypatch, caplog):
             rf"hierarchy: 40 rows \(10 ADOs\), {nnz} nonzeros in the real Pauli "
             rf"form; {way}, window (\d+), 1 substeps, Chebyshev degree (\d+), box Re "
             r"\[(\S+), (\S+)\] \|Im\| <= (\S+), bound (\S+), (\d+) sparse "
-            r"products; set up in (\S+) s, 10 steps in (\S+) s, peak auxiliary "
-            r"entry (\S+)",
+            r"products; set up in (\S+) s, 10 steps in (\S+) s, peak entry at "
+            r"window ends (\S+)",
             record.getMessage())
         assert match, record.getMessage()
         assert int(match[1]) == window and int(match[2]) == plan.degree(window)
@@ -499,6 +516,77 @@ def test_first_two_windows_match_the_exponential(params, depth, n_matsubara,
     exact = expm_multiply(gen_dt, state, start=0, stop=len(frames),
                           num=len(frames) + 1, endpoint=True)[1:]
     assert np.abs(frames - exact).max() <= 1e-13
+
+
+# The benchmark hierarchies that take windowed frames (C4 and sweep points
+# 2-6) and C7a, with the frames they are stepped over.
+WINDOWED_CASES = pytest.mark.parametrize("params,depth,n_matsubara,dt,n_steps", [
+    *((*point, n_steps) for point, (n_steps, dense)
+      in zip(BENCHMARK_HIERARCHIES, BENCHMARK_WAYS) if not dense),
+    (C7A, 8, 2, 0.0025, 1600),
+], ids=[*(name for name, (_, dense) in zip(BENCHMARK_IDS, BENCHMARK_WAYS)
+          if not dense), "c7a"])
+
+
+@WINDOWED_CASES
+def test_window_heads_and_last_step_match_the_full_frames(
+        params, depth, n_matsubara, dt, n_steps):
+    # over two windows: the physical block of every step and the whole last
+    # step against the full frames, whose inner steps keep the guard's
+    # certificate max |x_k| <= (1 + sqrt 2) M max_c ||b_c||_2
+    gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
+    plan = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
+    assert not heom_module._prefers_dense_step(plan, n_steps)
+    assert plan.window > 1
+    bound = plan.bound(plan.window)
+    assert bound <= heom_module.MAX_AMPLIFICATION
+    coefficients = plan.coefficients(plan.window)
+    state = np.zeros((gen_dt.shape[0], 4))
+    state[:4] = np.eye(4)
+    for _ in range(2):
+        full = plan.apply(state, coefficients)
+        heads, last = plan.apply_heads(state, coefficients, 4)
+        scale = np.abs(state).max()
+        assert np.abs(heads - full[:, :4]).max() <= 1e-15 * scale
+        assert np.abs(last - full[-1]).max() <= 1e-15 * scale
+        certificate = (1 + np.sqrt(2)) * bound * np.linalg.norm(state, axis=0).max()
+        assert np.abs(full).max() <= certificate
+        state = last
+
+
+@WINDOWED_CASES
+def test_no_benchmark_window_falls_back_to_full_frames(
+        monkeypatch, params, depth, n_matsubara, dt, n_steps):
+    # at the default guard the certificate covers every window, so no
+    # full-frame series runs
+    def spy(self, b, coefficients):
+        raise AssertionError("a window fell back to full frames")
+    monkeypatch.setattr(heom_module.ChebyshevPlan, "apply", spy)
+    gen_heom(params, HeomConfig(depth=depth, n_matsubara=n_matsubara),
+             TimeGrid(dt=dt, n_steps=n_steps))
+
+
+def test_guard_the_certificate_cannot_cover_recomputes_each_window(monkeypatch):
+    # a guard of 100 lies above every entry but below the certificate
+    # (1 + sqrt 2) MAX_AMPLIFICATION ||b_c||_2 >= 2472: every window of two
+    # or more steps is formed in full, and the frames do not change
+    params, cfg = spin_boson(8.0, 5.0, 0.5), HeomConfig(depth=6, n_matsubara=2)
+    grid = TimeGrid(dt=0.01, n_steps=40)
+    monkeypatch.setattr(heom_module, "_prefers_dense_step",
+                        lambda plan, n_steps: False)
+    certified = gen_heom(params, cfg, grid)
+    calls = []
+    full = heom_module.ChebyshevPlan.apply
+    monkeypatch.setattr(heom_module.ChebyshevPlan, "apply",
+                        lambda self, b, c: calls.append(len(c)) or full(self, b, c))
+    monkeypatch.setattr(heom_module, "DIVERGENCE_GUARD", 100.0)
+    recomputed = gen_heom(params, cfg, grid)
+    window = heom_module.ChebyshevPlan.of(
+        pauli_step_generator(params, 6, 2, 0.01), 40).window
+    assert 1 < window < 40
+    counts = [min(window, 40 - start) for start in range(0, 40, window)]
+    assert calls == [count for count in counts if count > 1]
+    assert np.array_equal(recomputed.data, certified.data)
 
 
 @pytest.mark.parametrize("params,depth,n_matsubara,dt,n_steps", [
