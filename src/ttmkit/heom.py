@@ -29,11 +29,14 @@ frame alone would exceed that bound, as at coarse steps, the plan is of
 G dt / s for the fewest substeps s that keep it, and ``gen_heom`` steps
 a grid s times finer and keeps every s-th frame. The vectors T_j(X) v
 of the series do not depend on time, so one recurrence on the stacked
-state gives every step of a window as a small combination of them. Only
-what is kept is combined: the physical D^2 x D^2 block of every step,
-which becomes a frame, and the whole last step, which the next window
-starts from. The divergence guard reads those; the inner steps' other
-rows are covered by the plan's bound, which caps every entry of a
+state gives every step of a window as a small combination of them. Each
+vector is one call of scipy's compiled CSR kernel, which adds
+2 X T_(j-1) in place to the slot holding -T_(j-2); it reads and writes
+flat buffers, so the slots are C-contiguous float64 rows of one stack.
+Only what is kept is combined: the physical D^2 x D^2 block of every
+step, which becomes a frame, and the whole last step, which the next
+window starts from. The divergence guard reads those; the inner steps'
+other rows are covered by the plan's bound, which caps every entry of a
 window's steps at (1 + sqrt 2) MAX_AMPLIFICATION times the largest
 column norm of the state it starts from. A window that bound cannot
 keep under the guard, or whose kept rows are over it or not finite, is
@@ -54,6 +57,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
+# y += A x over the m columns of flat x and y: the kernel `@` ends in
+from scipy.sparse._sparsetools import csr_matvecs
 from scipy.special import ive
 
 from .errors import ConfigurationError, DivergenceError
@@ -98,11 +103,14 @@ LOG_TAIL = -53 * math.log(2.0) - math.log1p(math.sqrt(2.0))
 # frames, 2.4 M entries.
 WINDOW_ENTRIES = 2 ** 22
 
-# Chebyshev vectors combined into a window's kept rows per matrix product.
-# At C4 over 1000 frames (window 4, degree 80), four runs each on one Xeon
-# vCPU, one BLAS thread: chunks of 8, 16 and 32 stepped in 1.02, 1.01 and
-# 1.03 s at best, against 1.15 s holding all 81 vectors; the traced peak
-# memory of the run was 2.1, 2.1, 2.4 and 5.3 MB.
+# Chebyshev vectors combined into a window's kept rows per matrix product:
+# the ring buffer of the recurrence, which needs at least 3 slots (T_j is
+# formed in a slot of its own from those of T_(j-1) and T_(j-2)). At C4
+# over 1000 frames (window 4, degree 80), four runs each on one Xeon
+# vCPU, one BLAS thread, with scipy's `@` for each product: chunks of 8,
+# 16 and 32 stepped in 1.02, 1.01 and 1.03 s at best, against 1.15 s
+# holding all 81 vectors; the traced peak memory of the run was 2.1,
+# 2.1, 2.4 and 5.3 MB.
 COMBINE_CHUNK = 16
 
 # The most rows a hierarchy may have for the dense step to be formed. Up
@@ -124,11 +132,18 @@ DENSE_ROWS = 512
 # coefficient of the window's series (scipy's ive) COEFFICIENT_WORK. On
 # one Xeon vCPU, one BLAS thread, over the eleven benchmark hierarchies
 # (N = 140-1980) and N = 40 and 336, a step on the N x 4 state took
-# 0.83-1.02 ns per nonzero and column plus 5.0-5.8 us per call
-# (least-squares fits, two runs), so a call costs 5600-6000 units; a
-# 64-column step of the one-step series, its combination included,
-# 0.6-1.3 units per nonzero and column; a dense product 0.17-0.43 units
-# per entry up to N = 480; and a coefficient 300-1000 units. Combining
+# 0.83-1.02 ns per nonzero and column plus 5.0-5.8 us per call through
+# scipy's `@` and a subtract pass (least-squares fits, two runs), so a
+# call cost 5600-6000 units. The kernel called directly takes 0.75-0.78
+# ns plus 2.3-2.4 us, about 3000 units, and CALL_OVERHEAD is kept at
+# 6000: the estimate leaves out combining the vectors, and with 3000 it
+# takes windowed steps at N = 336 over 400 frames (lambda 8, dt = 0.01),
+# where the dense step was faster in 25 of 30 alternating runs (17.9
+# against 18.2 ms at best); with 6000 it takes the faster way in every
+# case timed here and in test_heom. A 64-column step of the one-step
+# series, its combination included, took 0.6-1.3 units per nonzero and
+# column (either product); a dense product 0.17-0.43 units per entry up
+# to N = 480; and a coefficient 300-1000 units. Combining
 # the series' vectors into a window's steps (0.06-0.12 units per entry of
 # a vector and step) is left out: with or without it the estimate takes
 # the same way in every case of the grid timed for DENSE_ROWS up to
@@ -398,18 +413,37 @@ class ChebyshevPlan:
         """The vectors T_j(X) b, j = 0..``degree``, COMBINE_CHUNK at a time.
 
         Yields (j, chunk): the chunk's vectors from T_j(X) b on, stacked
-        in one array that the next chunk overwrites.
+        in one array that the next chunk overwrites. Each vector past
+        T_0 is one call of scipy's compiled CSR kernel ``csr_matvecs``,
+        which ``@`` itself ends in and which adds A x to y in place, here
+        with A = 2 X: for j >= 2 the slot first holds -T_(j-2) and the
+        kernel adds 2 X T_(j-1) to it, with no zeroed result and no
+        subtract pass; T_1 is the kernel's product into a zeroed slot,
+        halved exactly. The kernel reads and writes its buffers flat, so
+        they must be C-contiguous float64: ``b`` is copied into the first
+        slot, whatever its order or strides, and every slot is a
+        contiguous row of the stack. The kernel does not check sizes, so
+        ``b`` must have N rows.
         """
+        a, n = self.doubled, self.doubled.shape[0]
+        if b.shape[0] != n:
+            raise ValueError(f"b has {b.shape[0]} rows, the plan's matrix {n}")
+        columns = b.size // n
         vectors = np.empty((COMBINE_CHUNK,) + b.shape)
+        flat = vectors.reshape(COMBINE_CHUNK, -1)  # a view: the stack is C-ordered
         for j in range(degree + 1):
             slot = j % COMBINE_CHUNK
             if j == 0:
                 vectors[0] = b
             elif j == 1:
-                np.multiply(self.doubled @ b, 0.5, out=vectors[1])
+                flat[1] = 0.0
+                csr_matvecs(n, n, columns, a.indptr, a.indices, a.data,
+                            flat[0], flat[1])
+                flat[1] *= 0.5
             else:  # T_j = 2 X T_(j-1) - T_(j-2); slot - 1 and - 2 wrap
-                np.subtract(self.doubled @ vectors[slot - 1], vectors[slot - 2],
-                            out=vectors[slot])
+                np.negative(flat[slot - 2], out=flat[slot])
+                csr_matvecs(n, n, columns, a.indptr, a.indices, a.data,
+                            flat[slot - 1], flat[slot])
             if slot == COMBINE_CHUNK - 1 or j == degree:
                 yield j - slot, vectors[:slot + 1]
 
@@ -513,9 +547,11 @@ def gen_heom(params, cfg, grid):
     window, the substeps per frame, and the degree, the box of the
     numerical range and the amplification bound, all three of one
     substep, then the sparse products made over the finer grid (for the
-    dense step, those that form it), the set-up and stepping times and
-    the peak entry (in Pauli coordinates) of the rows the guard read: the
-    physical blocks and every window's last step.
+    dense step, those that form it), the set-up and stepping times, the
+    peak entry (in Pauli coordinates) of the rows the guard read (the
+    physical blocks and every window's last step) and the time per
+    sparse product: of forming the dense step, or of stepping the frames,
+    over the products it made.
 
     Parameters
     ----------
@@ -545,6 +581,7 @@ def gen_heom(params, cfg, grid):
     n = gen_dt.shape[0]
     plan = ChebyshevPlan.of(gen_dt, min(grid.n_steps, max(1, WINDOW_ENTRIES // (n * blk))))
     fine = TimeGrid(dt=grid.dt / plan.substeps, n_steps=grid.n_steps * plan.substeps)
+    planned = time.perf_counter()
     if _prefers_dense_step(plan, fine.n_steps):
         way, window, step = "dense step", 1, _dense_step(plan)
         products = plan.degree(1) * math.ceil(n / COLUMN_BLOCK)
@@ -601,14 +638,19 @@ def gen_heom(params, cfg, grid):
         run_peak = max(run_peak, peak)
         frames[start + 1:start + 1 + count] = heads
         state = last
+    stepped = time.perf_counter()
+    # the sparse products form the dense step, or step the frames
+    product_s = ((built - planned if way == "dense step" else stepped - built)
+                 / max(products, 1))
     log.debug(
         "hierarchy: %d rows (%d ADOs), %d nonzeros in the real Pauli form; "
         "%s, window %d, %d substeps, Chebyshev degree %d, box Re [%.6g, %.6g] "
         "|Im| <= %.6g, bound %.3g, %d sparse products; set up in %.3f s, %d "
-        "steps in %.3f s, peak entry at window ends %.3g",
+        "steps in %.3f s, peak entry at window ends %.3g, %.3g us per sparse "
+        "product",
         n, n // blk, gen_dt.nnz, way, window, plan.substeps, plan.degree(window),
         plan.lo, plan.hi, plan.eta, plan.bound(window), products,
-        built - started, grid.n_steps, time.perf_counter() - built, run_peak,
+        built - started, grid.n_steps, stepped - built, run_peak, product_s * 1e6,
     )
     # back to the |a><b| basis: E_k = B0 M_k B0^H / 2, so E_0 = I exactly
     maps = PAULI_BASIS @ frames[::plan.substeps] @ (0.5 * PAULI_BASIS.conj().T)

@@ -19,7 +19,9 @@ and the least
 squares over the generalized Pauli basis behind the fitted
 ``ttmkit.kernels.extract_liouvillian``, and scipy's ``expm_multiply``
 over blocks of identity columns behind the dense hierarchy step of
-``ttmkit.heom``, the complex stepping of the |a><b| basis, with the
+``ttmkit.heom``, the Chebyshev recurrence through scipy's sparse ``@``
+behind the compiled kernel calls of ``ttmkit.heom.ChebyshevPlan``, the
+complex stepping of the |a><b| basis, with the
 truncated Taylor series ``TaylorPlan`` the hierarchy was stepped with
 before its Chebyshev plan, behind the real Pauli form that
 ``ttmkit.heom.gen_heom`` steps, and the frequency
@@ -470,6 +472,23 @@ def reference_step_propagator(gen_dt, block=128):
         columns[start + np.arange(width), np.arange(width)] = 1.0
         step[:, start:start + width] = expm_multiply(gen_dt, columns)
     return step
+
+
+def reference_chebyshev_series(doubled, b, degree):
+    """The vectors T_j(X) b, j = 0..``degree``, stacked, with 2 X = ``doubled``.
+
+    The three-term recurrence T_j = 2 X T_(j-1) - T_(j-2) through
+    scipy's sparse ``@`` and a separate subtraction, as
+    ``ttmkit.heom.ChebyshevPlan`` ran it before it called the compiled
+    CSR kernel itself.
+    """
+    vectors = np.empty((degree + 1,) + b.shape)
+    vectors[0] = b
+    if degree >= 1:
+        vectors[1] = 0.5 * (doubled @ b)
+    for j in range(2, degree + 1):
+        vectors[j] = doubled @ vectors[j - 1] - vectors[j - 2]
+    return vectors
 
 
 def reference_gen_heom(params, cfg, grid):

@@ -4,6 +4,7 @@ import json
 import logging
 import re
 import tracemalloc
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from oracles import (
     _multi_indices,
     pauli_form,
     projected_tensors,
+    reference_chebyshev_series,
     reference_gen_heom,
     reference_hierarchy_generator,
     reference_step_propagator,
@@ -290,12 +292,13 @@ def test_taylor_plan_minimises_products(x, degree, substeps):
 
 # The frames each benchmark hierarchy is stepped over (C4 1000, the sweep
 # 200, cli_pipeline 800) and the way the cost rule takes. Whole gen_heom
-# runs, dense step against windowed frames (ms, minimum of 7, of 3 from
-# N = 1820, one Xeon vCPU, one BLAS thread): c4 5915/1072, sweep-0
-# 6.5/19.2, sweep-1 9.6/13.4, sweep-2 30.1/16.3, sweep-3 201/31.7,
-# sweep-4 1494/85.6, sweep-5 1529/72.2, sweep-6 110/21.8, sweep-7
-# 7.8/11.8, sweep-8 7.9/14.2, cli_pipeline 18.9/43.7; the rule takes the
-# faster way at each.
+# runs, dense step against windowed frames (ms, minimum of two runs of 7,
+# of 3 from N = 1820, one Xeon vCPU, one BLAS thread): c4 4221/704,
+# sweep-0 6.2/16.3, sweep-2 31.7/10.3, sweep-3 201/20.2, sweep-4
+# 1052/54.8, sweep-5 1149/31.9, sweep-6 89.1/12.3, sweep-8 6.1/8.1; near
+# the crossover, 30 alternating runs: sweep-1 7.4/8.9 (dense faster in
+# 30), sweep-7 6.1/6.5 (29), cli_pipeline 16.8/20.4 (30). The rule takes
+# the faster way at each.
 BENCHMARK_WAYS = [(1000, False)] + [(200, i in (0, 1, 7, 8))
                                     for i in range(len(SWEEP))] + [(800, True)]
 
@@ -334,9 +337,10 @@ def test_no_dense_step_above_dense_rows(params, depth, dt, n_steps):
 def test_coarse_step_above_dense_rows_takes_the_faster_way(dt, n_steps, dense):
     # C4's coupling at depth 8 (N = 660): one substep is the whole window,
     # and the work estimate decides. Whole gen_heom runs, dense step
-    # against windowed frames (s, minimum of 3, one Xeon vCPU, one BLAS
-    # thread): dt = 0.5 (2 substeps) 0.142/0.104 over 40 frames and
-    # 0.407/1.388 over 400; dt = 2 (7 substeps) 0.227/0.422 and 1.114/4.385
+    # against windowed frames (s, minimum of two runs of 7, one Xeon vCPU,
+    # one BLAS thread): dt = 0.5 (2 substeps) 0.111/0.077 over 40 frames
+    # and 0.343/0.699 over 400; dt = 2 (7 substeps) 0.191/0.285 and
+    # 1.021/2.774
     plan = heom_module.ChebyshevPlan.of(
         pauli_step_generator(spin_boson(2.0, 1.0, 0.5), 8, 2, dt), n_steps)
     assert plan.doubled.shape[0] == 660 > heom_module.DENSE_ROWS
@@ -384,7 +388,7 @@ def test_generation_logs_size_cost_and_peak(monkeypatch, caplog):
             rf"form; {way}, window (\d+), 1 substeps, Chebyshev degree (\d+), box Re "
             r"\[(\S+), (\S+)\] \|Im\| <= (\S+), bound (\S+), (\d+) sparse "
             r"products; set up in (\S+) s, 10 steps in (\S+) s, peak entry at "
-            r"window ends (\S+)",
+            r"window ends (\S+), (\S+) us per sparse product",
             record.getMessage())
         assert match, record.getMessage()
         assert int(match[1]) == window and int(match[2]) == plan.degree(window)
@@ -392,8 +396,11 @@ def test_generation_logs_size_cost_and_peak(monkeypatch, caplog):
         assert lo < 0 < hi and eta > 0
         assert 1.0 <= bound <= heom_module.MAX_AMPLIFICATION
         assert int(match[7]) == products > 0
-        set_up_s, step_s, peak = map(float, match.groups()[7:])
+        set_up_s, step_s, peak, product_us = map(float, match.groups()[7:])
         assert set_up_s >= 0 and step_s >= 0 and peak >= 1.0
+        # forming the dense step takes place within the set-up
+        spent_s = set_up_s if way == "dense step" else step_s
+        assert 0 < product_us * products * 1e-6 <= spent_s + 1e-3
 
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "frames"])
@@ -516,6 +523,70 @@ def test_first_two_windows_match_the_exponential(params, depth, n_matsubara,
     exact = expm_multiply(gen_dt, state, start=0, stop=len(frames),
                           num=len(frames) + 1, endpoint=True)[1:]
     assert np.abs(frames - exact).max() <= 1e-13
+
+
+def series_vectors(plan, b, degree):
+    """Every vector T_j(X) b of the plan's ``_series``, j = 0..``degree``, stacked."""
+    return np.concatenate([chunk.copy() for _, chunk in plan._series(b, degree)])
+
+
+def test_csr_kernel_adds_the_product_in_place():
+    # the compiled kernel the series calls: y += A x over the columns of a
+    # C-ordered x and y, A = [[1, 0, 2], [0, 3, 0], [4, 0, 5]]
+    indptr, indices = np.array([0, 2, 3, 5]), np.array([0, 2, 1, 0, 2])
+    data = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    x, y = np.arange(6.0).reshape(3, 2), np.ones((3, 2))
+    heom_module.csr_matvecs(3, 3, 2, indptr.astype(np.int32),
+                            indices.astype(np.int32), data, x.ravel(), y.ravel())
+    assert np.array_equal(y, [[9.0, 12.0], [7.0, 10.0], [21.0, 30.0]])
+
+
+@PLAN_CASES
+def test_series_matches_the_dispatching_recurrence(params, depth, n_matsubara,
+                                                    dt, n_steps):
+    # the kernel's in-place recurrence against T_j = 2 X T_(j-1) - T_(j-2)
+    # through scipy's `@`, over the window's degree from the inputs. The
+    # two add in another order, and the recurrence carries the rounding
+    # of each vector on as the ellipse allows, up to rho^j times it,
+    # however far T_j b itself cancels (sweep-5: max |T_j b| 84, the
+    # vectors apart by 1.7e-10 at j = 64). The steps weigh T_j b by
+    # |a_j(k)|, whose sum with rho^j is the bound M, so vectors within
+    # 1e-15 rho^j max |b| of the oracle keep the steps within 1e-15 M;
+    # the eleven hierarchies and C7a read at most 1.02e-16 rho^j.
+    plan = heom_module.ChebyshevPlan.of(
+        pauli_step_generator(params, depth, n_matsubara, dt), n_steps)
+    state = np.zeros((plan.doubled.shape[0], 4))
+    state[:4] = np.eye(4)
+    degree = plan.degree(plan.window)
+    ours = series_vectors(plan, state, degree)
+    reference = reference_chebyshev_series(plan.doubled, state, degree)
+    assert ours.shape == reference.shape
+    # j = 0 is a copy and j = 1 an exact halving of the same product
+    assert np.array_equal(ours[:2], reference[:2])
+    deviation = np.abs(ours - reference).max(axis=(1, 2))
+    assert np.all(deviation <= 1e-15 * plan.rho ** np.arange(degree + 1))
+
+
+def test_series_reads_any_index_width_and_layout():
+    # int64 indices, and a b in Fortran order or strided, give the same
+    # vectors: the kernel reads and writes flat buffers, so the series
+    # must hand it C-contiguous float64 ones
+    params, depth, n_matsubara, dt = BENCHMARK_HIERARCHIES[-1]  # cli_pipeline
+    plan = heom_module.ChebyshevPlan.of(
+        pauli_step_generator(params, depth, n_matsubara, dt), 800)
+    state = np.random.default_rng(5).standard_normal((plan.doubled.shape[0], 4))
+    expected = series_vectors(plan, state, 40)
+    wide = plan.doubled.copy()
+    wide.indices, wide.indptr = (a.astype(np.int64) for a in (wide.indices, wide.indptr))
+    assert plan.doubled.indices.dtype == np.int32 and wide.indices.dtype == np.int64
+    big = np.zeros((state.shape[0], 8))
+    big[:, ::2] = state
+    for variant, b in [(replace(plan, doubled=wide), state),
+                       (plan, np.asfortranarray(state)), (plan, big[:, ::2])]:
+        assert np.array_equal(series_vectors(variant, b, 40), expected)
+    # the kernel checks no sizes: a b of other rows is refused before it runs
+    with pytest.raises(ValueError, match="rows"):
+        series_vectors(plan, state[1:], 40)
 
 
 # The benchmark hierarchies that take windowed frames (C4 and sweep points
