@@ -21,10 +21,18 @@ part; ``gen_heom`` steps it and maps the physical block back to the
 The frames exp(k G dt) come from one Chebyshev series of the sparse
 G dt (``ChebyshevPlan``), planned once per hierarchy. Gershgorin discs
 of its symmetric and skew parts bound the numerical range to a box; the
-degree is the least whose tail on the Bernstein ellipse around the box
-is below double precision by the Crouzeix-Palencia bound, and the
+series' foci lie on the box's real axis, symmetric about its centre;
+the degree is the least whose tail on the Bernstein ellipse around the
+box is below double precision by the Crouzeix-Palencia bound, and the
 window of steps one series serves is the widest whose bound on the
-series' rounding amplification stays within MAX_AMPLIFICATION. Where one
+series' rounding amplification stays within MAX_AMPLIFICATION. Foci
+closer than the box's ends fit the ellipse to the box where the
+exponential grows, so windows span more steps; the plan searches five
+focal half-widths, from the box's half-width down to half of it, for
+the one the work estimate finds cheapest, and takes none whose vectors
+could grow past e^MAX_LOG_GROWTH. The series' value at the scalar the
+conserved trace row takes divides each step, so that row does not
+drift with the rounding of the coefficients. Where one
 frame alone would exceed that bound, as at coarse steps, the plan is of
 G dt / s for the fewest substeps s that keep it, and ``gen_heom`` steps
 a grid s times finer and keeps every s-th frame. The vectors T_j(X) v
@@ -46,8 +54,9 @@ identity columns, after which all D^2 basis columns ride through one
 dense product per step, or the windowed series acts on the N x D^2
 stacked state with no dense step at all. Above DENSE_ROWS rows
 ``gen_heom`` takes the windowed series wherever a window spans more
-than one step; otherwise whichever a work estimate in N, the nonzeros,
-the window, the degrees and the number of steps finds cheaper.
+than one step; otherwise whichever the work estimate (in N, the
+nonzeros, the window, the degrees and the number of steps) finds
+cheaper.
 """
 
 import logging
@@ -59,7 +68,7 @@ import numpy as np
 from scipy import sparse
 # y += A x over the m columns of flat x and y: the kernel `@` ends in
 from scipy.sparse._sparsetools import csr_matvecs
-from scipy.special import ive
+from scipy.special import gammaln, ive
 
 from .errors import ConfigurationError, DivergenceError
 # Unused here: perfbench/test_perfbench.py requires both names in ttmkit.heom.
@@ -77,84 +86,55 @@ DIVERGENCE_GUARD = 1e6
 PAULI_BASIS = np.stack([m.reshape(-1) for m in (np.eye(2), *PAULI)], axis=1)
 
 # Identity columns per application of the one-step series when forming
-# the dense step. On one Xeon vCPU, one BLAS thread (minimum of 3), blocks
-# of 64 formed it within 6 % of the fastest of 32, 64, 128 and 256 where
-# it is formed, up to DENSE_ROWS: N = 224 in 3.5 ms against 3.3-3.5, and
-# N = 480 in 14.4 ms against 15.0, 14.5 and 17.8. Above it, where only
-# tests form the step, blocks of 32 were 8-19 % faster (N = 880 and 1820:
-# 50 and 468 ms against 54 and 574 ms).
+# the dense step: within 6 % of the fastest block up to DENSE_ROWS.
 COLUMN_BLOCK = 64
 
 # The largest amplification bound M a window of steps may have. The
 # series combines vectors whose rounding it amplifies by at most M, so
 # M <= 2^10 keeps a frame within about 2^-43 = 1.1e-13 of the exact
 # exponential, relative to the state: the accuracy the dense step and
-# the hierarchy's tests hold every frame to. At C4 (N = 1820) windows of
-# 1-5 frames have M = 6.7, 25, 89, 317 and 1130.
+# the hierarchy's tests hold every frame to.
 MAX_AMPLIFICATION = 2.0 ** 10
 # log(2^-53 / (1 + sqrt 2)): the series' tail beyond its degree stays below
 LOG_TAIL = -53 * math.log(2.0) - math.log1p(math.sqrt(2.0))
+# The most log(rho^degree) a series may reach: its vectors grow like rho^j,
+# and e^600 = 3.8e260 times a state within DIVERGENCE_GUARD stays finite.
+MAX_LOG_GROWTH = 600.0
 
 # Entries of the stacked state a window may span over all its frames
-# (32 MB). Stepping forms only the physical block of each frame and the
-# last step, so this bounds the full frames a window is formed in when
-# the guard falls back to them. The bound M lets a window span more
-# frames the smaller the step is: C7a's N = 660 at dt = 0.0025 takes 911
-# frames, 2.4 M entries.
+# (32 MB): this bounds the full frames a window is formed in when the
+# guard falls back to them.
 WINDOW_ENTRIES = 2 ** 22
 
 # Chebyshev vectors combined into a window's kept rows per matrix product:
 # the ring buffer of the recurrence, which needs at least 3 slots (T_j is
-# formed in a slot of its own from those of T_(j-1) and T_(j-2)). At C4
-# over 1000 frames (window 4, degree 80), four runs each on one Xeon
-# vCPU, one BLAS thread, with scipy's `@` for each product: chunks of 8,
-# 16 and 32 stepped in 1.02, 1.01 and 1.03 s at best, against 1.15 s
-# holding all 81 vectors; the traced peak memory of the run was 2.1,
-# 2.1, 2.4 and 5.3 MB.
+# formed in a slot of its own from those of T_(j-1) and T_(j-2)). Chunks
+# of 8-32 step about as fast, and faster than holding every vector.
 COMBINE_CHUNK = 16
 
-# The most rows a hierarchy may have for the dense step to be formed. Up
-# to N = 512 the 8 N^2 bytes of the step fit a core's 2 MiB L2 cache;
-# above it the dense product per step runs from memory. Timing both ways
-# on one Xeon vCPU, one BLAS thread, windowed steps were faster in all
-# 24 cases at N = 660 and 880 (lambda 0.1, 2 and 8; 20-1600 frames), by
-# 1.24-9.2 times, and the crossover lies between N = 480 and 660. Those
-# steps need no substeps and their windows span many steps. A window of
-# one step, as at coarse steps, is left to the work estimate, with the
-# dense product at MEMORY_DENSE_WORK per entry.
+# The most rows a hierarchy may have for the dense step to be formed
+# where a window spans more than one step. Up to N = 512 the 8 N^2 bytes
+# of the step fit a core's 2 MiB L2 cache; above it the dense product
+# runs from memory, and windowed steps were the faster way in every case
+# timed at N = 660 and 880. A window of one step, as at coarse steps, is
+# left to the work estimate, with the dense product at MEMORY_DENSE_WORK
+# per entry.
 DENSE_ROWS = 512
 
-# Work units for choosing how to step the real Pauli form up to
-# DENSE_ROWS rows: a step of the recurrence on the N x 4 state costs nnz
-# units per column plus CALL_OVERHEAD; one on COLUMN_BLOCK identity
-# columns, which vectorises better, BLOCK_WORK per nonzero and column; a
-# dense product with the step DENSE_WORK per entry of the step; and a
-# coefficient of the window's series (scipy's ive) COEFFICIENT_WORK. On
-# one Xeon vCPU, one BLAS thread, over the eleven benchmark hierarchies
-# (N = 140-1980) and N = 40 and 336, a step on the N x 4 state took
-# 0.83-1.02 ns per nonzero and column plus 5.0-5.8 us per call through
-# scipy's `@` and a subtract pass (least-squares fits, two runs), so a
-# call cost 5600-6000 units. The kernel called directly takes 0.75-0.78
-# ns plus 2.3-2.4 us, about 3000 units, and CALL_OVERHEAD is kept at
-# 6000: the estimate leaves out combining the vectors, and with 3000 it
-# takes windowed steps at N = 336 over 400 frames (lambda 8, dt = 0.01),
-# where the dense step was faster in 25 of 30 alternating runs (17.9
-# against 18.2 ms at best); with 6000 it takes the faster way in every
-# case timed here and in test_heom. A 64-column step of the one-step
-# series, its combination included, took 0.6-1.3 units per nonzero and
-# column (either product); a dense product 0.17-0.43 units per entry up
-# to N = 480; and a coefficient 300-1000 units. Combining
-# the series' vectors into a window's steps (0.06-0.12 units per entry of
-# a vector and step) is left out: with or without it the estimate takes
-# the same way in every case of the grid timed for DENSE_ROWS up to
-# N = 480, and that way was the faster one or within 10 % of it. Without
-# the coefficient term the rule takes windowed steps at N = 224 over 200
-# frames, where the dense step is 1.5 times faster. Above DENSE_ROWS a
-# dense product took 0.97-1.10 units per entry at N = 660-1144 and 1.9-2.0
-# at N = 1820 (two runs), hence MEMORY_DENSE_WORK; with it the rule took
-# the faster way in all ten coarse cases timed at N = 660 and 880
-# (lambda 2 and 8, dt = 0.5 and 2, 40 and 400 frames; see test_heom).
-CALL_OVERHEAD = 6000
+# Work units of the estimate that picks the plan's focus and the way to
+# step (``_step_work``), about 0.75 ns each on one Xeon vCPU with one
+# BLAS thread (least-squares fits over the benchmark hierarchies and
+# N = 40 and 336). A vector of the recurrence on the N x 4 state costs
+# one unit per nonzero and column plus CALL_OVERHEAD for the kernel's
+# call, and COMBINE_WORK per entry for combining it into the window's
+# kept rows (the whole last step dominates; the heads add little with
+# the window); one on COLUMN_BLOCK identity columns, its combination
+# included, BLOCK_WORK per nonzero and column; a dense product with the
+# step DENSE_WORK per entry up to DENSE_ROWS rows and MEMORY_DENSE_WORK
+# above; a coefficient of the window's series (scipy's ive)
+# COEFFICIENT_WORK.
+CALL_OVERHEAD = 3000
+COMBINE_WORK = 0.45
 BLOCK_WORK = 0.75
 DENSE_WORK = 0.3
 COEFFICIENT_WORK = 600
@@ -257,6 +237,18 @@ def hierarchy_generator(h, q_op, coeffs, rates, tail, depth):
     return gen
 
 
+def _box(matrix):
+    """(lo, hi, eta): a box holding the numerical range of a real sparse matrix.
+
+    Re z in [lo, hi] from the Gershgorin discs of the symmetric part
+    (A + A^T)/2, |Im z| <= eta from those of the skew part, in O(nnz).
+    """
+    diagonal, transposed = matrix.diagonal(), matrix.T.tocsr()
+    sym_radius = abs(matrix + transposed).sum(axis=1) / 2 - abs(diagonal)
+    return (float((diagonal - sym_radius).min()), float((diagonal + sym_radius).max()),
+            float(abs(matrix - transposed).sum(axis=1).max() / 2))
+
+
 @dataclass(frozen=True)
 class ChebyshevPlan:
     """exp(k A) b for the steps k of a window from one Chebyshev series.
@@ -266,39 +258,59 @@ class ChebyshevPlan:
     amplification bound below (s = 1 unless the step is coarse). Every
     attribute and method describes A; only the caller that steps a grid
     s times finer reads s. The numerical range W(A) of a real sparse A
-    lies in a box, found in O(nnz): Re z in [lo, hi] from the Gershgorin
-    discs of the symmetric part (A + A^T)/2, |Im z| <= eta from those of
-    the skew part. With the centre c and half-width h of [lo, hi],
-    X = (A - c) / h and exp(z x) = I_0(z) + 2 sum_j I_j(z) T_j(x)
-    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984), step k is
-    sum_j a_j(k) T_j(X) b with a_j(k) = 2 e^(k hi) ive(j, k h), a_0
-    halved. The vectors T_j(X) b do not depend on k, so one three-term
-    recurrence serves every step of a window. By Crouzeix & Palencia
-    (SIAM J. Matrix Anal. Appl. 38, 649, 2017),
-    ||p(A) - f(A)||_2 <= (1 + sqrt 2) max over W(A) of |p - f|, and
-    |T_j| <= rho^j on the Bernstein ellipse E_rho through the box's
-    corners. So step k is exact to double precision at the least
-    degree n with (1 + sqrt 2) sum_{j > n} |a_j(k)| rho^j < 2^-53, and the
-    sum M = sum_j |a_j(k)| rho^j bounds how much the series amplifies the
-    rounding of its vectors. Beyond j = k h every term grows with k
-    when hi >= 0, as it is when A has a zero eigenvalue (the hierarchy's
-    conserved trace), so a window's last step sets its degree and M.
+    lies in a box (``_box``): Re z in [lo, hi], |Im z| <= eta. With the
+    box's centre c, foci c -+ h' on its real axis, X = (A - c) / h' and
+    exp(z x) = I_0(z) + 2 sum_j I_j(z) T_j(x) (Tal-Ezer & Kosloff,
+    J. Chem. Phys. 81, 3967, 1984), step k is sum_j a_j(k) T_j(X) b with
+    a_j(k) = 2 e^(k (c + h')) ive(j, k h'), a_0 halved. The vectors
+    T_j(X) b do not depend on k, so one three-term recurrence serves
+    every step of a window. By Crouzeix & Palencia (SIAM J. Matrix Anal.
+    Appl. 38, 649, 2017), ||p(A) - f(A)||_2 <= (1 + sqrt 2) max over
+    W(A) of |p - f|, and |T_j| <= rho^j on the Bernstein ellipse E_rho
+    with those foci through the box's corners (hi, +-eta), which holds
+    the whole box: it is symmetric about c. So step k is exact to double
+    precision at the least degree n with
+    (1 + sqrt 2) sum_{j > n} |a_j(k)| rho^j < 2^-53, and the sum
+    M = sum_j |a_j(k)| rho^j bounds how much the series amplifies the
+    rounding of its vectors. As I_j'(z) / I_j(z) >= j / z,
+    d/dk log |a_j(k)| >= c + j / k: beyond j = -k c every term grows with
+    k. M grows with k as e^(k g) does, g >= hi >= 0 when A has a zero
+    eigenvalue (the hierarchy's conserved trace). So a window's last step
+    L sets its M, and its degree too where that degree passes -L c.
+
+    The focal half-width h' is h 2^(-i/4), i = 0..4, of the box's
+    half-width h. Foci at the box's ends (h' = h) give a thin ellipse
+    that reaches about eta / 2 past hi; closer foci fit the box more
+    tightly on the right, where the growth of e^(k z) sets M, so a
+    window spans more steps, at a larger rho and degree. ``of`` keeps
+    the focus the work estimate ``_step_work`` finds cheapest. The
+    vectors grow like rho^j, so no focus inside the box's ends is taken
+    whose degree times log rho exceeds MAX_LOG_GROWTH, or whose degree
+    falls short of -L c. Where the box holds 0, a zero row of
+    A (the conserved trace) maps to the scalar x0 = -c / h', outside
+    [-1, 1] when h' < h. There T_j(x0) grows like rho^j, and the rounding
+    of the coefficients, amplified up to M times, would make that row
+    drift from window to window. So ``coefficients`` divides each step
+    by its series' value at x0, formed by the recurrence the vectors
+    take, and the row keeps its entry to the rounding of the sum.
 
     Attributes
     ----------
     doubled : scipy.sparse.csr_array
-        2 X, formed as (2 / h) A - 2 (c / h) I: a zero row of A keeps the
-        exact diagonal -c / h, and the coefficients take e^(k hi) as
-        e^((k h) (c / h + 1)) with the same c / h, so they cancel to
-        rounding and a conserved trace does not drift.
+        2 X, formed as (2 / h') A - 2 (c / h') I: a zero row of A keeps
+        the exact diagonal -2 c / h'.
     half : float
-        h, the half-width of the box.
+        h', the focal half-width.
     shift : float
-        c / h.
+        c / h'.
+    lo, hi : float
+        The box's real range: Re z in [lo, hi] over W(A).
     eta : float
         The box's imaginary extent: |Im z| <= eta over W(A).
     rho : float
         The Bernstein ellipse through the corners of the box scaled to X.
+    focus : float
+        h' / h.
     substeps : int
         s: A is the matrix given to ``of`` divided by s. X and rho do not
         depend on it.
@@ -309,37 +321,63 @@ class ChebyshevPlan:
     doubled: sparse.csr_array
     half: float
     shift: float
+    lo: float
+    hi: float
     eta: float
     rho: float
+    focus: float
     substeps: int
     window: int
-    # log terms by substep, shared by every window of the same box
+    # log terms by substep, shared by every window of the same plan
     _terms: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
-    def of(cls, gen_dt, window):
-        """Plan exp(k gen_dt / s) for the widest window of steps up to ``window``.
+    def of(cls, gen_dt, n_steps, window=None):
+        """Plan ``n_steps`` steps of exp(gen_dt), up to ``window`` per series.
 
-        s is 1 unless the bound M of exp(gen_dt) would exceed
+        ``window`` defaults to ``n_steps``. Tries the foci h' = h 2^(-i/4)
+        for i = 0, 1, ..., 4 and stops at the first that ``_step_work``
+        finds no cheaper than the one before it, whose vectors could grow
+        past e^MAX_LOG_GROWTH, or whose degree falls short of -L c over
+        its window of L steps; it keeps the one before. 2 X is formed for
+        that focus alone.
+        """
+        lo, hi, eta = _box(gen_dt)
+        window = n_steps if window is None else min(window, n_steps)
+        best, least = None, math.inf
+        for i in range(5):
+            plan = cls._focused(lo, hi, eta, 2.0 ** (-i / 4), window)
+            degree = plan.degree(plan.window)
+            if i and (degree * math.log(plan.rho) > MAX_LOG_GROWTH
+                      or degree < -plan.shift * plan.half * plan.window):
+                break
+            work = _step_work(gen_dt, plan, n_steps * plan.substeps)[0]
+            if work >= least:
+                break
+            best, least = plan, work
+        half = best.half * best.substeps
+        return replace(best, doubled=(
+            gen_dt * (2.0 / half)
+            - sparse.eye_array(gen_dt.shape[0], format="csr") * (2.0 * best.shift)))
+
+    @classmethod
+    def _focused(cls, lo, hi, eta, focus, window):
+        """The plan, without ``doubled``, of foci c -+ ``focus`` h on the box.
+
+        s is 1 unless the bound M of one step would exceed
         MAX_AMPLIFICATION; then it is the fewest substeps that keep it.
         The window is the largest number of steps L <= ``window`` whose
         bound M stays within MAX_AMPLIFICATION (at least 1). M grows with
         L, so the search bisects on it.
         """
-        diagonal, transposed = gen_dt.diagonal(), gen_dt.T.tocsr()
-        sym_radius = abs(gen_dt + transposed).sum(axis=1) / 2 - abs(diagonal)
-        lo = float((diagonal - sym_radius).min())
-        hi = float((diagonal + sym_radius).max())
-        eta = float(abs(gen_dt - transposed).sum(axis=1).max() / 2)
         # a box of no width keeps a valid, wider one: the series needs h > 0
-        half = 0.5 * (hi - lo) or eta or 1.0
+        half = (0.5 * (hi - lo) or eta or 1.0) * focus
         shift = 0.5 * (lo + hi) / half
-        doubled = (gen_dt * (2.0 / half)
-                   - sparse.eye_array(gen_dt.shape[0], format="csr") * (2.0 * shift))
-        # the ellipse with foci -1, 1 through the corner 1 + i eta / h
-        axis = 0.5 * (eta / half + math.hypot(2.0, eta / half))
+        # the ellipse with foci -1, 1 through the corner (1 + i eta / h) / focus
+        x, y = 1.0 / focus, eta / half
+        axis = 0.5 * (math.hypot(x - 1.0, y) + math.hypot(x + 1.0, y))
         rho = axis + math.sqrt(axis * axis - 1.0)
-        # e^(L g) <= M <= 2 e^(L g), g = c + h (rho + 1/rho) / 2: the series
+        # e^(L g) <= M <= 2 e^(L g), g = c + h' (rho + 1/rho) / 2: the series
         # summed to every order at the ellipse's right vertex. So substeps
         # with g <= log(MAX_AMPLIFICATION / 2) keep every substep within
         # the bound, and the bisection runs over the few windows between
@@ -348,41 +386,40 @@ class ChebyshevPlan:
         most, least = math.log(MAX_AMPLIFICATION), math.log(MAX_AMPLIFICATION / 2)
         substeps = max(1, math.ceil(growth / least))
         growth /= substeps
-        plan = cls(doubled, half / substeps, shift, eta / substeps, rho, substeps, 1)
+        plan = cls(None, half / substeps, shift, lo / substeps, hi / substeps,
+                   eta / substeps, rho, focus, substeps, 1)
         low = 1
         if growth > 0:
             low = max(1, min(window, int(least / growth)))
             window = max(1, min(window, int(most / growth)))
         while low < window:
             mid = (low + window + 1) // 2
-            if plan.bound(mid) <= MAX_AMPLIFICATION:
+            if np.logaddexp.reduce(plan._log_terms(mid)) <= most:
                 low = mid
             else:
                 window = mid - 1
         return replace(plan, window=window)
 
-    @property
-    def lo(self):
-        """The left end of the box's real range."""
-        return (self.shift - 1.0) * self.half
-
-    @property
-    def hi(self):
-        """The right end of the box's real range."""
-        return (self.shift + 1.0) * self.half
-
     def _log_terms(self, k):
         """log(|a_j(k)| rho^j) for j = 0, 1, ... past the negligible tail."""
         if k not in self._terms:
             z = k * self.half
-            # the terms peak near j = z (rho - 1/rho) / 2 and fall faster
-            # than geometrically beyond j = z rho
-            size = 64 + int(2 * z * self.rho)
+            # the terms peak near j = z (rho - 1/rho) / 2 and, as
+            # I_(j+1) / I_j < z / (2 (j + 1)), fall by more than half per
+            # term beyond j = z rho
+            size = 64 + int(z * (self.rho + 1.0 / self.rho))
             while True:
                 j = np.arange(size)
-                with np.errstate(divide="ignore"):  # ive underflows to 0 far out
-                    terms = (np.log(np.where(j == 0, 1.0, 2.0)) + z * (self.shift + 1.0)
-                             + np.log(ive(j, z)) + j * math.log(self.rho))
+                with np.errstate(divide="ignore"):
+                    scaled = np.log(ive(j, z))
+                # ive underflows to 0 far out, where rho^j may still be large;
+                # there the power series of I_j bounds log(ive(j, z)) above
+                # by j log(z / 2) - log j! + z^2 / (4 (j + 1)) - z
+                under = scaled == -np.inf
+                scaled[under] = (j[under] * math.log(z / 2) - gammaln(j[under] + 1.0)
+                                 + z * z / (4.0 * (j[under] + 1.0)) - z)
+                terms = (np.log(np.where(j == 0, 1.0, 2.0)) + z * (self.shift + 1.0)
+                         + scaled + j * math.log(self.rho))
                 if terms[-1] < LOG_TAIL - 40.0:
                     break
                 size *= 2
@@ -399,11 +436,27 @@ class ChebyshevPlan:
         return math.exp(np.logaddexp.reduce(self._log_terms(count)))
 
     def coefficients(self, count):
-        """a_j(k) for the steps k = 1..``count`` (rows), j = 0..degree(count)."""
+        """a_j(k) for the steps k = 1..``count`` (rows), j = 0..degree(count).
+
+        Where the box holds 0, each row is divided by its series' value
+        at x0 = -shift, the scalar a zero row of A takes in X. T_j(x0) is
+        formed as the recurrence forms that row of T_j(X) b: T_0 = 1,
+        T_1 = x0 and T_j = -T_(j-2) + (-2 shift) T_(j-1). The series
+        gives e^0 = 1 there to within its tail plus the rounding of the
+        coefficients amplified at most M times, so the division moves a
+        step by no more than the plan's accuracy allows.
+        """
         j = np.arange(self.degree(count) + 1)
         z = self.half * np.arange(1, count + 1)[:, None]
-        return (np.where(j == 0, 1.0, 2.0) * np.exp(z * (self.shift + 1.0))
-                * ive(j, z))
+        series = (np.where(j == 0, 1.0, 2.0) * np.exp(z * (self.shift + 1.0))
+                  * ive(j, z))
+        if self.lo <= 0.0 <= self.hi:
+            diagonal, chebyshev = -2.0 * self.shift, np.empty(len(j))
+            chebyshev[0], chebyshev[1:2] = 1.0, -self.shift
+            for m in range(2, len(j)):
+                chebyshev[m] = -chebyshev[m - 2] + diagonal * chebyshev[m - 1]
+            series /= series @ chebyshev[:, None]
+        return series
 
     def products(self, n_steps):
         """Sparse products to make ``n_steps`` steps, a window at a time."""
@@ -493,27 +546,32 @@ def _dense_step(plan):
     return step
 
 
-def _prefers_dense_step(plan, n_steps):
-    """Whether forming the dense step beats windowed steps of the N x 4 state.
+def _step_work(matrix, plan, n_steps):
+    """(work, dense): the cheaper way to make ``n_steps`` steps of the plan.
 
-    Never above DENSE_ROWS rows when a window spans more than one step.
-    Otherwise estimated in CALL_OVERHEAD's work units over ``n_steps``
-    steps of the plan: the dense step costs the one-step series on
+    ``plan`` is of ``matrix`` (``ChebyshevPlan.of``), whose rows N and
+    nonzeros set the cost of a sparse product. The work is in
+    CALL_OVERHEAD's units, and ``dense`` tells whether forming the dense
+    step is the cheaper way: it costs the one-step series on
     ceil(N / COLUMN_BLOCK) blocks of columns plus a pass over the N^2
     step per step (DENSE_WORK per entry up to DENSE_ROWS rows,
-    MEMORY_DENSE_WORK above); windowed steps cost the window's
-    coefficients and its series on the state per window.
+    MEMORY_DENSE_WORK above); windowed steps of the N x 4 state cost the
+    window's coefficients, then its series per window, each vector
+    combined into the kept rows. Above DENSE_ROWS
+    rows the dense step is not formed when a window spans more than one
+    step.
     """
-    n, nnz = plan.doubled.shape[0], plan.doubled.nnz
+    n, nnz = matrix.shape[0], matrix.nnz
+    per_vector = 4 * (nnz + COMBINE_WORK * n) + CALL_OVERHEAD
+    frames = (COEFFICIENT_WORK * plan.window * (plan.degree(plan.window) + 1)
+              + plan.products(n_steps) * per_vector)
     if n > DENSE_ROWS and plan.window > 1:
-        return False
+        return frames, False
     per_entry = DENSE_WORK if n <= DENSE_ROWS else MEMORY_DENSE_WORK
     dense = (plan.degree(1)
              * (BLOCK_WORK * n * nnz + math.ceil(n / COLUMN_BLOCK) * CALL_OVERHEAD)
              + n_steps * per_entry * n * n)
-    frames = (COEFFICIENT_WORK * plan.window * (plan.degree(plan.window) + 1)
-              + plan.products(n_steps) * (4 * nnz + CALL_OVERHEAD))
-    return dense <= frames
+    return min(dense, frames), dense <= frames
 
 
 def gen_heom(params, cfg, grid):
@@ -529,9 +587,10 @@ def gen_heom(params, cfg, grid):
     one-step series forms the dense step and every step is one dense
     product with the stacked auxiliary state, or one series of the
     plan's window acts on that state and gives every step of the window.
-    Above DENSE_ROWS rows the windowed series is taken where a window
-    spans more than one step, and otherwise the cheaper way by a work
-    estimate. The windowed series forms only the physical block of every
+    The work estimate ``_step_work`` that picks the plan's focus also
+    picks the way: above DENSE_ROWS rows the windowed series where a
+    window spans more than one step, otherwise the cheaper. The windowed
+    series forms only the physical block of every
     step, which is stored, and the whole last step, from which the next
     window starts; the divergence guard reads those. No entry of an inner
     step exceeds (1 + sqrt 2) M max_c ||b_c||_2 (``ChebyshevPlan``, with
@@ -546,12 +605,13 @@ def gen_heom(params, cfg, grid):
     nonzeros of the real Pauli form that is stepped, the way taken, its
     window, the substeps per frame, and the degree, the box of the
     numerical range and the amplification bound, all three of one
-    substep, then the sparse products made over the finer grid (for the
-    dense step, those that form it), the set-up and stepping times, the
-    peak entry (in Pauli coordinates) of the rows the guard read (the
-    physical blocks and every window's last step) and the time per
-    sparse product: of forming the dense step, or of stepping the frames,
-    over the products it made.
+    substep, with the series' focal half-width as a fraction of the
+    box's (``ChebyshevPlan``), then the sparse products made over the
+    finer grid (for the dense step, those that form it), the set-up and
+    stepping times, the peak entry (in Pauli coordinates) of the rows
+    the guard read (the physical blocks and every window's last step)
+    and the time per sparse product: of forming the dense step, or of
+    stepping the frames, over the products it made.
 
     Parameters
     ----------
@@ -579,10 +639,10 @@ def gen_heom(params, cfg, grid):
                                  coeffs, rates, tail, cfg.depth) * grid.dt
     blk = params.dim ** 2
     n = gen_dt.shape[0]
-    plan = ChebyshevPlan.of(gen_dt, min(grid.n_steps, max(1, WINDOW_ENTRIES // (n * blk))))
+    plan = ChebyshevPlan.of(gen_dt, grid.n_steps, max(1, WINDOW_ENTRIES // (n * blk)))
     fine = TimeGrid(dt=grid.dt / plan.substeps, n_steps=grid.n_steps * plan.substeps)
     planned = time.perf_counter()
-    if _prefers_dense_step(plan, fine.n_steps):
+    if _step_work(gen_dt, plan, fine.n_steps)[1]:
         way, window, step = "dense step", 1, _dense_step(plan)
         products = plan.degree(1) * math.ceil(n / COLUMN_BLOCK)
 
@@ -645,11 +705,11 @@ def gen_heom(params, cfg, grid):
     log.debug(
         "hierarchy: %d rows (%d ADOs), %d nonzeros in the real Pauli form; "
         "%s, window %d, %d substeps, Chebyshev degree %d, box Re [%.6g, %.6g] "
-        "|Im| <= %.6g, bound %.3g, %d sparse products; set up in %.3f s, %d "
-        "steps in %.3f s, peak entry at window ends %.3g, %.3g us per sparse "
-        "product",
+        "|Im| <= %.6g, foci c +- %.3g h, bound %.3g, %d sparse products; set up "
+        "in %.3f s, %d steps in %.3f s, peak entry at window ends %.3g, %.3g us "
+        "per sparse product",
         n, n // blk, gen_dt.nnz, way, window, plan.substeps, plan.degree(window),
-        plan.lo, plan.hi, plan.eta, plan.bound(window), products,
+        plan.lo, plan.hi, plan.eta, plan.focus, plan.bound(window), products,
         built - started, grid.n_steps, stepped - built, run_peak, product_s * 1e6,
     )
     # back to the |a><b| basis: E_k = B0 M_k B0^H / 2, so E_0 = I exactly

@@ -13,7 +13,7 @@ import pytest
 from scipy import sparse
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply, spsolve
-from scipy.special import ive
+from scipy.special import gammaln, ive
 
 from ttmkit import (
     HeomConfig,
@@ -93,6 +93,18 @@ def pauli_step_generator(params, depth, n_matsubara, dt):
         *generator_args(params, depth, n_matsubara)) * dt
 
 
+def force_way(monkeypatch, dense):
+    """Make gen_heom step the dense way or not; the estimate still picks the focus."""
+    work = heom_module._step_work
+    monkeypatch.setattr(heom_module, "_step_work", lambda matrix, plan, n_steps: (
+        work(matrix, plan, n_steps)[0], dense))
+
+
+def prefers_dense_step(gen_dt, plan, n_steps):
+    """Whether gen_heom forms the dense step for ``n_steps`` steps of the plan."""
+    return heom_module._step_work(gen_dt, plan, n_steps)[1]
+
+
 # Each hierarchy names the way gen_heom takes for it, so both ways are
 # checked against the exact exponential.
 STEPPING_CASES = pytest.mark.parametrize(
@@ -103,7 +115,9 @@ STEPPING_CASES = pytest.mark.parametrize(
         (2.0, 1.0, 0.05, 10, 6, 2, False),
         (8.0, 5.0, 0.01, 10, 6, 2, False),
         (2.0, 1.0, 0.05, 200, 6, 2, True),  # enough frames to form the step
-        (8.0, 5.0, 0.01, 400, 6, 2, True),
+        # windowed frames at foci 0.71 h: 19.6 ms against 22.2 ms for the
+        # dense step (minimum of 15 alternating runs, faster in 14)
+        (8.0, 5.0, 0.01, 400, 6, 2, False),
     ], ids=["weak", "stiff-c4", "stiff-c6", "stiff-c4-short", "stiff-c6-short",
             "stiff-c4-long", "stiff-c6-long"])
 
@@ -145,9 +159,9 @@ def test_stepping_matches_exact_exponential(lam, gamma, dt, n_steps, depth,
     params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=lam, gamma=gamma,
                              beta=0.5)
     grid = TimeGrid(dt=dt, n_steps=n_steps)
-    plan = heom_module.ChebyshevPlan.of(
-        pauli_step_generator(params, depth, n_matsubara, dt), n_steps)
-    assert heom_module._prefers_dense_step(plan, n_steps) == dense
+    pauli = pauli_step_generator(params, depth, n_matsubara, dt)
+    plan = heom_module.ChebyshevPlan.of(pauli, n_steps)
+    assert prefers_dense_step(pauli, plan, n_steps) == dense
     gen_dt = sparse_step_generator(params, depth, n_matsubara, dt)
     trajs = gen_heom(params, HeomConfig(depth=depth, n_matsubara=n_matsubara),
                      grid)
@@ -169,8 +183,7 @@ def test_real_form_matches_the_complex_oracle(monkeypatch, params, depth,
                                               n_matsubara, dt, dense):
     # both ways of stepping the real Pauli form against the complex
     # stepping of the |a><b| basis, which keeps its own cost rule
-    monkeypatch.setattr(heom_module, "_prefers_dense_step",
-                        lambda plan, n_steps: dense)
+    force_way(monkeypatch, dense)
     cfg = HeomConfig(depth=depth, n_matsubara=n_matsubara)
     grid = TimeGrid(dt=dt, n_steps=4)
     trajs = gen_heom(params, cfg, grid)
@@ -292,13 +305,14 @@ def test_taylor_plan_minimises_products(x, degree, substeps):
 
 # The frames each benchmark hierarchy is stepped over (C4 1000, the sweep
 # 200, cli_pipeline 800) and the way the cost rule takes. Whole gen_heom
-# runs, dense step against windowed frames (ms, minimum of two runs of 7,
-# of 3 from N = 1820, one Xeon vCPU, one BLAS thread): c4 4221/704,
-# sweep-0 6.2/16.3, sweep-2 31.7/10.3, sweep-3 201/20.2, sweep-4
-# 1052/54.8, sweep-5 1149/31.9, sweep-6 89.1/12.3, sweep-8 6.1/8.1; near
-# the crossover, 30 alternating runs: sweep-1 7.4/8.9 (dense faster in
-# 30), sweep-7 6.1/6.5 (29), cli_pipeline 16.8/20.4 (30). The rule takes
-# the faster way at each.
+# runs, dense step against windowed frames, each at the focus the
+# estimate picks (ms, minimum of 7 alternating runs, of 2 from N = 1820,
+# one Xeon vCPU, one BLAS thread): c4 4400/505, sweep-0 6.8/17.5,
+# sweep-2 39.0/12.8, sweep-3 210/20.7, sweep-4 1067/53.1, sweep-5
+# 1252/33.4, sweep-6 95.7/13.0, sweep-8 7.6/9.8; near the crossover, 15
+# alternating runs: sweep-1 9.2/10.7 (dense faster in 15), sweep-7
+# 7.0/7.5 (12), cli_pipeline 20.6/23.7 (15). The rule takes the faster
+# way at each.
 BENCHMARK_WAYS = [(1000, False)] + [(200, i in (0, 1, 7, 8))
                                     for i in range(len(SWEEP))] + [(800, True)]
 
@@ -308,27 +322,28 @@ BENCHMARK_WAYS = [(1000, False)] + [(200, i in (0, 1, 7, 8))
 ], ids=BENCHMARK_IDS)
 def test_cost_rule_picks_the_way(params, depth, n_matsubara, dt, n_steps,
                                  dense):
-    plan = heom_module.ChebyshevPlan.of(
-        pauli_step_generator(params, depth, n_matsubara, dt), n_steps)
-    assert heom_module._prefers_dense_step(plan, n_steps) == dense
+    gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
+    plan = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
+    assert prefers_dense_step(gen_dt, plan, n_steps) == dense
 
 
 @pytest.mark.parametrize("params,depth,dt,n_steps", [
-    # C4's lambda = 0.5 point (N = 660) over 1000 frames: 0.400 s with the
-    # dense step, 0.193 s with windowed frames (whole gen_heom runs,
-    # minimum of 3, one Xeon vCPU, one BLAS thread)
+    # C4's lambda = 0.5 point (N = 660) over 1000 frames: 0.385 s with the
+    # dense step, 0.109 s with windowed frames (whole gen_heom runs,
+    # minimum of 5, one Xeon vCPU, one BLAS thread)
     (spin_boson(0.5, 1.0, 0.5), 8, 0.05, 1000),
     # C4's coupling at depth 8 (N = 660) over 10^4 frames: 3.51 s against
-    # 2.91 s (minimum of 2)
+    # 2.91 s (minimum of 2, with the foci at the box's ends)
     (spin_boson(2.0, 1.0, 0.5), 8, 0.05, 10 ** 4),
 ], ids=["c4-lam0.5", "c4-depth8-long"])
 def test_no_dense_step_above_dense_rows(params, depth, dt, n_steps):
-    # the work estimate alone formed the dense step at both
-    plan = heom_module.ChebyshevPlan.of(pauli_step_generator(params, depth, 2, dt),
-                                        n_steps)
+    # with the in-cache DENSE_WORK per entry, the work estimate alone would
+    # form the dense step over the 10^4 frames
+    gen_dt = pauli_step_generator(params, depth, 2, dt)
+    plan = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
     assert plan.doubled.shape[0] == 660 > heom_module.DENSE_ROWS
     assert plan.window > 1
-    assert not heom_module._prefers_dense_step(plan, n_steps)
+    assert not prefers_dense_step(gen_dt, plan, n_steps)
 
 
 @pytest.mark.parametrize("dt,n_steps,dense", [
@@ -337,15 +352,15 @@ def test_no_dense_step_above_dense_rows(params, depth, dt, n_steps):
 def test_coarse_step_above_dense_rows_takes_the_faster_way(dt, n_steps, dense):
     # C4's coupling at depth 8 (N = 660): one substep is the whole window,
     # and the work estimate decides. Whole gen_heom runs, dense step
-    # against windowed frames (s, minimum of two runs of 7, one Xeon vCPU,
-    # one BLAS thread): dt = 0.5 (2 substeps) 0.111/0.077 over 40 frames
-    # and 0.343/0.699 over 400; dt = 2 (7 substeps) 0.191/0.285 and
-    # 1.021/2.774
-    plan = heom_module.ChebyshevPlan.of(
-        pauli_step_generator(spin_boson(2.0, 1.0, 0.5), 8, 2, dt), n_steps)
+    # against windowed frames (s, minimum of 5 alternating runs, one Xeon
+    # vCPU, one BLAS thread): dt = 0.5 (2 substeps) 0.119/0.077 over 40
+    # frames and 0.403/0.785 over 400; dt = 2 (5 and 4 substeps at foci
+    # 0.84 h and 0.71 h) 0.202/0.268 and 0.715/2.783
+    gen_dt = pauli_step_generator(spin_boson(2.0, 1.0, 0.5), 8, 2, dt)
+    plan = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
     assert plan.doubled.shape[0] == 660 > heom_module.DENSE_ROWS
     assert plan.substeps > 1 and plan.window == 1
-    assert heom_module._prefers_dense_step(plan, n_steps * plan.substeps) == dense
+    assert prefers_dense_step(gen_dt, plan, n_steps * plan.substeps) == dense
 
 
 def test_generation_ignores_the_global_random_state():
@@ -375,8 +390,7 @@ def test_generation_logs_size_cost_and_peak(monkeypatch, caplog):
             ("dense step", None, 1, plan.degree(1)),
             ("frames", False, plan.window, plan.products(10))]:
         if dense is not None:
-            monkeypatch.setattr(heom_module, "_prefers_dense_step",
-                                lambda plan, n_steps: dense)
+            force_way(monkeypatch, dense)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="ttmkit.heom"):
             gen_heom(params, HeomConfig(depth=3, n_matsubara=1),
@@ -386,17 +400,18 @@ def test_generation_logs_size_cost_and_peak(monkeypatch, caplog):
         match = re.fullmatch(
             rf"hierarchy: 40 rows \(10 ADOs\), {nnz} nonzeros in the real Pauli "
             rf"form; {way}, window (\d+), 1 substeps, Chebyshev degree (\d+), box Re "
-            r"\[(\S+), (\S+)\] \|Im\| <= (\S+), bound (\S+), (\d+) sparse "
-            r"products; set up in (\S+) s, 10 steps in (\S+) s, peak entry at "
-            r"window ends (\S+), (\S+) us per sparse product",
+            r"\[(\S+), (\S+)\] \|Im\| <= (\S+), foci c \+- (\S+) h, bound (\S+), "
+            r"(\d+) sparse products; set up in (\S+) s, 10 steps in (\S+) s, peak "
+            r"entry at window ends (\S+), (\S+) us per sparse product",
             record.getMessage())
         assert match, record.getMessage()
         assert int(match[1]) == window and int(match[2]) == plan.degree(window)
-        lo, hi, eta, bound = map(float, match.groups()[2:6])
+        lo, hi, eta, focus, bound = map(float, match.groups()[2:7])
         assert lo < 0 < hi and eta > 0
+        assert focus == float(f"{plan.focus:.3g}")
         assert 1.0 <= bound <= heom_module.MAX_AMPLIFICATION
-        assert int(match[7]) == products > 0
-        set_up_s, step_s, peak, product_us = map(float, match.groups()[7:])
+        assert int(match[8]) == products > 0
+        set_up_s, step_s, peak, product_us = map(float, match.groups()[8:])
         assert set_up_s >= 0 and step_s >= 0 and peak >= 1.0
         # forming the dense step takes place within the set-up
         spent_s = set_up_s if way == "dense step" else step_s
@@ -412,8 +427,7 @@ def test_coarse_step_is_split_into_substeps(monkeypatch, dense):
     plan = heom_module.ChebyshevPlan.of(gen_dt, 5)
     assert plan.substeps > 1
     assert plan.bound(plan.window) <= heom_module.MAX_AMPLIFICATION
-    monkeypatch.setattr(heom_module, "_prefers_dense_step",
-                        lambda plan, n_steps: dense)
+    force_way(monkeypatch, dense)
     trajs = gen_heom(params, HeomConfig(depth=6, n_matsubara=2),
                      TimeGrid(dt=2.0, n_steps=5))
     step = expm(gen_dt.toarray())
@@ -430,8 +444,7 @@ def test_window_holds_at_most_window_entries(monkeypatch, caplog):
     # the bound allows, and the frames stay those of the wider window
     params = spin_boson(0.1, 1.0, 0.5)
     cfg, grid = HeomConfig(depth=3, n_matsubara=1), TimeGrid(dt=0.1, n_steps=10)
-    monkeypatch.setattr(heom_module, "_prefers_dense_step",
-                        lambda plan, n_steps: False)
+    force_way(monkeypatch, False)
     wide = gen_heom(params, cfg, grid)
     monkeypatch.setattr(heom_module, "WINDOW_ENTRIES", 40 * 4 * 3)
     with caplog.at_level(logging.DEBUG, logger="ttmkit.heom"):
@@ -525,6 +538,94 @@ def test_first_two_windows_match_the_exponential(params, depth, n_matsubara,
     assert np.abs(frames - exact).max() <= 1e-13
 
 
+@PLAN_CASES
+def test_plan_keeps_the_cheapest_focus_whose_ellipse_holds_the_box(
+        params, depth, n_matsubara, dt, n_steps):
+    # the foci c -+ h 2^(-i/4): each focus the search passes is cheaper by
+    # the work estimate than the one before it, and the next is not (or
+    # its vectors would grow past the cap, or its degree falls short of
+    # -L c); the ellipse through (hi, eta) holds all four corners of the
+    # box
+    gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
+    plan = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
+    box = heom_module._box(gen_dt)
+    candidates = [heom_module.ChebyshevPlan._focused(*box, 2.0 ** (-i / 4), n_steps)
+                  for i in range(5)]
+    works = [heom_module._step_work(gen_dt, c, n_steps * c.substeps)[0]
+             for c in candidates]
+    refused = [c.degree(c.window) * np.log(c.rho) > heom_module.MAX_LOG_GROWTH
+               or c.degree(c.window) < -c.shift * c.half * c.window
+               for c in candidates]
+    chosen = [c.focus for c in candidates].index(plan.focus)
+    fields = ("half", "shift", "lo", "hi", "eta", "rho", "substeps", "window")
+    assert all(getattr(plan, f) == getattr(candidates[chosen], f) for f in fields)
+    assert all(works[i + 1] < works[i] for i in range(chosen))
+    assert not refused[chosen]
+    assert chosen == 4 or works[chosen + 1] >= works[chosen] or refused[chosen + 1]
+    centre = plan.shift * plan.half
+    for corner in [plan.lo + 1j * plan.eta, plan.lo - 1j * plan.eta,
+                   plan.hi + 1j * plan.eta, plan.hi - 1j * plan.eta]:
+        x = (corner - centre) / plan.half
+        assert abs(x + np.sqrt(x - 1) * np.sqrt(x + 1)) <= plan.rho * (1 + 1e-12)
+
+
+@PLAN_CASES
+def test_every_step_is_one_at_the_trace_row(params, depth, n_matsubara, dt,
+                                            n_steps):
+    # the series of each step sums to 1 at x0 = -shift, the scalar the
+    # zero row of G dt (the conserved trace) takes in X, with T_j(x0)
+    # formed as the kernel's recurrence forms that row; so does that row
+    # of every step the kernel forms
+    gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
+    plan = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
+    assert gen_dt[[0]].nnz == 0
+    coefficients = plan.coefficients(plan.window)
+    chebyshev = [1.0, -plan.shift]
+    while len(chebyshev) < coefficients.shape[1]:
+        chebyshev.append(-chebyshev[-2] + (-2.0 * plan.shift) * chebyshev[-1])
+    eps = np.finfo(float).eps
+    assert np.abs(coefficients @ np.array(chebyshev) - 1.0).max() <= 4 * eps
+    state = np.zeros((gen_dt.shape[0], 4))
+    state[:4] = np.eye(4)
+    steps = plan.apply(state, coefficients)
+    assert np.abs(steps[:, 0, 0] - 1.0).max() <= 4 * eps
+    assert not steps[:, 0, 1:].any()
+
+
+def test_a_focus_past_the_growth_cap_is_refused(monkeypatch):
+    # blocks [[a, -0.2], [0.2, a]], a in [-1, 0] (N = 600), over 3000
+    # steps: the estimate's cheapest focus lies inside the box's ends.
+    # With the cap below its degree times log rho, the plan keeps the
+    # focus before it, which the cap allows
+    a = -np.linspace(0.0, 1.0, 300)
+    blocks = np.stack([np.stack([a, np.full(300, -0.2)], -1),
+                       np.stack([np.full(300, 0.2), a], -1)], -2)
+    matrix = sparse.csr_array(sparse.block_diag(blocks))
+    plan = heom_module.ChebyshevPlan.of(matrix, 3000)
+    growth = plan.degree(plan.window) * np.log(plan.rho)
+    assert plan.focus < 1.0 and growth <= heom_module.MAX_LOG_GROWTH
+    monkeypatch.setattr(heom_module, "MAX_LOG_GROWTH", growth - 1.0)
+    capped = heom_module.ChebyshevPlan.of(matrix, 3000)
+    assert capped.focus == pytest.approx(plan.focus * 2.0 ** 0.25, rel=1e-15)
+    assert capped.degree(capped.window) * np.log(capped.rho) <= growth - 1.0
+
+
+def test_series_terms_past_the_underflow_of_ive_are_bounded_not_dropped():
+    # the box Re [-4, 0], |Im| <= 0.1 over 2000 steps at foci 0.59 h: ive
+    # underflows to 0 where rho^j still lifts the terms, which read -inf
+    # and gave degree 0; the power series of I_j bounds them from above
+    plan = heom_module.ChebyshevPlan._focused(-4.0, 0.0, 0.1, 2.0 ** -0.75, 2000)
+    z = plan.window * plan.half
+    terms = plan._log_terms(plan.window)
+    j = np.arange(len(terms))
+    assert (ive(j, z) == 0).any() and np.isfinite(terms).all()
+    assert plan.degree(plan.window) > z
+    # the bound lies above log(ive) wherever ive is representable
+    j = j[ive(j, z) > 0][::50]
+    bound = j * np.log(z / 2) - gammaln(j + 1.0) + z * z / (4.0 * (j + 1.0)) - z
+    assert np.all(bound >= np.log(ive(j, z)))
+
+
 def series_vectors(plan, b, degree):
     """Every vector T_j(X) b of the plan's ``_series``, j = 0..``degree``, stacked."""
     return np.concatenate([chunk.copy() for _, chunk in plan._series(b, degree)])
@@ -607,7 +708,7 @@ def test_window_heads_and_last_step_match_the_full_frames(
     # certificate max |x_k| <= (1 + sqrt 2) M max_c ||b_c||_2
     gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
     plan = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
-    assert not heom_module._prefers_dense_step(plan, n_steps)
+    assert not prefers_dense_step(gen_dt, plan, n_steps)
     assert plan.window > 1
     bound = plan.bound(plan.window)
     assert bound <= heom_module.MAX_AMPLIFICATION
@@ -643,8 +744,7 @@ def test_guard_the_certificate_cannot_cover_recomputes_each_window(monkeypatch):
     # or more steps is formed in full, and the frames do not change
     params, cfg = spin_boson(8.0, 5.0, 0.5), HeomConfig(depth=6, n_matsubara=2)
     grid = TimeGrid(dt=0.01, n_steps=40)
-    monkeypatch.setattr(heom_module, "_prefers_dense_step",
-                        lambda plan, n_steps: False)
+    force_way(monkeypatch, False)
     certified = gen_heom(params, cfg, grid)
     calls = []
     full = heom_module.ChebyshevPlan.apply
@@ -791,8 +891,7 @@ def test_divergence_guard_reports_step(monkeypatch, dense, dt, substeps):
     # a coarse step is split into substeps, and the guard names the first
     # step of the finer grid stepped
     monkeypatch.setattr(heom_module, "DIVERGENCE_GUARD", 1e-3)
-    monkeypatch.setattr(heom_module, "_prefers_dense_step",
-                        lambda plan, n_steps: dense)
+    force_way(monkeypatch, dense)
     params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=0.1, gamma=1.0,
                              beta=0.5)
     assert heom_module.ChebyshevPlan.of(
@@ -824,8 +923,7 @@ def test_divergence_mid_window_names_the_first_frame_over_the_guard(
     assert first % window != 0
     monkeypatch.setattr(heom_module, "DIVERGENCE_GUARD",
                         0.5 * (max(peaks[:first - 1]) + peaks[first - 1]))
-    monkeypatch.setattr(heom_module, "_prefers_dense_step",
-                        lambda plan, n_steps: False)
+    force_way(monkeypatch, False)
     with pytest.raises(DivergenceError) as info:
         gen_heom(params, HeomConfig(depth=6, n_matsubara=2),
                  TimeGrid(dt=0.01, n_steps=20))
