@@ -52,11 +52,9 @@ formed again in full so the guard names the first step over it. The
 one-step series either forms the dense step, acting on blocks of
 identity columns, after which all D^2 basis columns ride through one
 dense product per step, or the windowed series acts on the N x D^2
-stacked state with no dense step at all. Above DENSE_ROWS rows
-``gen_heom`` takes the windowed series wherever a window spans more
-than one step; otherwise whichever the work estimate (in N, the
-nonzeros, the window, the degrees and the number of steps) finds
-cheaper.
+stacked state with no dense step at all. The work estimate (in N,
+the nonzeros, the window, the degrees and the number of steps) that
+picks the plan's focus also picks the way, once, and the plan keeps it.
 """
 
 import logging
@@ -71,7 +69,8 @@ from scipy.sparse._sparsetools import csr_matvecs
 from scipy.special import gammaln, ive
 
 from .errors import ConfigurationError, DivergenceError
-# Unused here: perfbench/test_perfbench.py requires both names in ttmkit.heom.
+# Unused here: perfbench/spans.py LOOKUPS pins both names in ttmkit.heom, and
+# perfbench/test_perfbench.py reads step_matrix; ROADMAP item 2 removes them.
 from .generators import _stability_substeps, step_matrix  # noqa: F401
 from .liouville import PAULI, spre, spost
 from .models import bath_correlation_modes, matsubara_tail
@@ -112,13 +111,14 @@ WINDOW_ENTRIES = 2 ** 22
 # of 8-32 step about as fast, and faster than holding every vector.
 COMBINE_CHUNK = 16
 
-# The most rows a hierarchy may have for the dense step to be formed
-# where a window spans more than one step. Up to N = 512 the 8 N^2 bytes
-# of the step fit a core's 2 MiB L2 cache; above it the dense product
-# runs from memory, and windowed steps were the faster way in every case
-# timed at N = 660 and 880. A window of one step, as at coarse steps, is
-# left to the work estimate, with the dense product at MEMORY_DENSE_WORK
-# per entry.
+# The most rows for which the work estimate costs a dense product at
+# DENSE_WORK per entry: up to N = 512 the 8 N^2 bytes of the step fit a
+# core's 2 MiB L2 cache. Above it the product runs from memory, at
+# MEMORY_DENSE_WORK; so costed, the estimate takes windowed frames in
+# every case with a window of more than one step timed at N = 660 and
+# 880, where they were the faster way, and forms the dense step at
+# N = 660, dt = 0.2 over 10^4 frames (window 9), where that was: 3.4 s
+# against 4.0 s (whole gen_heom runs, minimum of 3, one BLAS thread).
 DENSE_ROWS = 512
 
 # Work units of the estimate that picks the plan's focus and the way to
@@ -283,10 +283,11 @@ class ChebyshevPlan:
     that reaches about eta / 2 past hi; closer foci fit the box more
     tightly on the right, where the growth of e^(k z) sets M, so a
     window spans more steps, at a larger rho and degree. ``of`` keeps
-    the focus the work estimate ``_step_work`` finds cheapest. The
-    vectors grow like rho^j, so no focus inside the box's ends is taken
-    whose degree times log rho exceeds MAX_LOG_GROWTH, or whose degree
-    falls short of -L c. Where the box holds 0, a zero row of
+    the focus the work estimate ``_step_work`` finds cheapest, and the
+    way to step it finds cheaper there (``dense``). The vectors grow
+    like rho^j, so no focus inside the box's ends is taken whose degree
+    times log rho exceeds MAX_LOG_GROWTH, or whose degree falls short
+    of -L c. Where the box holds 0, a zero row of
     A (the conserved trace) maps to the scalar x0 = -c / h', outside
     [-1, 1] when h' < h. There T_j(x0) grows like rho^j, and the rounding
     of the coefficients, amplified up to M times, would make that row
@@ -316,6 +317,10 @@ class ChebyshevPlan:
         depend on it.
     window : int
         The steps of A one series serves.
+    dense : bool
+        Whether the work estimate ``_step_work`` that chose the focus
+        found forming the dense step cheaper than windowed steps over the
+        ``n_steps`` given to ``of``: the way ``gen_heom`` steps.
     """
 
     doubled: sparse.csr_array
@@ -328,6 +333,7 @@ class ChebyshevPlan:
     focus: float
     substeps: int
     window: int
+    dense: bool = False
     # log terms by substep, shared by every window of the same plan
     _terms: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -339,8 +345,9 @@ class ChebyshevPlan:
         for i = 0, 1, ..., 4 and stops at the first that ``_step_work``
         finds no cheaper than the one before it, whose vectors could grow
         past e^MAX_LOG_GROWTH, or whose degree falls short of -L c over
-        its window of L steps; it keeps the one before. 2 X is formed for
-        that focus alone.
+        its window of L steps; it keeps the one before, with the way the
+        estimate took for it (``dense``). 2 X is formed for that focus
+        alone.
         """
         lo, hi, eta = _box(gen_dt)
         window = n_steps if window is None else min(window, n_steps)
@@ -351,10 +358,10 @@ class ChebyshevPlan:
             if i and (degree * math.log(plan.rho) > MAX_LOG_GROWTH
                       or degree < -plan.shift * plan.half * plan.window):
                 break
-            work = _step_work(gen_dt, plan, n_steps * plan.substeps)[0]
+            work, dense = _step_work(gen_dt, plan, n_steps * plan.substeps)
             if work >= least:
                 break
-            best, least = plan, work
+            best, least = replace(plan, dense=dense), work
         half = best.half * best.substeps
         return replace(best, doubled=(
             gen_dt * (2.0 / half)
@@ -504,32 +511,32 @@ class ChebyshevPlan:
         """The steps sum_j a_j(k) T_j(X) b of ``coefficients``, stacked.
 
         ``b`` is a real N x m array and is left untouched; row k - 1 of
-        ``coefficients`` gives step k. The vectors T_j(X) b are combined
-        into the steps COMBINE_CHUNK at a time, by one small matrix
-        product per chunk. Every row of every step is formed: the dense
-        step is formed this way, and a window the divergence guard
-        cannot certify (``gen_heom``) is formed again so.
+        ``coefficients`` gives step k. Every row of every step is formed
+        (``apply_heads`` with all N rows): the dense step is formed this
+        way, and a window the divergence guard cannot certify
+        (``gen_heom``) is formed again so.
         """
-        count, degree = coefficients.shape[0], coefficients.shape[1] - 1
-        out = np.zeros((count, b.size))
-        for j, chunk in self._series(b, degree):
-            out += coefficients[:, j:j + len(chunk)] @ chunk.reshape(len(chunk), -1)
-        return out.reshape((count,) + b.shape)
+        return self.apply_heads(b, coefficients, b.shape[0])[0]
 
     def apply_heads(self, b, coefficients, rows):
         """The first ``rows`` rows of every step of ``apply``, and its last step.
 
         Returns (heads, last): heads is count x ``rows`` x m, last the
-        whole N x m last step. Per chunk of vectors, the heads take one
-        small matrix product and the last step one vector-matrix product;
-        the other rows of the inner steps are never formed.
+        whole N x m last step. The vectors T_j(X) b are combined into the
+        steps COMBINE_CHUNK at a time: per chunk, the heads take one small
+        matrix product and the last step one vector-matrix product; the
+        other rows of the inner steps are never formed. With all N rows,
+        last is the heads' last step, and takes no product of its own.
         """
         count, degree = coefficients.shape[0], coefficients.shape[1] - 1
-        heads, last = np.zeros((count, rows * b.shape[1])), np.zeros(b.size)
+        heads = np.zeros((count, rows * b.shape[1]))
+        whole = rows == b.shape[0]
+        last = heads[-1] if whole else np.zeros(b.size)
         for j, chunk in self._series(b, degree):
             weights = coefficients[:, j:j + len(chunk)]
             heads += weights @ chunk[:, :rows].reshape(len(chunk), -1)
-            last += weights[-1] @ chunk.reshape(len(chunk), -1)
+            if not whole:
+                last += weights[-1] @ chunk.reshape(len(chunk), -1)
         return heads.reshape(count, rows, b.shape[1]), last.reshape(b.shape)
 
 
@@ -549,24 +556,21 @@ def _dense_step(plan):
 def _step_work(matrix, plan, n_steps):
     """(work, dense): the cheaper way to make ``n_steps`` steps of the plan.
 
-    ``plan`` is of ``matrix`` (``ChebyshevPlan.of``), whose rows N and
-    nonzeros set the cost of a sparse product. The work is in
+    ``plan`` is a candidate of ``ChebyshevPlan.of`` for ``matrix``, whose
+    rows N and nonzeros set the cost of a sparse product. The work is in
     CALL_OVERHEAD's units, and ``dense`` tells whether forming the dense
     step is the cheaper way: it costs the one-step series on
     ceil(N / COLUMN_BLOCK) blocks of columns plus a pass over the N^2
     step per step (DENSE_WORK per entry up to DENSE_ROWS rows,
     MEMORY_DENSE_WORK above); windowed steps of the N x 4 state cost the
     window's coefficients, then its series per window, each vector
-    combined into the kept rows. Above DENSE_ROWS
-    rows the dense step is not formed when a window spans more than one
-    step.
+    combined into the kept rows. This is the only rule for the way:
+    ``of`` keeps ``dense`` with the focus it picks by the work.
     """
     n, nnz = matrix.shape[0], matrix.nnz
     per_vector = 4 * (nnz + COMBINE_WORK * n) + CALL_OVERHEAD
     frames = (COEFFICIENT_WORK * plan.window * (plan.degree(plan.window) + 1)
               + plan.products(n_steps) * per_vector)
-    if n > DENSE_ROWS and plan.window > 1:
-        return frames, False
     per_entry = DENSE_WORK if n <= DENSE_ROWS else MEMORY_DENSE_WORK
     dense = (plan.degree(1)
              * (BLOCK_WORK * n * nnz + math.ceil(n / COLUMN_BLOCK) * CALL_OVERHEAD)
@@ -587,12 +591,11 @@ def gen_heom(params, cfg, grid):
     one-step series forms the dense step and every step is one dense
     product with the stacked auxiliary state, or one series of the
     plan's window acts on that state and gives every step of the window.
-    The work estimate ``_step_work`` that picks the plan's focus also
-    picks the way: above DENSE_ROWS rows the windowed series where a
-    window spans more than one step, otherwise the cheaper. The windowed
-    series forms only the physical block of every
-    step, which is stored, and the whole last step, from which the next
-    window starts; the divergence guard reads those. No entry of an inner
+    The plan's ``dense`` names the way: the cheaper by the work estimate
+    ``_step_work`` that picked its focus. The windowed series forms only
+    the physical block of every step, which is stored, and the whole
+    last step, from which the next window starts; the divergence guard
+    reads those. No entry of an inner
     step exceeds (1 + sqrt 2) M max_c ||b_c||_2 (``ChebyshevPlan``, with
     M <= MAX_AMPLIFICATION and b_c the columns the window starts from),
     so where that is within the guard the inner steps cannot trip it.
@@ -642,24 +645,13 @@ def gen_heom(params, cfg, grid):
     plan = ChebyshevPlan.of(gen_dt, grid.n_steps, max(1, WINDOW_ENTRIES // (n * blk)))
     fine = TimeGrid(dt=grid.dt / plan.substeps, n_steps=grid.n_steps * plan.substeps)
     planned = time.perf_counter()
-    if _step_work(gen_dt, plan, fine.n_steps)[1]:
-        way, window, step = "dense step", 1, _dense_step(plan)
+    if plan.dense:
+        window, step = 1, _dense_step(plan)
         products = plan.degree(1) * math.ceil(n / COLUMN_BLOCK)
-
-        def advance(state, count):
-            last = step @ state
-            return last[None, :blk], last
     else:
-        way, window = "frames", plan.window
-        products = plan.products(fine.n_steps)
+        window, products = plan.window, plan.products(fine.n_steps)
         # a last, shorter window takes the first rows of the same series
         series = plan.coefficients(window)
-
-        def advance(state, count):
-            return plan.apply_heads(state, series[:count], blk)
-
-        def steps(state, count):
-            return plan.apply(state, series[:count])
     built = time.perf_counter()
 
     # the inputs I, sigma_x, sigma_y, sigma_z in Pauli coordinates
@@ -670,7 +662,11 @@ def gen_heom(params, cfg, grid):
     run_peak = 1.0
     for start in range(0, fine.n_steps, window):
         count = min(window, fine.n_steps - start)
-        heads, last = advance(state, count)
+        if plan.dense:
+            last = step @ state
+            heads = last[None, :blk]
+        else:
+            heads, last = plan.apply_heads(state, series[:count], blk)
         peak, certified = float(np.abs(last).max()), True
         if count > 1:
             peak = max(peak, float(np.abs(heads).max()))
@@ -682,7 +678,7 @@ def gen_heom(params, cfg, grid):
         if not (peak <= DIVERGENCE_GUARD and certified):  # NaN too
             # every step in full, to name the first over the guard; a
             # window of one step is its last step
-            block = last[None] if count == 1 else steps(state, count)
+            block = last[None] if count == 1 else plan.apply(state, series[:count])
             peaks = np.abs(block).max(axis=(1, 2))
             over = ~(peaks <= DIVERGENCE_GUARD)
             if over.any():
@@ -700,7 +696,7 @@ def gen_heom(params, cfg, grid):
         state = last
     stepped = time.perf_counter()
     # the sparse products form the dense step, or step the frames
-    product_s = ((built - planned if way == "dense step" else stepped - built)
+    product_s = ((built - planned if plan.dense else stepped - built)
                  / max(products, 1))
     log.debug(
         "hierarchy: %d rows (%d ADOs), %d nonzeros in the real Pauli form; "
@@ -708,9 +704,10 @@ def gen_heom(params, cfg, grid):
         "|Im| <= %.6g, foci c +- %.3g h, bound %.3g, %d sparse products; set up "
         "in %.3f s, %d steps in %.3f s, peak entry at window ends %.3g, %.3g us "
         "per sparse product",
-        n, n // blk, gen_dt.nnz, way, window, plan.substeps, plan.degree(window),
-        plan.lo, plan.hi, plan.eta, plan.focus, plan.bound(window), products,
-        built - started, grid.n_steps, stepped - built, run_peak, product_s * 1e6,
+        n, n // blk, gen_dt.nnz, "dense step" if plan.dense else "frames", window,
+        plan.substeps, plan.degree(window), plan.lo, plan.hi, plan.eta, plan.focus,
+        plan.bound(window), products, built - started, grid.n_steps, stepped - built,
+        run_peak, product_s * 1e6,
     )
     # back to the |a><b| basis: E_k = B0 M_k B0^H / 2, so E_0 = I exactly
     maps = PAULI_BASIS @ frames[::plan.substeps] @ (0.5 * PAULI_BASIS.conj().T)

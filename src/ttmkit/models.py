@@ -110,19 +110,21 @@ def bath_correlation_modes(lam, gamma, beta, n_matsubara):
     """
     if n_matsubara < 0:
         raise ConfigurationError("n_matsubara must be nonnegative")
+    # c_0 diverges as gamma nears any Matsubara frequency, kept or not;
+    # nearer the pole than POLE_GUARD gamma, the ~1/(nu - gamma) parts of
+    # c_0 and c_k cancel: 2.3e-10 relative error in lineshape at 1e-4
+    # gamma, 5.4e-7 at 1e-6 (beta = 1, 100 frames of dt = 0.05)
+    nu = 2.0 * np.pi * max(1.0, np.rint(beta * gamma / (2.0 * np.pi))) / beta
+    if abs(nu - gamma) < POLE_GUARD * gamma:
+        raise ConfigurationError(
+            f"Matsubara frequency {nu:.6g} lies within "
+            f"{POLE_GUARD:g} gamma of the Drude pole {gamma:.6g}; "
+            "move beta or gamma apart"
+        )
     coeffs = [lam * gamma * (1.0 / np.tan(beta * gamma / 2.0) - 1.0j)]
     rates = [gamma]
     for k in range(1, n_matsubara + 1):
         nu = 2.0 * np.pi * k / beta
-        # nearer the pole, the ~1/(nu - gamma) parts of c_0 and c_k
-        # cancel: 2.3e-10 relative error in lineshape at 1e-4 gamma,
-        # 5.4e-7 at 1e-6 (beta = 1, 100 frames of dt = 0.05)
-        if abs(nu - gamma) < POLE_GUARD * gamma:
-            raise ConfigurationError(
-                f"Matsubara frequency {nu:.6g} lies within "
-                f"{POLE_GUARD:g} gamma of the Drude pole {gamma:.6g}; "
-                "move beta or gamma apart"
-            )
         coeffs.append(4.0 * lam * gamma * nu / ((nu**2 - gamma**2) * beta))
         rates.append(nu)
     return np.asarray(coeffs, dtype=complex), np.asarray(rates, dtype=float)

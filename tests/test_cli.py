@@ -563,13 +563,15 @@ def test_hierarchy_divergence_is_exit_3_naming_the_step(tmp_path, caplog,
     windows = []
     heads = heom.ChebyshevPlan.apply_heads
     monkeypatch.setattr(heom.ChebyshevPlan, "apply_heads",
-                        lambda self, *args: windows.append(1) or heads(self, *args))
+                        lambda self, b, c, rows: windows.append(rows)
+                        or heads(self, b, c, rows))
     monkeypatch.setattr(heom, "DIVERGENCE_GUARD", 1e-3)
     out = tmp_path / "h.json"
     assert run(["generate", "--model", "heom", "--dt", "0.01", "--steps", "10",
                 "--lambda", "8", "--gamma", "5", "--beta", "0.5",
                 "--heom-depth", "6", "--out", out]) == 3
-    assert windows
+    # the kept rows of a window, not the full steps the dense step takes
+    assert 4 in windows
     assert ("numerical failure: hierarchy diverged at step 1 of dt = 0.01 "
             "(t = 0.01)") in caplog.text
     assert list(tmp_path.iterdir()) == []
@@ -592,6 +594,16 @@ def test_generate_near_the_drude_pole_is_exit_2(tmp_path):
                 "--steps", "10", "--j", "0", "--gamma", "6.2832",
                 "--beta", "1", "--out", out]) == 2
     assert not out.exists()
+
+
+def test_generate_at_a_pole_of_no_kept_mode_is_exit_2(tmp_path):
+    # gamma = nu_1 = 2 pi / beta with no Matsubara mode kept: c_0 alone
+    # diverges (-8.2e14), and stepping it would take about 3e14 substeps
+    out = tmp_path / "h.json"
+    assert run(["generate", "--model", "heom", "--heom-matsubara", "0",
+                "--gamma", "1", "--beta", "6.283185307179586", "--dt", "0.05",
+                "--steps", "2", "--out", out]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 # A non-finite model number or step on each model, and the quantity the

@@ -100,11 +100,6 @@ def force_way(monkeypatch, dense):
         work(matrix, plan, n_steps)[0], dense))
 
 
-def prefers_dense_step(gen_dt, plan, n_steps):
-    """Whether gen_heom forms the dense step for ``n_steps`` steps of the plan."""
-    return heom_module._step_work(gen_dt, plan, n_steps)[1]
-
-
 # Each hierarchy names the way gen_heom takes for it, so both ways are
 # checked against the exact exponential.
 STEPPING_CASES = pytest.mark.parametrize(
@@ -160,8 +155,7 @@ def test_stepping_matches_exact_exponential(lam, gamma, dt, n_steps, depth,
                              beta=0.5)
     grid = TimeGrid(dt=dt, n_steps=n_steps)
     pauli = pauli_step_generator(params, depth, n_matsubara, dt)
-    plan = heom_module.ChebyshevPlan.of(pauli, n_steps)
-    assert prefers_dense_step(pauli, plan, n_steps) == dense
+    assert heom_module.ChebyshevPlan.of(pauli, n_steps).dense == dense
     gen_dt = sparse_step_generator(params, depth, n_matsubara, dt)
     trajs = gen_heom(params, HeomConfig(depth=depth, n_matsubara=n_matsubara),
                      grid)
@@ -323,27 +317,34 @@ BENCHMARK_WAYS = [(1000, False)] + [(200, i in (0, 1, 7, 8))
 def test_cost_rule_picks_the_way(params, depth, n_matsubara, dt, n_steps,
                                  dense):
     gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
-    plan = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
-    assert prefers_dense_step(gen_dt, plan, n_steps) == dense
+    assert heom_module.ChebyshevPlan.of(gen_dt, n_steps).dense == dense
 
 
-@pytest.mark.parametrize("params,depth,dt,n_steps", [
+@pytest.mark.parametrize("params,depth,n_matsubara,dt,n_steps,rows", [
     # C4's lambda = 0.5 point (N = 660) over 1000 frames: 0.385 s with the
     # dense step, 0.109 s with windowed frames (whole gen_heom runs,
     # minimum of 5, one Xeon vCPU, one BLAS thread)
-    (spin_boson(0.5, 1.0, 0.5), 8, 0.05, 1000),
+    (spin_boson(0.5, 1.0, 0.5), 8, 2, 0.05, 1000, 660),
     # C4's coupling at depth 8 (N = 660) over 10^4 frames: 3.51 s against
     # 2.91 s (minimum of 2, with the foci at the box's ends)
-    (spin_boson(2.0, 1.0, 0.5), 8, 0.05, 10 ** 4),
-], ids=["c4-lam0.5", "c4-depth8-long"])
-def test_no_dense_step_above_dense_rows(params, depth, dt, n_steps):
-    # with the in-cache DENSE_WORK per entry, the work estimate alone would
-    # form the dense step over the 10^4 frames
-    gen_dt = pauli_step_generator(params, depth, 2, dt)
+    (spin_boson(2.0, 1.0, 0.5), 8, 2, 0.05, 10 ** 4, 660),
+    # the benchmark hierarchies above DENSE_ROWS and C7a, over their frames
+    *((*BENCHMARK_HIERARCHIES[i], BENCHMARK_WAYS[i][0], rows)
+      for i, rows in [(0, 1820), (4, 880), (5, 1820), (6, 1980), (7, 660)]),
+    (C7A, 8, 2, 0.0025, 1600, 660),
+], ids=["c4-lam0.5", "c4-depth8-long", "c4", *(f"sweep-{i}" for i in range(3, 7)),
+        "c7a"])
+def test_no_dense_step_above_dense_rows(params, depth, n_matsubara, dt, n_steps,
+                                        rows):
+    # the work estimate, costing the dense product at MEMORY_DENSE_WORK per
+    # entry above DENSE_ROWS rows, picks windowed frames here; with the
+    # in-cache DENSE_WORK it would form the dense step over c4-depth8-long's
+    # 10^4 frames
+    gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
     plan = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
-    assert plan.doubled.shape[0] == 660 > heom_module.DENSE_ROWS
+    assert plan.doubled.shape[0] == rows > heom_module.DENSE_ROWS
     assert plan.window > 1
-    assert not prefers_dense_step(gen_dt, plan, n_steps)
+    assert not plan.dense
 
 
 @pytest.mark.parametrize("dt,n_steps,dense", [
@@ -360,7 +361,7 @@ def test_coarse_step_above_dense_rows_takes_the_faster_way(dt, n_steps, dense):
     plan = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
     assert plan.doubled.shape[0] == 660 > heom_module.DENSE_ROWS
     assert plan.substeps > 1 and plan.window == 1
-    assert prefers_dense_step(gen_dt, plan, n_steps * plan.substeps) == dense
+    assert plan.dense == dense
 
 
 def test_generation_ignores_the_global_random_state():
@@ -551,14 +552,16 @@ def test_plan_keeps_the_cheapest_focus_whose_ellipse_holds_the_box(
     box = heom_module._box(gen_dt)
     candidates = [heom_module.ChebyshevPlan._focused(*box, 2.0 ** (-i / 4), n_steps)
                   for i in range(5)]
-    works = [heom_module._step_work(gen_dt, c, n_steps * c.substeps)[0]
-             for c in candidates]
+    estimates = [heom_module._step_work(gen_dt, c, n_steps * c.substeps)
+                 for c in candidates]
+    works = [work for work, _ in estimates]
     refused = [c.degree(c.window) * np.log(c.rho) > heom_module.MAX_LOG_GROWTH
                or c.degree(c.window) < -c.shift * c.half * c.window
                for c in candidates]
     chosen = [c.focus for c in candidates].index(plan.focus)
     fields = ("half", "shift", "lo", "hi", "eta", "rho", "substeps", "window")
     assert all(getattr(plan, f) == getattr(candidates[chosen], f) for f in fields)
+    assert plan.dense == estimates[chosen][1]
     assert all(works[i + 1] < works[i] for i in range(chosen))
     assert not refused[chosen]
     assert chosen == 4 or works[chosen + 1] >= works[chosen] or refused[chosen + 1]
@@ -708,7 +711,7 @@ def test_window_heads_and_last_step_match_the_full_frames(
     # certificate max |x_k| <= (1 + sqrt 2) M max_c ||b_c||_2
     gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
     plan = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
-    assert not prefers_dense_step(gen_dt, plan, n_steps)
+    assert not plan.dense
     assert plan.window > 1
     bound = plan.bound(plan.window)
     assert bound <= heom_module.MAX_AMPLIFICATION

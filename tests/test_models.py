@@ -98,15 +98,18 @@ def test_mode_rates_are_drude_plus_matsubara():
 
 @pytest.mark.parametrize("offset, refused", [(1e-6, True), (1e-2, False)])
 def test_matsubara_frequency_near_the_drude_pole(offset, refused):
-    # nu_1 = 2 pi at beta = 1; within 1e-3 gamma of it the two ~1/offset
+    # nu_k = 2 pi k at beta = 1; within 1e-3 gamma of nu_1 the two ~1/offset
     # parts of c_0 and c_1 cancel (5.4e-7 relative error in the
-    # lineshape at offset 1e-6 against 1.4e-12 at 1e-3)
-    gamma = 2 * np.pi * (1 + offset)
-    if refused:
-        with pytest.raises(ConfigurationError):
-            bath_correlation_modes(0.1, gamma, 1.0, 1)
-    else:
-        bath_correlation_modes(0.1, gamma, 1.0, 1)
+    # lineshape at offset 1e-6 against 1.4e-12 at 1e-3). c_0 diverges at
+    # every nu_k, so the pole is refused whether mode k is kept or not:
+    # with no Matsubara mode at nu_1, and at nu_2 with one mode
+    for k, n_matsubara in [(1, 1), (1, 0), (2, 1)]:
+        gamma = 2 * np.pi * k * (1 + offset)
+        if refused:
+            with pytest.raises(ConfigurationError, match="Drude pole"):
+                bath_correlation_modes(0.1, gamma, 1.0, n_matsubara)
+        else:
+            bath_correlation_modes(0.1, gamma, 1.0, n_matsubara)
 
 
 def test_matsubara_tail_vanishes_with_many_modes():
