@@ -10,7 +10,10 @@ the divergence guard only trips on genuine instability.
 The full hierarchy is one linear, time-independent system x' = G x, so
 a grid step is the fixed operator exp(G dt). G couples each auxiliary
 only to its tier neighbours, is a fraction of a percent full and is
-built only as a CSR matrix (int32 indices) from its Kronecker terms.
+built only as a CSR matrix (int32 indices), straight from its distinct
+blocks: the diagonal block of each auxiliary and, for each mode and
+count, one raising and one lowering block, placed by the neighbours
+the enumeration of the occupations finds.
 Every rate and the terminator are real and Q is Hermitian, so every
 auxiliary stays Hermitian (Tanimura, J. Chem. Phys. 153, 020901, 2020)
 and, in the basis I, sigma_x, sigma_y, sigma_z of each auxiliary, G is
@@ -20,10 +23,12 @@ part; ``gen_heom`` steps it and maps the physical block back to the
 |a><b| basis once, for all frames.
 The frames exp(k G dt) come from one Chebyshev series of the sparse
 G dt (``ChebyshevPlan``), planned once per hierarchy. Gershgorin discs
-of its symmetric and skew parts bound the numerical range to a box; the
-series' foci lie on the box's real axis, symmetric about its centre;
-the degree is the least whose tail on the Bernstein ellipse around the
-box is below double precision by the Crouzeix-Palencia bound, and the
+of its symmetric and skew parts, summed on the CSR arrays by scipy's
+compiled kernels, bound the numerical range to a box; the series' foci
+lie on the box's real axis, symmetric about its centre; the degree is
+the least whose tail on the Bernstein ellipse around the box is below
+double precision by the Crouzeix-Palencia bound (its terms from one
+Bessel function and a recurrence for the ratios of the rest), and the
 window of steps one series serves is the widest whose bound on the
 series' rounding amplification stays within MAX_AMPLIFICATION. Foci
 closer than the box's ends fit the ellipse to the box where the
@@ -64,9 +69,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
-# y += A x over the m columns of flat x and y: the kernel `@` ends in
-from scipy.sparse._sparsetools import csr_matvecs
-from scipy.special import gammaln, ive
+# scipy's compiled CSR kernels, which its sparse operators end in: y += A x
+# over the m columns of flat x and y (`@`), the transpose, sum and difference
+from scipy.sparse._sparsetools import (csr_matvecs, csr_minus_csr, csr_plus_csr,
+                                       csr_tocsc)
+from scipy.special import ive
 
 from .errors import ConfigurationError, DivergenceError
 # Unused here: perfbench/spans.py LOOKUPS pins both names in ttmkit.heom, and
@@ -180,7 +187,15 @@ def hierarchy_generator(h, q_op, coeffs, rates, tail, depth):
     superoperator). Each of its D^2 x D^2 blocks T becomes 1/2 B0^H T B0;
     every entry of B0 is 0, +-1 or +-i, so when every rate and the
     terminator are real and Q is Hermitian the imaginary parts cancel
-    exactly. The blocks are placed in one pass, since a sparse sum would
+    exactly. An off-diagonal block depends only on its mode k, on
+    whether it raises or lowers, and on the count n_k of the raised
+    auxiliary (sqrt(n_k |c_k|) C or sqrt(n_k / |c_k|) Lambda_k), so
+    there are 2 K depth distinct ones. The congruence is taken once for
+    each of those and for each diagonal block, in one batch. The
+    occupations are enumerated a mode at a time, which finds every
+    auxiliary's neighbours on the way, in time proportional to their
+    number; each row of G is then its neighbours' block rows side by
+    side. The blocks are placed in one pass, since a sparse sum would
     flip the sign of zero parts; exact zeros are dropped.
 
     Raises
@@ -189,35 +204,40 @@ def hierarchy_generator(h, q_op, coeffs, rates, tail, depth):
         If any block has a nonzero imaginary part in the Pauli basis: the
         hierarchy does not keep its auxiliaries Hermitian.
     """
-    blk = h.shape[0] ** 2
-    # the occupations, sorted: each mode's count prepended to the rest's
-    occ = np.zeros((1, 0), dtype=np.int64)
-    for _ in coeffs:
-        total = occ.sum(axis=1)
-        occ = np.concatenate([np.insert(occ[total <= depth - n], 0, n, axis=1)
-                              for n in range(depth + 1)])
-    commut = spre(q_op) - spost(q_op)
+    blk, n_modes = h.shape[0] ** 2, len(coeffs)
+    # the occupations in lexicographic order, a mode at a time: each row so
+    # far followed by every count its total leaves room for. up[k, a] is a
+    # with mode k raised by one, valid where a's total is below depth (an
+    # index in range elsewhere, so the next mode can gather it)
+    occ, total = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    up = np.zeros((0, 1), dtype=np.int64)
+    for _ in range(n_modes):
+        room = depth + 1 - total
+        start = np.cumsum(room) - room
+        parent = np.repeat(np.arange(len(room)), room)
+        count = np.arange(len(parent)) - start[parent]
+        up = np.vstack([start[up[:, parent]] + count, np.arange(1, len(parent) + 1)])
+        occ, total = np.column_stack([occ[parent], count]), total[parent] + count
+        up[:, total == depth] = 0
+    n_ado = len(occ)
+    below = np.flatnonzero(total < depth)
+    spre_q, spost_q = spre(q_op), spost(q_op)
+    commut = spre_q - spost_q
     sys_gen = -1j * (spre(h) - spost(h)) - tail * (commut @ commut)
     # one dot per auxiliary: the batched occ @ rates rounds differently
-    decay = np.array([np.dot(idx, rates) for idx in occ])
+    decay = np.array(list(map(np.asarray(rates).dot, occ.astype(float))))
     abs_c = np.abs(coeffs)
     safe_c = np.where(abs_c > 0, abs_c, 1.0)
 
-    rows, cols = [np.arange(len(occ))], [np.arange(len(occ))]
+    # every distinct block once: the diagonal block of each auxiliary, then
+    # mode k's raising and lowering blocks for the counts 1..depth of the
+    # raised auxiliary (stack rows n_ado + (2 k or 2 k + 1) depth + count - 1)
+    counts = np.arange(1, depth + 1)
     blocks = [sys_gen - decay[:, None, None] * np.eye(blk)]
-    # occ's rows as records, which numpy orders lexicographically
-    records = occ.view([("", occ.dtype)] * len(coeffs)).ravel()
-    below = np.flatnonzero(occ.sum(axis=1) < depth)
     for k, c in enumerate(coeffs):
-        raised = occ[below]
-        raised[:, k] += 1
-        above = np.searchsorted(records, raised.view(records.dtype).ravel())
-        lower_op = -1j * (c * spre(q_op) - np.conj(c) * spost(q_op))
-        rows += [below, above]
-        cols += [above, below]
-        blocks += [(-1j * np.sqrt(raised[:, k] * abs_c[k]))[:, None, None] * commut,
-                   np.sqrt(raised[:, k] / safe_c[k])[:, None, None] * lower_op]
-
+        lower_op = -1j * (c * spre_q - np.conj(c) * spost_q)
+        blocks += [(-1j * np.sqrt(counts * abs_c[k]))[:, None, None] * commut,
+                   np.sqrt(counts / safe_c[k])[:, None, None] * lower_op]
     blocks = (0.5 * PAULI_BASIS.conj().T) @ np.concatenate(blocks) @ PAULI_BASIS
     if np.any(blocks.imag):
         raise ConfigurationError(
@@ -225,16 +245,53 @@ def hierarchy_generator(h, q_op, coeffs, rates, tail, depth):
             f"imaginary part {np.abs(blocks.imag).max():.3g} in the Pauli "
             "basis); the rates and terminator must be real and Q Hermitian"
         )
+    # the nonzeros of each row of each block, packed: block row r (rows
+    # of block b are b D^2 + i) holds packed[first[r]:first[r] + size[r]];
+    # an appended zero block stands for a slot with no neighbour
+    rows = np.concatenate([blocks.real, np.zeros((1, blk, blk))]).reshape(-1, blk)
+    _, nz_column = np.nonzero(rows)
+    size = np.count_nonzero(rows, axis=1)
+    first = np.cumsum(size) - size
+
+    # the neighbours of each auxiliary by ascending index: the lowering of
+    # modes 0..K-1, itself, the raising of modes K-1..0
+    n_slots = 2 * n_modes + 1
+    slot_ado = np.zeros((n_ado, n_slots), dtype=np.int64)
+    slot_block = np.full(slot_ado.shape, len(blocks))
+    slot_ado[:, n_modes] = slot_block[:, n_modes] = np.arange(n_ado)
+    for k in range(n_modes):
+        above = up[k, below]
+        offset = n_ado + 2 * k * depth
+        slot_ado[below, 2 * n_modes - k] = above
+        slot_block[below, 2 * n_modes - k] = offset + occ[below, k]
+        slot_ado[above, k] = below
+        slot_block[above, k] = offset + depth + occ[below, k]
+    # row i of auxiliary a is row i of each neighbour's block, by slot;
     # int32 holds the indices of any hierarchy that fits in memory
-    rows, cols = (np.concatenate(a).astype(np.int32) for a in (rows, cols))
-    i, j = np.indices((blk, blk), dtype=np.int32)
-    n = len(occ) * blk
-    gen = sparse.csr_array((blocks.real.ravel(),
-                            ((rows[:, None, None] * blk + i).ravel(),
-                             (cols[:, None, None] * blk + j).ravel())),
-                           shape=(n, n))
-    gen.eliminate_zeros()
-    return gen
+    segment = (slot_block[:, None, :] * blk + np.arange(blk)[:, None]).ravel()
+    length = size[segment]
+    end = np.cumsum(length)
+    source = np.repeat(first[segment] - end + length, length) + np.arange(end[-1])
+    columns = np.repeat(np.repeat(slot_ado, blk, axis=0).ravel() * blk, length)
+    indptr = np.concatenate([[0], end[n_slots - 1::n_slots]]).astype(np.int32)
+    return sparse.csr_array((rows[rows != 0][source],
+                             (columns + nz_column[source]).astype(np.int32), indptr),
+                            shape=(len(indptr) - 1,) * 2)
+
+
+def _csr_binop(kernel, n, a, b):
+    """kernel(A, B) for n x n CSR triples (indptr, indices, data) of one index dtype.
+
+    ``kernel`` is scipy's compiled ``csr_plus_csr`` or ``csr_minus_csr``,
+    which scipy's sparse sum and difference end in: each row is merged by
+    column, exact zeros are dropped, and only the entries within indptr
+    are read. Returns the triple of the result.
+    """
+    index, size = a[1].dtype, a[0][-1] + b[0][-1]
+    indptr, indices = np.empty(n + 1, index), np.empty(size, index)
+    data = np.empty(size)
+    kernel(n, n, *a, *b, indptr, indices, data)
+    return indptr, indices[:indptr[-1]], data[:indptr[-1]]
 
 
 def _box(matrix):
@@ -242,11 +299,28 @@ def _box(matrix):
 
     Re z in [lo, hi] from the Gershgorin discs of the symmetric part
     (A + A^T)/2, |Im z| <= eta from those of the skew part, in O(nnz).
+    The sums are taken on the CSR arrays by the compiled kernels scipy's
+    sparse operators end in: A^T by ``csr_tocsc`` (A's CSC arrays are
+    its transpose's CSR arrays), A +- A^T by ``_csr_binop``, and each
+    row's sum of magnitudes by one ``np.add.reduceat``, as scipy's row
+    sums reduce, so the box is the one those operators give.
     """
-    diagonal, transposed = matrix.diagonal(), matrix.T.tocsr()
-    sym_radius = abs(matrix + transposed).sum(axis=1) / 2 - abs(diagonal)
+    n, index = matrix.shape[0], matrix.indices.dtype
+    a = (matrix.indptr.astype(index, copy=False), matrix.indices, matrix.data)
+    nnz = a[0][-1]
+    transposed = (np.empty(n + 1, index), np.empty(nnz, index), np.empty(nnz))
+    csr_tocsc(n, n, *a, *transposed)
+    sums = []
+    for kernel in (csr_plus_csr, csr_minus_csr):
+        indptr, _, data = _csr_binop(kernel, n, a, transposed)
+        rows, total = np.flatnonzero(np.diff(indptr)), np.zeros(n)
+        if len(rows):
+            total[rows] = np.add.reduceat(np.abs(data), indptr[rows])
+        sums.append(total)
+    diagonal = matrix.diagonal()
+    sym_radius = sums[0] / 2 - abs(diagonal)
     return (float((diagonal - sym_radius).min()), float((diagonal + sym_radius).max()),
-            float(abs(matrix - transposed).sum(axis=1).max() / 2))
+            float(sums[1].max() / 2))
 
 
 @dataclass(frozen=True)
@@ -362,10 +436,15 @@ class ChebyshevPlan:
             if work >= least:
                 break
             best, least = replace(plan, dense=dense), work
-        half = best.half * best.substeps
-        return replace(best, doubled=(
-            gen_dt * (2.0 / half)
-            - sparse.eye_array(gen_dt.shape[0], format="csr") * (2.0 * best.shift)))
+        # (2 / h') A - 2 (c / h') I on the CSR arrays, as scipy's operators form it
+        n, index = gen_dt.shape[0], gen_dt.indices.dtype
+        scaled = (gen_dt.indptr.astype(index, copy=False), gen_dt.indices,
+                  gen_dt.data * (2.0 / (best.half * best.substeps)))
+        diagonal = (np.arange(n + 1, dtype=index), np.arange(n, dtype=index),
+                    np.full(n, 2.0 * best.shift))
+        indptr, indices, data = _csr_binop(csr_minus_csr, n, scaled, diagonal)
+        return replace(best, doubled=sparse.csr_array((data, indices, indptr),
+                                                      shape=gen_dt.shape))
 
     @classmethod
     def _focused(cls, lo, hi, eta, focus, window):
@@ -408,7 +487,20 @@ class ChebyshevPlan:
         return replace(plan, window=window)
 
     def _log_terms(self, k):
-        """log(|a_j(k)| rho^j) for j = 0, 1, ... past the negligible tail."""
+        """log(|a_j(k)| rho^j) for j = 0, 1, ... past the negligible tail.
+
+        With z = k h', log ive(j, z) is log ive(0, z) plus the logs of the
+        ratios r_i = I_(i+1)(z) / I_i(z), i < j, which I_(i-1) - I_(i+1) =
+        (2 i / z) I_i gives by the backward recurrence
+        r_i = z / (2 (i + 1) + z r_(i+1)). The recurrence scales a relative
+        error in r_(i+1) by r_i r_(i+1), which is below 1/16 past the kept
+        orders (there i > 2 z, so r_i <= z / (2 (i + 1)) < 1/4). So it
+        starts 16 orders past them from the lower bound
+        z / (i + 1 + sqrt((i + 1)^2 + z^2)) of r_i, within 25 % of it,
+        and reaches them with less than 2^-64 of that error. One ``ive``
+        serves every order, and the logs of the ratios stay finite where
+        ive itself underflows.
+        """
         if k not in self._terms:
             z = k * self.half
             # the terms peak near j = z (rho - 1/rho) / 2 and, as
@@ -416,17 +508,19 @@ class ChebyshevPlan:
             # term beyond j = z rho
             size = 64 + int(z * (self.rho + 1.0 / self.rho))
             while True:
-                j = np.arange(size)
-                with np.errstate(divide="ignore"):
-                    scaled = np.log(ive(j, z))
-                # ive underflows to 0 far out, where rho^j may still be large;
-                # there the power series of I_j bounds log(ive(j, z)) above
-                # by j log(z / 2) - log j! + z^2 / (4 (j + 1)) - z
-                under = scaled == -np.inf
-                scaled[under] = (j[under] * math.log(z / 2) - gammaln(j[under] + 1.0)
-                                 + z * z / (4.0 * (j[under] + 1.0)) - z)
-                terms = (np.log(np.where(j == 0, 1.0, 2.0)) + z * (self.shift + 1.0)
-                         + scaled + j * math.log(self.rho))
+                # from the bound on r_top, 16 orders past the last kept one
+                top = size + 16
+                ratio, ratios = z / (top + 1 + math.hypot(top + 1, z)), []
+                for twice in range(2 * top, 0, -2):  # 2 (i + 1), i = top - 1..0
+                    ratio = z / (twice + z * ratio)
+                    ratios.append(ratio)
+                # term j + 1 is term j times r_j rho, and twice that at j = 0
+                steps = np.log(ratios[:-size:-1])
+                steps += math.log(self.rho)
+                terms = np.empty(size)
+                terms[0] = z * (self.shift + 1.0) + math.log(ive(0, z))
+                np.cumsum(steps, out=terms[1:])
+                terms[1:] += terms[0] + math.log(2.0)
                 if terms[-1] < LOG_TAIL - 40.0:
                     break
                 size *= 2
@@ -610,11 +704,13 @@ def gen_heom(params, cfg, grid):
     numerical range and the amplification bound, all three of one
     substep, with the series' focal half-width as a fraction of the
     box's (``ChebyshevPlan``), then the sparse products made over the
-    finer grid (for the dense step, those that form it), the set-up and
-    stepping times, the peak entry (in Pauli coordinates) of the rows
-    the guard read (the physical blocks and every window's last step)
-    and the time per sparse product: of forming the dense step, or of
-    stepping the frames, over the products it made.
+    finer grid (for the dense step, those that form it), the set-up
+    times (building G, planning it, and forming the dense step or the
+    window's coefficients, each apart), the stepping time, the peak
+    entry (in Pauli coordinates) of the rows the guard read (the
+    physical blocks and every window's last step) and the time per
+    sparse product: of forming the dense step, or of stepping the
+    frames, over the products it made.
 
     Parameters
     ----------
@@ -640,6 +736,7 @@ def gen_heom(params, cfg, grid):
     tail = matsubara_tail(params.lam, params.gamma, params.beta, cfg.n_matsubara)
     gen_dt = hierarchy_generator(params.hamiltonian, params.coupling_op,
                                  coeffs, rates, tail, cfg.depth) * grid.dt
+    generated = time.perf_counter()
     blk = params.dim ** 2
     n = gen_dt.shape[0]
     plan = ChebyshevPlan.of(gen_dt, grid.n_steps, max(1, WINDOW_ENTRIES // (n * blk)))
@@ -701,13 +798,14 @@ def gen_heom(params, cfg, grid):
     log.debug(
         "hierarchy: %d rows (%d ADOs), %d nonzeros in the real Pauli form; "
         "%s, window %d, %d substeps, Chebyshev degree %d, box Re [%.6g, %.6g] "
-        "|Im| <= %.6g, foci c +- %.3g h, bound %.3g, %d sparse products; set up "
-        "in %.3f s, %d steps in %.3f s, peak entry at window ends %.3g, %.3g us "
-        "per sparse product",
+        "|Im| <= %.6g, foci c +- %.3g h, bound %.3g, %d sparse products; built "
+        "in %.3g s, planned in %.3g s, %s in %.3g s, %d steps in %.3g s, peak "
+        "entry at window ends %.3g, %.3g us per sparse product",
         n, n // blk, gen_dt.nnz, "dense step" if plan.dense else "frames", window,
         plan.substeps, plan.degree(window), plan.lo, plan.hi, plan.eta, plan.focus,
-        plan.bound(window), products, built - started, grid.n_steps, stepped - built,
-        run_peak, product_s * 1e6,
+        plan.bound(window), products, generated - started, planned - generated,
+        "dense step" if plan.dense else "coefficients", built - planned,
+        grid.n_steps, stepped - built, run_peak, product_s * 1e6,
     )
     # back to the |a><b| basis: E_k = B0 M_k B0^H / 2, so E_0 = I exactly
     maps = PAULI_BASIS @ frames[::plan.substeps] @ (0.5 * PAULI_BASIS.conj().T)

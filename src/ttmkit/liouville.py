@@ -53,13 +53,17 @@ def devectorize(vec):
 def spre(op):
     """Superoperator of left multiplication, rho -> op rho."""
     op = np.asarray(op, dtype=complex)
-    return np.kron(op, np.eye(op.shape[0]))
+    n = op.shape[0]
+    # np.kron(op, I): the same products, without its generic axis handling
+    return (op[:, None, :, None] * np.eye(n)[:, None, :]).reshape(n * n, n * n)
 
 
 def spost(op):
     """Superoperator of right multiplication, rho -> rho op."""
     op = np.asarray(op, dtype=complex)
-    return np.kron(np.eye(op.shape[0]), op.T)
+    n = op.shape[0]
+    # np.kron(I, op^T)
+    return (np.eye(n)[:, None, :, None] * op.T[:, None, :]).reshape(n * n, n * n)
 
 
 def is_hermitian(m):

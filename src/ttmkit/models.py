@@ -67,12 +67,7 @@ class SpinBosonParams:
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
-        if not 0 <= self.lam < np.inf:
-            raise ConfigurationError(f"lam must be in [0, inf), got {self.lam}")
-        if not 0 < self.gamma < np.inf:
-            raise ConfigurationError(f"gamma must be in (0, inf), got {self.gamma}")
-        if not 0 < self.beta < np.inf:
-            raise ConfigurationError(f"beta must be in (0, inf), got {self.beta}")
+        _check_bath(self.lam, self.gamma, self.beta)
         op = self.coupling_op
         if op is None:
             op = SIGMA_Z
@@ -97,6 +92,21 @@ class SpinBosonParams:
         return tls_hamiltonian(self.omega0, self.j_coupling)
 
 
+def _check_bath(lam, gamma, beta):
+    """Refuse a bath unless lam is in [0, inf) and gamma and beta in (0, inf).
+
+    ``SpinBosonParams`` keeps the same rule. NaN fails every comparison,
+    so it is refused too, and the check does no arithmetic: it raises
+    before any NaN or warning can arise.
+    """
+    if not 0 <= lam < np.inf:
+        raise ConfigurationError(f"lam must be in [0, inf), got {lam}")
+    if not 0 < gamma < np.inf:
+        raise ConfigurationError(f"gamma must be in (0, inf), got {gamma}")
+    if not 0 < beta < np.inf:
+        raise ConfigurationError(f"beta must be in (0, inf), got {beta}")
+
+
 def bath_correlation_modes(lam, gamma, beta, n_matsubara):
     """Exponential expansion of the bath correlation function.
 
@@ -107,7 +117,14 @@ def bath_correlation_modes(lam, gamma, beta, n_matsubara):
     -------
     coeffs : complex ndarray, shape (n_matsubara + 1,)
     rates : float ndarray, shape (n_matsubara + 1,)
+
+    Raises
+    ------
+    ConfigurationError
+        If the bath is refused by ``_check_bath``, ``n_matsubara`` is
+        negative, or a Matsubara frequency lies at the Drude pole.
     """
+    _check_bath(lam, gamma, beta)
     if n_matsubara < 0:
         raise ConfigurationError("n_matsubara must be nonnegative")
     # c_0 diverges as gamma nears any Matsubara frequency, kept or not;
@@ -170,10 +187,18 @@ def lineshape(times, lam, gamma, beta):
     Returns
     -------
     complex ndarray, the shape of ``times``
+
+    Raises
+    ------
+    ValueError
+        If a time is not positive.
+    ConfigurationError
+        If ``bath_correlation_modes`` refuses the bath.
     """
     times = np.asarray(times, dtype=float)
     if times.min() <= 0:
         raise ValueError("times must be positive")
+    _check_bath(lam, gamma, beta)
     a = 2.0 * np.pi / beta
     b = gamma / a
     n_modes = max(int(np.ceil(40.0 / (a * times.min()))), int(np.ceil(2.0 * b)))

@@ -10,7 +10,10 @@ now runs batched or in closed form, kept as oracles for it: the dense
 per-pair hierarchy generator of the |a><b| basis (with its recursive
 ``_multi_indices``) and the congruence ``pauli_form`` that takes it to
 the Pauli basis, behind the block assembly of
-``ttmkit.heom.hierarchy_generator``, the nested-loop memory recursion
+``ttmkit.heom.hierarchy_generator``, and that function as it was before
+it formed each distinct block once (``reference_batched_generator``);
+the one ``ive`` per order behind the ratio recurrence of
+``ttmkit.heom.ChebyshevPlan._log_terms``; the nested-loop memory recursion
 (one 4x4 product per lag and step) behind ``ttmkit.tensors``, the
 per-superoperator diagnostics behind ``ttmkit.maps.validate_maps`` and
 the stack helpers of ``ttmkit.liouville``, the frame-layout basis
@@ -38,9 +41,10 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import quad
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import gammaln, ive
 
 from ttmkit.errors import ConfigurationError, DimensionError
-from ttmkit.heom import PAULI_BASIS
+from ttmkit.heom import LOG_TAIL, PAULI_BASIS
 from ttmkit.liouville import (
     PAULI,
     liouvillian_superop,
@@ -456,6 +460,84 @@ def pauli_form(gen):
             "basis); the rates and terminator must be real and Q Hermitian"
         )
     return pauli.real.sorted_indices()
+
+
+def reference_batched_generator(h, q_op, coeffs, rates, tail, depth):
+    """The real Pauli form of the hierarchy, one congruence per block.
+
+    ``ttmkit.heom.hierarchy_generator`` as it was before it formed each
+    distinct block once: the occupations built a mode at a time with
+    ``np.insert``, the neighbours found by ``searchsorted`` on the rows
+    viewed as records, every coupling block (one per auxiliary pair)
+    converted by its own congruence, and the blocks placed by a COO
+    build with exact zeros dropped afterwards.
+    """
+    blk = h.shape[0] ** 2
+    # the occupations, sorted: each mode's count prepended to the rest's
+    occ = np.zeros((1, 0), dtype=np.int64)
+    for _ in coeffs:
+        total = occ.sum(axis=1)
+        occ = np.concatenate([np.insert(occ[total <= depth - n], 0, n, axis=1)
+                              for n in range(depth + 1)])
+    commut = spre(q_op) - spost(q_op)
+    sys_gen = -1j * (spre(h) - spost(h)) - tail * (commut @ commut)
+    decay = np.array([np.dot(idx, rates) for idx in occ])
+    abs_c = np.abs(coeffs)
+    safe_c = np.where(abs_c > 0, abs_c, 1.0)
+
+    rows, cols = [np.arange(len(occ))], [np.arange(len(occ))]
+    blocks = [sys_gen - decay[:, None, None] * np.eye(blk)]
+    # occ's rows as records, which numpy orders lexicographically
+    records = occ.view([("", occ.dtype)] * len(coeffs)).ravel()
+    below = np.flatnonzero(occ.sum(axis=1) < depth)
+    for k, c in enumerate(coeffs):
+        raised = occ[below]
+        raised[:, k] += 1
+        above = np.searchsorted(records, raised.view(records.dtype).ravel())
+        lower_op = -1j * (c * spre(q_op) - np.conj(c) * spost(q_op))
+        rows += [below, above]
+        cols += [above, below]
+        blocks += [(-1j * np.sqrt(raised[:, k] * abs_c[k]))[:, None, None] * commut,
+                   np.sqrt(raised[:, k] / safe_c[k])[:, None, None] * lower_op]
+
+    blocks = (0.5 * PAULI_BASIS.conj().T) @ np.concatenate(blocks) @ PAULI_BASIS
+    if np.any(blocks.imag):
+        raise ConfigurationError("the auxiliaries do not stay Hermitian")
+    rows, cols = (np.concatenate(a).astype(np.int32) for a in (rows, cols))
+    i, j = np.indices((blk, blk), dtype=np.int32)
+    n = len(occ) * blk
+    gen = sparse.csr_array((blocks.real.ravel(),
+                            ((rows[:, None, None] * blk + i).ravel(),
+                             (cols[:, None, None] * blk + j).ravel())),
+                           shape=(n, n))
+    gen.eliminate_zeros()
+    return gen
+
+
+def reference_log_terms(plan, k):
+    """log(|a_j(k)| rho^j) of a ``ChebyshevPlan``, one ``ive`` per order.
+
+    ``ChebyshevPlan._log_terms`` as it was before its ratio recurrence,
+    over the same orders: log ive(j, z), z = k h', for every j at once,
+    and where ive underflows to 0 the bound
+    j log(z / 2) - log j! + z^2 / (4 (j + 1)) - z above it, from the
+    power series of I_j. Returns (terms, bounded): ``bounded`` marks the
+    orders that took the bound.
+    """
+    z = k * plan.half
+    size = 64 + int(z * (plan.rho + 1.0 / plan.rho))
+    while True:
+        j = np.arange(size)
+        with np.errstate(divide="ignore"):
+            scaled = np.log(ive(j, z))
+        bounded = scaled == -np.inf
+        scaled[bounded] = (j[bounded] * math.log(z / 2) - gammaln(j[bounded] + 1.0)
+                           + z * z / (4.0 * (j[bounded] + 1.0)) - z)
+        terms = (np.log(np.where(j == 0, 1.0, 2.0)) + z * (plan.shift + 1.0)
+                 + scaled + j * math.log(plan.rho))
+        if terms[-1] < LOG_TAIL - 40.0:
+            return terms, bounded
+        size *= 2
 
 
 def reference_step_propagator(gen_dt, block=128):

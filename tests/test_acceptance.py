@@ -125,7 +125,7 @@ BENCH_CASES = [(0.01, 4), (0.1, 6), (0.5, 8), (2.0, 12)]
 
 
 @pytest.fixture(scope="module")
-def bench_grid():
+def bench_grid(heom_run):
     """Hierarchy benchmark at four coupling strengths.
 
     Learns tensors on the first tenth of each trajectory and measures
@@ -135,7 +135,7 @@ def bench_grid():
     for lam, depth in BENCH_CASES:
         params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=lam,
                                  gamma=1.0, beta=0.5)
-        ref = gen_heom(params, HeomConfig(depth=depth, n_matsubara=2),
+        ref = heom_run(params, HeomConfig(depth=depth, n_matsubara=2),
                        BENCH_GRID)
         window = BasisTrajectorySet(
             dim=2, grid=TimeGrid(dt=BENCH_GRID.dt, n_steps=BENCH_LEARN),
@@ -178,7 +178,7 @@ C6_LAMBDAS = [(0.05, 4), (0.2, 5), (1.0, 7), (3.0, 9), (8.0, 12)]
 C6_BETAS = [(1.0, 3), (0.5, 2), (0.25, 1), (0.125, 1)]
 
 
-def _equilibrium_angle(lam, beta, depth, nmats):
+def _equilibrium_angle(heom_run, lam, beta, depth, nmats):
     """Fixed point of the learned memory recursion vs the Boltzmann state.
 
     The stationary state solves rho = sum_s T_s rho; propagating to
@@ -187,19 +187,19 @@ def _equilibrium_angle(lam, beta, depth, nmats):
     """
     params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=lam, gamma=5.0,
                              beta=beta, coupling_op=SIGMA_Z)
-    trajs = gen_heom(params, HeomConfig(depth=depth, n_matsubara=nmats),
+    trajs = heom_run(params, HeomConfig(depth=depth, n_matsubara=nmats),
                      TimeGrid(dt=0.01, n_steps=200))
     rho = stationary_state(maps_to_tensors(extract_maps(trajs)))
     h = tls_hamiltonian(1.0, 1.0)
     return noncanonical_angle(rho, canonical_state(h, beta)).theta
 
 
-def test_criterion_06_equilibrium_angle_trends():
+def test_criterion_06_equilibrium_angle_trends(heom_run):
     """Deviation angle grows with coupling and shrinks with temperature."""
-    up = [_equilibrium_angle(lam, 0.5, d, 2) for lam, d in C6_LAMBDAS]
+    up = [_equilibrium_angle(heom_run, lam, 0.5, d, 2) for lam, d in C6_LAMBDAS]
     lam_monotone = all(b >= a for a, b in zip(up, up[1:]))
     plateau = up[-1] / (np.pi / 4)
-    down = [_equilibrium_angle(1.0, beta, 8, nm) for beta, nm in C6_BETAS]
+    down = [_equilibrium_angle(heom_run, 1.0, beta, 8, nm) for beta, nm in C6_BETAS]
     t_monotone = all(b <= a for a, b in zip(down, down[1:]))
     ok = lam_monotone and abs(plateau - 1.0) <= 0.15 and t_monotone
     _verdict(
@@ -212,7 +212,7 @@ def test_criterion_06_equilibrium_angle_trends():
         + f" ({'non' if not t_monotone else ''}monotone)")
 
 
-def test_criterion_07a_kernel_symmetries_at_strong_coupling():
+def test_criterion_07a_kernel_symmetries_at_strong_coupling(heom_run):
     """Pairwise symmetries of the extracted memory kernel elements.
 
     Trace preservation ties the population-target rows together and
@@ -225,7 +225,7 @@ def test_criterion_07a_kernel_symmetries_at_strong_coupling():
     h = tls_hamiltonian(1.0, 0.0)
     params = SpinBosonParams(omega0=1.0, j_coupling=0.0, lam=0.25,
                              gamma=0.05, beta=4.79, coupling_op=SIGMA_X)
-    trajs = gen_heom(params, HeomConfig(depth=8, n_matsubara=2),
+    trajs = heom_run(params, HeomConfig(depth=8, n_matsubara=2),
                      TimeGrid(dt=dt, n_steps=1600))
     tensors = maps_to_tensors(extract_maps(trajs))
     liou = liouvillian_superop(h)

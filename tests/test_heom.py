@@ -13,7 +13,7 @@ import pytest
 from scipy import sparse
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply, spsolve
-from scipy.special import gammaln, ive
+from scipy.special import ive
 
 from ttmkit import (
     HeomConfig,
@@ -37,9 +37,11 @@ from oracles import (
     _multi_indices,
     pauli_form,
     projected_tensors,
+    reference_batched_generator,
     reference_chebyshev_series,
     reference_gen_heom,
     reference_hierarchy_generator,
+    reference_log_terms,
     reference_step_propagator,
 )
 
@@ -253,10 +255,11 @@ def test_dense_step_matches_expm_multiply(lam, gamma, dt, n_steps, depth,
     # C7a's point over its whole learning window, K = 1600
     (C7A, 8, 0.0025, 1600),
 ], ids=["c4", "c6-top", "c4-lam0.5", "c7a"])
-def test_peeled_tensors_match_the_projected_hierarchy(params, depth, dt, n):
+def test_peeled_tensors_match_the_projected_hierarchy(heom_run, params, depth,
+                                                     dt, n):
     # the peel of the hierarchy's maps is the Nakajima-Zwanzig form
     # T_k = P U (Q U)^(k-1) P of the same step, to rounding
-    trajs = gen_heom(params, HeomConfig(depth=depth, n_matsubara=2),
+    trajs = heom_run(params, HeomConfig(depth=depth, n_matsubara=2),
                      TimeGrid(dt=dt, n_steps=n))
     peeled = maps_to_tensors(extract_maps(trajs)).tensors
     plan = TaylorPlan.of(sparse_step_generator(params, depth, 2, dt))
@@ -387,9 +390,10 @@ def test_generation_logs_size_cost_and_peak(monkeypatch, caplog):
     # C(3 + 2, 2) = 10 ADOs of 2 x 2 blocks; a small hierarchy forms the
     # dense step from ceil(40 / COLUMN_BLOCK) = 1 block of columns by the
     # one-frame series, and the frames way runs ceil(10 / L) windows
-    for way, dense, window, products in [
-            ("dense step", None, 1, plan.degree(1)),
-            ("frames", False, plan.window, plan.products(10))]:
+    # (the set-up's last part forms the dense step, or the window's coefficients)
+    for way, formed, dense, window, products in [
+            ("dense step", "dense step", None, 1, plan.degree(1)),
+            ("frames", "coefficients", False, plan.window, plan.products(10))]:
         if dense is not None:
             force_way(monkeypatch, dense)
         caplog.clear()
@@ -402,8 +406,10 @@ def test_generation_logs_size_cost_and_peak(monkeypatch, caplog):
             rf"hierarchy: 40 rows \(10 ADOs\), {nnz} nonzeros in the real Pauli "
             rf"form; {way}, window (\d+), 1 substeps, Chebyshev degree (\d+), box Re "
             r"\[(\S+), (\S+)\] \|Im\| <= (\S+), foci c \+- (\S+) h, bound (\S+), "
-            r"(\d+) sparse products; set up in (\S+) s, 10 steps in (\S+) s, peak "
-            r"entry at window ends (\S+), (\S+) us per sparse product",
+            r"(\d+) sparse products; built in (\S+) s, planned in (\S+) s, "
+            rf"{formed} in (\S+) s, "
+            r"10 steps in (\S+) s, peak entry at window ends (\S+), (\S+) us per "
+            r"sparse product",
             record.getMessage())
         assert match, record.getMessage()
         assert int(match[1]) == window and int(match[2]) == plan.degree(window)
@@ -412,10 +418,11 @@ def test_generation_logs_size_cost_and_peak(monkeypatch, caplog):
         assert focus == float(f"{plan.focus:.3g}")
         assert 1.0 <= bound <= heom_module.MAX_AMPLIFICATION
         assert int(match[8]) == products > 0
-        set_up_s, step_s, peak, product_us = map(float, match.groups()[8:])
-        assert set_up_s >= 0 and step_s >= 0 and peak >= 1.0
-        # forming the dense step takes place within the set-up
-        spent_s = set_up_s if way == "dense step" else step_s
+        build_s, plan_s, form_s, step_s, peak, product_us = map(float,
+                                                                match.groups()[8:])
+        assert min(build_s, plan_s, form_s, step_s) >= 0 and peak >= 1.0
+        # forming the dense step is the set-up's last part
+        spent_s = form_s if way == "dense step" else step_s
         assert 0 < product_us * products * 1e-6 <= spent_s + 1e-3
 
 
@@ -613,20 +620,64 @@ def test_a_focus_past_the_growth_cap_is_refused(monkeypatch):
     assert capped.degree(capped.window) * np.log(capped.rho) <= growth - 1.0
 
 
-def test_series_terms_past_the_underflow_of_ive_are_bounded_not_dropped():
-    # the box Re [-4, 0], |Im| <= 0.1 over 2000 steps at foci 0.59 h: ive
-    # underflows to 0 where rho^j still lifts the terms, which read -inf
-    # and gave degree 0; the power series of I_j bounds them from above
-    plan = heom_module.ChebyshevPlan._focused(-4.0, 0.0, 0.1, 2.0 ** -0.75, 2000)
+def oracle_log_terms(monkeypatch):
+    """Make every ChebyshevPlan take its log terms from the ive oracle."""
+    def log_terms(self, k):
+        if k not in self._terms:
+            self._terms[k] = reference_log_terms(self, k)[0]
+        return self._terms[k]
+    monkeypatch.setattr(heom_module.ChebyshevPlan, "_log_terms", log_terms)
+
+
+# The box Re [-4, 0], |Im| <= 0.1 over 2000 steps at foci 0.59 h, where ive
+# underflows to 0 while rho^j still lifts the terms.
+UNDERFLOW_BOX = (-4.0, 0.0, 0.1, 2.0 ** -0.75, 2000)
+
+
+def test_series_terms_past_the_underflow_of_ive_are_bounded_not_dropped(
+        monkeypatch):
+    # there the terms read -inf and gave degree 0 when they were taken
+    # from ive alone; the ratios of I_j keep them finite, below the bound
+    # the power series of I_j gives. The oracle, which took that bound
+    # where ive underflows, gives the same window; its degree is higher
+    # (3209 against 3139), as its bound lies above the terms there
+    plan = heom_module.ChebyshevPlan._focused(*UNDERFLOW_BOX)
     z = plan.window * plan.half
     terms = plan._log_terms(plan.window)
-    j = np.arange(len(terms))
-    assert (ive(j, z) == 0).any() and np.isfinite(terms).all()
+    oracle, bounded = reference_log_terms(plan, plan.window)
+    assert bounded.any() and np.isfinite(terms).all()
+    assert len(terms) == len(oracle)
+    assert np.all(terms[bounded] <= oracle[bounded])
+    # ive is exact to its last bit only above the subnormal range
+    normal = ive(np.arange(len(terms)), z) >= np.finfo(float).tiny
+    assert np.abs(terms[normal] - oracle[normal]).max() <= 1e-11
     assert plan.degree(plan.window) > z
-    # the bound lies above log(ive) wherever ive is representable
-    j = j[ive(j, z) > 0][::50]
-    bound = j * np.log(z / 2) - gammaln(j + 1.0) + z * z / (4.0 * (j + 1.0)) - z
-    assert np.all(bound >= np.log(ive(j, z)))
+    oracle_log_terms(monkeypatch)
+    reference = heom_module.ChebyshevPlan._focused(*UNDERFLOW_BOX)
+    assert reference.window == plan.window
+    assert reference.degree(reference.window) >= plan.degree(plan.window)
+
+
+@PLAN_CASES
+def test_log_terms_match_the_ive_oracle(monkeypatch, params, depth, n_matsubara,
+                                        dt, n_steps):
+    # within 1e-11 in the log at one step and at the window, and the plan
+    # the oracle's terms give is the same plan
+    gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
+    plan = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
+    for k in (1, plan.window):
+        terms, (oracle, bounded) = plan._log_terms(k), reference_log_terms(plan, k)
+        assert len(terms) == len(oracle) and not bounded.any()
+        assert np.abs(terms - oracle).max() <= 1e-11
+    oracle_log_terms(monkeypatch)
+    reference = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
+    fields = ("half", "shift", "lo", "hi", "eta", "rho", "focus", "substeps",
+              "window", "dense")
+    assert [getattr(reference, f) for f in fields] == [getattr(plan, f) for f in fields]
+    for count in (1, plan.window):
+        assert reference.degree(count) == plan.degree(count)
+    assert all(np.array_equal(getattr(reference.doubled, a), getattr(plan.doubled, a))
+               for a in ("indptr", "indices", "data"))
 
 
 def series_vectors(plan, b, degree):
@@ -768,10 +819,10 @@ def test_guard_the_certificate_cannot_cover_recomputes_each_window(monkeypatch):
                                                      BENCHMARK_WAYS)
 ], ids=BENCHMARK_IDS)
 def test_stepping_matches_the_taylor_oracle_over_the_benchmark_frames(
-        params, depth, n_matsubara, dt, n_steps):
+        heom_run, params, depth, n_matsubara, dt, n_steps):
     # the way gen_heom takes against the Taylor series it was stepped
     # with before, applied to the real Pauli form at every frame
-    trajs = gen_heom(params, HeomConfig(depth=depth, n_matsubara=n_matsubara),
+    trajs = heom_run(params, HeomConfig(depth=depth, n_matsubara=n_matsubara),
                      TimeGrid(dt=dt, n_steps=n_steps))
     plan = TaylorPlan.of(pauli_step_generator(params, depth, n_matsubara, dt))
     state = np.zeros((plan.shifted.shape[0], 4))
@@ -811,6 +862,27 @@ def test_generator_is_the_dense_reference_bit_for_bit(params, depth,
     assert np.array_equal(gen.indices, reference.indices)
     # byte equality pins the last bit of every entry
     assert gen.data.tobytes() == reference.data.tobytes()
+
+
+@pytest.mark.parametrize("params,depth,n_matsubara", [
+    *((params, depth, n) for params, depth, n, _ in BENCHMARK_HIERARCHIES),
+    (C7A, 8, 2),
+    (spin_boson(0.5, 1.0, 0.5), 0, 2),  # the system alone
+    (spin_boson(0.5, 1.0, 0.5), 4, 0),  # the Drude pole alone
+    (spin_boson(0.0, 1.0, 0.5), 4, 2),  # every coefficient zero
+    (spin_boson(0.5, 1.0, 0.5, coupling_op=SIGMA_X), 4, 2),
+    (spin_boson(0.5, 1.0, 0.5), 4, 3),  # four modes
+], ids=[*BENCHMARK_IDS, "c7a", "depth0", "matsubara0", "lam0", "sigma-x",
+        "four-modes"])
+def test_generator_is_the_batched_oracle_bit_for_bit(params, depth, n_matsubara):
+    # each distinct block formed once and placed by its neighbours' keys,
+    # against one congruence per auxiliary pair placed by a COO build
+    args = generator_args(params, depth, n_matsubara)
+    gen = heom_module.hierarchy_generator(*args)
+    oracle = reference_batched_generator(*args)
+    assert gen.indptr.dtype == gen.indices.dtype == np.int32
+    for part in ("indptr", "indices", "data"):
+        assert getattr(gen, part).tobytes() == getattr(oracle, part).tobytes(), part
 
 
 def test_generator_build_never_forms_the_dense_matrix():

@@ -39,6 +39,32 @@ def test_params_validation():
             SpinBosonParams(**{**valid, name: bad})
 
 
+# Each bath number outside SpinBosonParams' rule: lam in [0, inf), gamma
+# and beta in (0, inf).
+BAD_BATHS = [(name, bad) for name, values in [
+    ("lam", (np.nan, np.inf, -np.inf, -0.1)),
+    ("gamma", (np.nan, np.inf, -np.inf, 0.0, -1.0)),
+    ("beta", (np.nan, np.inf, -np.inf, 0.0, -1.0)),
+] for bad in values]
+
+
+@pytest.mark.parametrize("name,bad", BAD_BATHS,
+                         ids=[f"{name}={bad}" for name, bad in BAD_BATHS])
+@pytest.mark.parametrize("helper", [
+    lambda lam, gamma, beta: bath_correlation_modes(lam, gamma, beta, 1),
+    lambda lam, gamma, beta: matsubara_tail(lam, gamma, beta, 1),
+    lambda lam, gamma, beta: lineshape([0.5, 1.0], lam, gamma, beta),
+], ids=["modes", "tail", "lineshape"])
+def test_bath_helpers_refuse_what_the_parameters_refuse(helper, name, bad):
+    # refused before any arithmetic: a NaN or a RuntimeWarning (an error
+    # in this suite) would come first otherwise
+    bath = {"lam": 0.1, "gamma": 1.0, "beta": 1.0, name: bad}
+    with pytest.raises(ConfigurationError, match=f"^{name} must be"):
+        helper(**bath)
+    with pytest.raises(ConfigurationError, match=f"^{name} must be"):
+        SpinBosonParams(omega0=1.0, j_coupling=1.0, **bath)
+
+
 def test_params_refuse_a_coupling_operator_that_is_not_two_level():
     # the built-in Hamiltonian is 2x2, so a 3x3 operator fails at once
     with pytest.raises(DimensionError):
