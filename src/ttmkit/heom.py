@@ -10,10 +10,12 @@ the divergence guard only trips on genuine instability.
 The full hierarchy is one linear, time-independent system x' = G x, so
 a grid step is the fixed operator exp(G dt). G couples each auxiliary
 only to its tier neighbours, is a fraction of a percent full and is
-built only as a CSR matrix (int32 indices), straight from its distinct
-blocks: the diagonal block of each auxiliary and, for each mode and
-count, one raising and one lowering block, placed by the neighbours
-the enumeration of the occupations finds.
+built only as a sparse matrix of its D^2 x D^2 blocks (scipy's BSR),
+converted to CSR (int32 indices): each block row holds its auxiliary's
+neighbours, which the enumeration of the occupations finds, and takes
+their blocks from the distinct ones, the diagonal block of each
+auxiliary and, for each mode and count, one raising and one lowering
+block.
 Every rate and the terminator are real and Q is Hermitian, so every
 auxiliary stays Hermitian (Tanimura, J. Chem. Phys. 153, 020901, 2020)
 and, in the basis I, sigma_x, sigma_y, sigma_z of each auxiliary, G is
@@ -133,15 +135,16 @@ DENSE_ROWS = 512
 # BLAS thread (least-squares fits over the benchmark hierarchies and
 # N = 40 and 336). A vector of the recurrence on the N x 4 state costs
 # one unit per nonzero and column plus CALL_OVERHEAD for the kernel's
-# call, and COMBINE_WORK per entry for combining it into the window's
-# kept rows (the whole last step dominates; the heads add little with
-# the window); one on COLUMN_BLOCK identity columns, its combination
-# included, BLOCK_WORK per nonzero and column; a dense product with the
-# step DENSE_WORK per entry up to DENSE_ROWS rows and MEMORY_DENSE_WORK
-# above; a coefficient of the window's series (scipy's ive)
-# COEFFICIENT_WORK.
+# call; one on COLUMN_BLOCK identity columns, its combination included,
+# BLOCK_WORK per nonzero and column; a dense product with the step
+# DENSE_WORK per entry up to DENSE_ROWS rows and MEMORY_DENSE_WORK above;
+# a coefficient of the window's series (scipy's ive) COEFFICIENT_WORK.
+# Combining a vector into the window's kept rows (0.45 units per entry)
+# and the kernel's call per block of identity columns are left out: over
+# the benchmark hierarchies, the stepping tests' cases and a grid of
+# couplings, depths, steps and frame counts, neither changes a focus or
+# a way the estimate picks.
 CALL_OVERHEAD = 3000
-COMBINE_WORK = 0.45
 BLOCK_WORK = 0.75
 DENSE_WORK = 0.3
 COEFFICIENT_WORK = 600
@@ -194,9 +197,11 @@ def hierarchy_generator(h, q_op, coeffs, rates, tail, depth):
     each of those and for each diagonal block, in one batch. The
     occupations are enumerated a mode at a time, which finds every
     auxiliary's neighbours on the way, in time proportional to their
-    number; each row of G is then its neighbours' block rows side by
-    side. The blocks are placed in one pass, since a sparse sum would
-    flip the sign of zero parts; exact zeros are dropped.
+    number. Block row a of G holds, in 2 K + 1 slots by ascending
+    column, the blocks of a's neighbours (an all-zero block where a has
+    none), with no sum that could flip the sign of a zero part; scipy's
+    block-sparse (BSR) type converts it to CSR, and exact zeros are
+    dropped.
 
     Raises
     ------
@@ -245,18 +250,11 @@ def hierarchy_generator(h, q_op, coeffs, rates, tail, depth):
             f"imaginary part {np.abs(blocks.imag).max():.3g} in the Pauli "
             "basis); the rates and terminator must be real and Q Hermitian"
         )
-    # the nonzeros of each row of each block, packed: block row r (rows
-    # of block b are b D^2 + i) holds packed[first[r]:first[r] + size[r]];
-    # an appended zero block stands for a slot with no neighbour
-    rows = np.concatenate([blocks.real, np.zeros((1, blk, blk))]).reshape(-1, blk)
-    _, nz_column = np.nonzero(rows)
-    size = np.count_nonzero(rows, axis=1)
-    first = np.cumsum(size) - size
-
     # the neighbours of each auxiliary by ascending index: the lowering of
-    # modes 0..K-1, itself, the raising of modes K-1..0
+    # modes 0..K-1, itself, the raising of modes K-1..0; a slot with no
+    # neighbour takes the appended zero block at block column 0
     n_slots = 2 * n_modes + 1
-    slot_ado = np.zeros((n_ado, n_slots), dtype=np.int64)
+    slot_ado = np.zeros((n_ado, n_slots), dtype=np.int32)
     slot_block = np.full(slot_ado.shape, len(blocks))
     slot_ado[:, n_modes] = slot_block[:, n_modes] = np.arange(n_ado)
     for k in range(n_modes):
@@ -266,17 +264,16 @@ def hierarchy_generator(h, q_op, coeffs, rates, tail, depth):
         slot_block[below, 2 * n_modes - k] = offset + occ[below, k]
         slot_ado[above, k] = below
         slot_block[above, k] = offset + depth + occ[below, k]
-    # row i of auxiliary a is row i of each neighbour's block, by slot;
+    # block row a holds its slots' blocks; dropping the exact zeros (-0.0
+    # too) drops every empty slot and leaves each row's columns ascending.
     # int32 holds the indices of any hierarchy that fits in memory
-    segment = (slot_block[:, None, :] * blk + np.arange(blk)[:, None]).ravel()
-    length = size[segment]
-    end = np.cumsum(length)
-    source = np.repeat(first[segment] - end + length, length) + np.arange(end[-1])
-    columns = np.repeat(np.repeat(slot_ado, blk, axis=0).ravel() * blk, length)
-    indptr = np.concatenate([[0], end[n_slots - 1::n_slots]]).astype(np.int32)
-    return sparse.csr_array((rows[rows != 0][source],
-                             (columns + nz_column[source]).astype(np.int32), indptr),
-                            shape=(len(indptr) - 1,) * 2)
+    stack = np.concatenate([blocks.real, np.zeros((1, blk, blk))])
+    gen = sparse.bsr_array(
+        (stack[slot_block.ravel()], slot_ado.ravel(),
+         np.arange(0, n_ado * n_slots + 1, n_slots, dtype=np.int32)),
+        shape=(n_ado * blk,) * 2).tocsr()
+    gen.eliminate_zeros()
+    return gen
 
 
 def _csr_binop(kernel, n, a, b):
@@ -454,7 +451,9 @@ class ChebyshevPlan:
         MAX_AMPLIFICATION; then it is the fewest substeps that keep it.
         The window is the largest number of steps L <= ``window`` whose
         bound M stays within MAX_AMPLIFICATION (at least 1). M grows with
-        L, so the search bisects on it.
+        L and lies between e^(L g) and 2 e^(L g), so the search steps up
+        from the floor the upper bound proves while the next window stays
+        within it.
         """
         # a box of no width keeps a valid, wider one: the series needs h > 0
         half = (0.5 * (hi - lo) or eta or 1.0) * focus
@@ -466,24 +465,19 @@ class ChebyshevPlan:
         # e^(L g) <= M <= 2 e^(L g), g = c + h' (rho + 1/rho) / 2: the series
         # summed to every order at the ellipse's right vertex. So substeps
         # with g <= log(MAX_AMPLIFICATION / 2) keep every substep within
-        # the bound, and the bisection runs over the few windows between
-        # the two bounds
+        # the bound, and so does every window up to the floor of
+        # log(MAX_AMPLIFICATION / 2) / g; where g <= 0, every window
         growth = half * (shift + 0.5 * (rho + 1.0 / rho))
         most, least = math.log(MAX_AMPLIFICATION), math.log(MAX_AMPLIFICATION / 2)
         substeps = max(1, math.ceil(growth / least))
         growth /= substeps
         plan = cls(None, half / substeps, shift, lo / substeps, hi / substeps,
                    eta / substeps, rho, focus, substeps, 1)
-        low = 1
         if growth > 0:
-            low = max(1, min(window, int(least / growth)))
-            window = max(1, min(window, int(most / growth)))
-        while low < window:
-            mid = (low + window + 1) // 2
-            if np.logaddexp.reduce(plan._log_terms(mid)) <= most:
-                low = mid
-            else:
-                window = mid - 1
+            wanted, window = window, max(1, int(min(window, least / growth)))
+            while (window < wanted
+                   and np.logaddexp.reduce(plan._log_terms(window + 1)) <= most):
+                window += 1
         return replace(plan, window=window)
 
     def _log_terms(self, k):
@@ -653,22 +647,18 @@ def _step_work(matrix, plan, n_steps):
     ``plan`` is a candidate of ``ChebyshevPlan.of`` for ``matrix``, whose
     rows N and nonzeros set the cost of a sparse product. The work is in
     CALL_OVERHEAD's units, and ``dense`` tells whether forming the dense
-    step is the cheaper way: it costs the one-step series on
-    ceil(N / COLUMN_BLOCK) blocks of columns plus a pass over the N^2
-    step per step (DENSE_WORK per entry up to DENSE_ROWS rows,
-    MEMORY_DENSE_WORK above); windowed steps of the N x 4 state cost the
-    window's coefficients, then its series per window, each vector
-    combined into the kept rows. This is the only rule for the way:
+    step is the cheaper way: it costs the one-step series on N identity
+    columns plus a pass over the N^2 step per step (DENSE_WORK per entry
+    up to DENSE_ROWS rows, MEMORY_DENSE_WORK above); windowed steps of
+    the N x 4 state cost the window's coefficients, then its series per
+    window, one kernel call per vector. This is the only rule for the way:
     ``of`` keeps ``dense`` with the focus it picks by the work.
     """
     n, nnz = matrix.shape[0], matrix.nnz
-    per_vector = 4 * (nnz + COMBINE_WORK * n) + CALL_OVERHEAD
     frames = (COEFFICIENT_WORK * plan.window * (plan.degree(plan.window) + 1)
-              + plan.products(n_steps) * per_vector)
+              + plan.products(n_steps) * (4 * nnz + CALL_OVERHEAD))
     per_entry = DENSE_WORK if n <= DENSE_ROWS else MEMORY_DENSE_WORK
-    dense = (plan.degree(1)
-             * (BLOCK_WORK * n * nnz + math.ceil(n / COLUMN_BLOCK) * CALL_OVERHEAD)
-             + n_steps * per_entry * n * n)
+    dense = plan.degree(1) * BLOCK_WORK * n * nnz + n_steps * per_entry * n * n
     return min(dense, frames), dense <= frames
 
 

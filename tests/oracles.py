@@ -13,9 +13,11 @@ the Pauli basis, behind the block assembly of
 ``ttmkit.heom.hierarchy_generator``, and that function as it was before
 it formed each distinct block once (``reference_batched_generator``);
 the one ``ive`` per order behind the ratio recurrence of
-``ttmkit.heom.ChebyshevPlan._log_terms``; the nested-loop memory recursion
-(one 4x4 product per lag and step) behind ``ttmkit.tensors``, the
-per-superoperator diagnostics behind ``ttmkit.maps.validate_maps`` and
+``ttmkit.heom.ChebyshevPlan._log_terms``, the bisection behind the
+window search of ``ttmkit.heom.ChebyshevPlan._focused``; the
+nested-loop memory recursion (one 4x4 product per lag and step) behind
+``ttmkit.tensors``, the per-superoperator diagnostics behind
+``ttmkit.maps.validate_maps`` and
 the stack helpers of ``ttmkit.liouville``, the frame-layout basis
 checks behind ``BasisTrajectorySet.initial_defect``/``dagger_defect``,
 and the least
@@ -44,7 +46,7 @@ from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln, ive
 
 from ttmkit.errors import ConfigurationError, DimensionError
-from ttmkit.heom import LOG_TAIL, PAULI_BASIS
+from ttmkit.heom import LOG_TAIL, MAX_AMPLIFICATION, PAULI_BASIS, ChebyshevPlan
 from ttmkit.liouville import (
     PAULI,
     liouvillian_superop,
@@ -538,6 +540,39 @@ def reference_log_terms(plan, k):
         if terms[-1] < LOG_TAIL - 40.0:
             return terms, bounded
         size *= 2
+
+
+def reference_focused(lo, hi, eta, focus, window):
+    """(substeps, window) of ``ChebyshevPlan._focused`` by bisection.
+
+    ``ttmkit.heom.ChebyshevPlan._focused`` as it was before it stepped
+    its window up from the floor of its bound: the same substeps, and the
+    window bisected over the steps L between the floors of
+    log(MAX_AMPLIFICATION / 2) / g and log(MAX_AMPLIFICATION) / g, which
+    e^(L g) <= M <= 2 e^(L g) leave open, by the plan's own log terms.
+    """
+    half = (0.5 * (hi - lo) or eta or 1.0) * focus
+    shift = 0.5 * (lo + hi) / half
+    x, y = 1.0 / focus, eta / half
+    axis = 0.5 * (math.hypot(x - 1.0, y) + math.hypot(x + 1.0, y))
+    rho = axis + math.sqrt(axis * axis - 1.0)
+    growth = half * (shift + 0.5 * (rho + 1.0 / rho))
+    most, least = math.log(MAX_AMPLIFICATION), math.log(MAX_AMPLIFICATION / 2)
+    substeps = max(1, math.ceil(growth / least))
+    growth /= substeps
+    plan = ChebyshevPlan(None, half / substeps, shift, lo / substeps, hi / substeps,
+                         eta / substeps, rho, focus, substeps, 1)
+    low = 1
+    if growth > 0:
+        low = max(1, min(window, int(least / growth)))
+        window = max(1, min(window, int(most / growth)))
+    while low < window:
+        mid = (low + window + 1) // 2
+        if np.logaddexp.reduce(plan._log_terms(mid)) <= most:
+            low = mid
+        else:
+            window = mid - 1
+    return substeps, window
 
 
 def reference_step_propagator(gen_dt, block=128):

@@ -233,6 +233,17 @@ def test_trace_drift_is_exit_3(lindblad_run, heom_run, tmp_path, monkeypatch,
             "ok", "no_fixed_point"]
 
 
+def test_analyze_too_short_to_settle_writes_the_table_then_exits_3(
+        lindblad_run, tmp_path):
+    # 11 frames cannot fill a window of 50: the row says not_settled
+    state = tmp_path / "short.json"
+    assert run(["propagate", lindblad_run / "tensors.json", "--steps", "10",
+                "--out", state]) == 0
+    out = tmp_path / "report.tsv"
+    assert run(["analyze", state, "--window", "50", "--out", out]) == 3
+    assert [row["status"] for row in read_rows(out)] == ["not_settled"]
+
+
 def test_analyze_flags_degenerate_equilibrium(lindblad_run, tmp_path):
     # a unital model relaxes to the maximally mixed state, which has no
     # axis to compare against the canonical one; that is reported, not
@@ -437,10 +448,11 @@ def test_wrong_kind_is_exit_2(lindblad_run, tmp_path):
                 "--out", tmp_path / "a.tsv"]) == 2
 
 
-@pytest.mark.parametrize("elements", ["00->22", "00->00,"])
+@pytest.mark.parametrize("elements", ["00->22", "00->00,", "0a->00"])
 def test_bad_elements_is_exit_2_without_products(lindblad_run, tmp_path,
                                                  elements):
-    # an index past D = 2, and an empty element after the comma
+    # an index past D = 2, an empty element after the comma, and an index
+    # that is not a digit
     out = tmp_path / "kernel.json"
     table = tmp_path / "kernel.tsv"
     assert run(["kernel", lindblad_run / "tensors.json", "--out", out,
@@ -469,6 +481,37 @@ def test_cutoff_k_out_of_range_is_exit_2(lindblad_run, tmp_path, cutoff):
 def test_bad_initial_spec_is_exit_2(lindblad_run, tmp_path):
     assert run(["propagate", lindblad_run / "tensors.json", "--initial",
                 "e12", "--steps", "10", "--out", tmp_path / "s.json"]) == 2
+
+
+@pytest.mark.parametrize("label,state", [
+    ("plus", np.full((2, 2), 0.5)), ("mixed", np.eye(2) / 2),
+], ids=["plus", "mixed"])
+def test_labelled_initial_state_is_frame_0(lindblad_run, tmp_path, label, state):
+    out = tmp_path / "s.json"
+    assert run(["propagate", lindblad_run / "tensors.json", "--initial", label,
+                "--steps", "10", "--out", out]) == 0
+    frames, _, _ = load_state_trajectory(out)
+    assert np.array_equal(frames[0], state)
+
+
+def test_population_label_past_dim_is_exit_2(lindblad_run, tmp_path, caplog):
+    # e33 names the third level of a two-level system
+    assert run(["propagate", lindblad_run / "tensors.json", "--initial",
+                "e33", "--steps", "10", "--out", tmp_path / "s.json"]) == 2
+    assert "out of range for dim 2" in caplog.text
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_initial_state_without_state_key_is_exit_2_naming_it(lindblad_run,
+                                                            tmp_path, caplog):
+    initial = tmp_path / "initial.json"
+    initial.write_text(json.dumps({"rho": [[[1.0, 0.0], [0.0, 0.0]],
+                                           [[0.0, 0.0], [0.0, 0.0]]]}))
+    out = tmp_path / "s.json"
+    assert run(["propagate", lindblad_run / "tensors.json", "--initial",
+                initial, "--steps", "10", "--out", out]) == 2
+    assert f"{initial}: expected an object with a 'state' matrix" in caplog.text
+    assert not out.exists()
 
 
 def test_non_finite_initial_state_is_exit_2(lindblad_run, tmp_path):
@@ -647,6 +690,15 @@ def test_temperature_flag_the_units_do_not_read_is_exit_2(tmp_path, caplog,
     assert run(["generate", "--model", "unitary", "--dt", "0.05", "--steps",
                 "10", *flags, "--out", out]) == 2
     assert "invalid input: " in caplog.text
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_wavenumber_units_without_temperature_is_exit_2(tmp_path, caplog):
+    out = tmp_path / "g.json"
+    assert run(["generate", "--model", "unitary", "--units", "wavenumber",
+                "--omega0", "100", "--dt", "50", "--steps", "10",
+                "--out", out]) == 2
+    assert "wavenumber units need --temperature" in caplog.text
     assert list(tmp_path.iterdir()) == []
 
 

@@ -39,6 +39,7 @@ from oracles import (
     projected_tensors,
     reference_batched_generator,
     reference_chebyshev_series,
+    reference_focused,
     reference_gen_heom,
     reference_hierarchy_generator,
     reference_log_terms,
@@ -656,6 +657,27 @@ def test_series_terms_past_the_underflow_of_ive_are_bounded_not_dropped(
     reference = heom_module.ChebyshevPlan._focused(*UNDERFLOW_BOX)
     assert reference.window == plan.window
     assert reference.degree(reference.window) >= plan.degree(plan.window)
+
+
+@pytest.mark.parametrize("hierarchy,n_steps", [
+    *((case[:4], case[4]) for case in PLAN_CASES.args[1]),
+    *(((spin_boson(lam, gamma, 0.5), depth, n_matsubara, dt), n_steps)
+      for lam, gamma, dt, n_steps, depth, n_matsubara, _ in STEPPING_CASES.args[1]),
+    *(((spin_boson(2.0, 1.0, 0.5), 8, 2, dt), n_steps)
+      for dt, n_steps in product((0.5, 2.0), (40, 400))),
+    (None, UNDERFLOW_BOX[-1]),
+], ids=[*PLAN_CASES.kwargs["ids"], *STEPPING_CASES.kwargs["ids"], "dt0.5-40",
+        "dt0.5-400", "dt2-40", "dt2-400", "underflow-box"])
+def test_window_search_matches_the_bisection_oracle(hierarchy, n_steps):
+    # stepping up from the floor of the bound finds the window the
+    # bisection between the two bounds found, at every focus
+    box = (UNDERFLOW_BOX[:3] if hierarchy is None
+           else heom_module._box(pauli_step_generator(*hierarchy)))
+    for i in range(5):
+        focus = 2.0 ** (-i / 4)
+        plan = heom_module.ChebyshevPlan._focused(*box, focus, n_steps)
+        assert (plan.substeps, plan.window) == reference_focused(*box, focus,
+                                                                 n_steps), i
 
 
 @PLAN_CASES
