@@ -4,43 +4,26 @@ Each generator builds the stack of dynamical maps E_k (E_0 = identity)
 and stores it with :meth:`~ttmkit.trajectories.BasisTrajectorySet.from_maps`,
 which lays it out as the evolved operator basis. The
 hierarchy integrator for the non-perturbative bath lives in
-:mod:`ttmkit.heom`.
+:mod:`ttmkit.heom`; its Chebyshev step also steps the Lindblad equation.
 """
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
+from .heom import _stability_substeps, step_matrix
 from .liouville import is_hermitian, spre, spost, unitary_superop
 from .models import lineshape
 from .trajectories import BasisTrajectorySet
 
 
-def _rk4_matrix(gen, h):
-    """One classical 4th-order step matrix for x' = gen x, step h."""
-    m = h * gen
-    eye = np.eye(gen.shape[0], dtype=complex)
-    r = eye + m / 4.0
-    r = eye + (m @ r) / 3.0
-    r = eye + (m @ r) / 2.0
-    return eye + m @ r
-
-
-def _stability_substeps(gen, dt, floor):
-    """Substep count for x' = gen x keeping RK4 well inside its accuracy range.
-
-    The row-sum norm bounds the spectrum; h * ||gen|| <= 0.08 keeps the
-    local error of the 4th-order step near the 1e-9 level per step,
-    far below the truncation errors of the surrounding machinery.
-    """
-    bound = float(np.abs(gen).sum(axis=1).max())
-    needed = int(np.ceil(dt * bound / 0.08)) if bound > 0 else 1
-    return max(floor, needed, 1)
-
-
-def step_matrix(gen, dt, substeps):
-    """Grid-step propagator: ``substeps`` RK4 substeps of x' = gen x."""
-    r = _rk4_matrix(gen, dt / substeps)
-    return np.linalg.matrix_power(r, substeps)
+def _hamiltonian(h):
+    """``h`` as a complex array, refused unless square and Hermitian."""
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise DimensionError(f"hamiltonian must be square, got shape {h.shape}")
+    if not is_hermitian(h):
+        raise DimensionError("hamiltonian must be Hermitian")
+    return h
 
 
 def gen_unitary(h, grid):
@@ -50,11 +33,7 @@ def gen_unitary(h, grid):
     via the eigendecomposition of ``h``, not by accumulating steps, so
     frames carry no integration error.
     """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DimensionError(f"hamiltonian must be square, got shape {h.shape}")
-    if not is_hermitian(h):
-        raise DimensionError("hamiltonian must be Hermitian")
+    h = _hamiltonian(h)
     energies, modes = np.linalg.eigh(h)
     phases = np.exp(-1j * energies * grid.times[:, None])
     maps = unitary_superop((modes * phases[:, None, :]) @ modes.conj().T)
@@ -68,13 +47,13 @@ def lindblad_superop(h, jump_ops, rates):
     Parameters
     ----------
     h : ndarray
-        Hermitian system Hamiltonian.
+        Hermitian system Hamiltonian; ``DimensionError`` if it is not.
     jump_ops : sequence of ndarray
         Jump operators A_m.
     rates : sequence of float
         Nonnegative rates r_m, one per jump operator.
     """
-    h = np.asarray(h, dtype=complex)
+    h = _hamiltonian(h)
     dim = h.shape[0]
     if len(jump_ops) != len(rates):
         raise ConfigurationError(
@@ -100,13 +79,12 @@ def lindblad_superop(h, jump_ops, rates):
 def gen_lindblad(h, jump_ops, rates, grid):
     """Basis trajectories of a Lindblad equation on ``grid``.
 
-    Integrates the vectorized equation with the classical 4th-order
-    one-step method. The substep is at most dt/10 and is shrunk further
-    if stiff rates demand it.
+    Each frame is the one before times exp(gen dt) of the vectorized
+    generator, exact to double precision by the bound of the hierarchy's
+    Chebyshev plan (:func:`~ttmkit.heom.step_matrix`).
     """
     gen = lindblad_superop(h, jump_ops, rates)
-    substeps = _stability_substeps(gen, grid.dt, floor=10)
-    step = step_matrix(gen, grid.dt, substeps)
+    step = step_matrix(gen, grid.dt, _stability_substeps(gen, grid.dt))
     maps = np.empty((grid.n_steps + 1,) + gen.shape, dtype=complex)
     maps[0] = np.eye(gen.shape[0])
     for k in range(1, grid.n_steps + 1):
@@ -139,13 +117,13 @@ def gen_dephasing_analytic(params, grid):
             "coupling operator must commute with the Hamiltonian for the "
             "pure-dephasing solution"
         )
+    # the common eigenbasis: Q's within each eigenspace of H (to the tolerance above)
     energies, modes = np.linalg.eigh(h)
-    q_rot = modes.conj().T @ q_op @ modes
-    if np.abs(q_rot - np.diag(np.diag(q_rot))).max() > 1e-10 * scale:
-        raise ConfigurationError(
-            "coupling operator is not diagonal in the Hamiltonian eigenbasis"
-        )
-    q = np.diag(q_rot).real
+    edges = np.flatnonzero(np.diff(energies) > 1e-10 * scale) + 1
+    for space in np.split(np.arange(dim), edges):
+        basis = modes[:, space]
+        modes[:, space] = basis @ np.linalg.eigh(basis.conj().T @ q_op @ basis)[1]
+    q = np.diag(modes.conj().T @ q_op @ modes).real
 
     gap = energies[:, None] - energies[None, :]
     damp = (q[:, None] - q[None, :]) ** 2

@@ -62,6 +62,7 @@ dense product per step, or the windowed series acts on the N x D^2
 stacked state with no dense step at all. The work estimate (in N,
 the nonzeros, the window, the degrees and the number of steps) that
 picks the plan's focus also picks the way, once, and the plan keeps it.
+Dense generators, such as the Lindblad one, step through ``step_matrix``.
 """
 
 import logging
@@ -78,9 +79,6 @@ from scipy.sparse._sparsetools import (csr_matvecs, csr_minus_csr, csr_plus_csr,
 from scipy.special import ive
 
 from .errors import ConfigurationError, DivergenceError
-# Unused here: perfbench/spans.py LOOKUPS pins both names in ttmkit.heom, and
-# perfbench/test_perfbench.py reads step_matrix; ROADMAP item 2 removes them.
-from .generators import _stability_substeps, step_matrix  # noqa: F401
 from .liouville import PAULI, spre, spost
 from .models import bath_correlation_modes, matsubara_tail
 from .trajectories import BasisTrajectorySet, TimeGrid
@@ -639,6 +637,29 @@ def _dense_step(plan):
         columns[start + np.arange(width), np.arange(width)] = 1.0
         step[:, start:start + width] = plan.apply(columns, coefficients)[0]
     return step
+
+
+def _dense_plan(gen_dt):
+    """One-step plan of dense complex A as real CSR [[Re A, -Im A], [Im A, Re A]]."""
+    re, im = gen_dt.real, gen_dt.imag
+    return ChebyshevPlan.of(sparse.csr_array(np.block([[re, -im], [im, re]])), 1)
+
+
+def _stability_substeps(gen, dt):
+    """Substeps per step dt of x' = gen x, dense and complex: its plan's."""
+    return _dense_plan(gen * dt).substeps
+
+
+def step_matrix(gen, dt, substeps):
+    """exp(gen dt) of a dense complex ``gen``: the dense step of its plan per substep.
+
+    The real form's exponential holds the complex one's in its blocks.
+    Too few substeps for the plan's bound are made up by its own.
+    """
+    plan = _dense_plan(gen * (dt / substeps))
+    step = np.linalg.matrix_power(_dense_step(plan), substeps * plan.substeps)
+    re, im = np.vsplit(step[:, :len(gen)], 2)
+    return re + 1j * im
 
 
 def _step_work(matrix, plan, n_steps):

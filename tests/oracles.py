@@ -31,7 +31,10 @@ truncated Taylor series ``TaylorPlan`` the hierarchy was stepped with
 before its Chebyshev plan, behind the real Pauli form that
 ``ttmkit.heom.gen_heom`` steps, and the frequency
 quadrature of the dephasing exponent behind the mode sum of
-``ttmkit.models.lineshape``. ``projected_tensors``
+``ttmkit.models.lineshape``, and the classical 4th-order step
+``reference_rk4_step`` that ``ttmkit.generators.gen_lindblad`` stepped
+with before the Chebyshev step of ``ttmkit.heom.step_matrix``.
+``projected_tensors``
 gives a hierarchy's transfer tensors in Nakajima-Zwanzig form, with no
 peel.
 """
@@ -634,6 +637,22 @@ def reference_gen_heom(params, cfg, grid):
         state = plan.apply(state)
         maps[k] = state[:blk]
     return BasisTrajectorySet.from_maps(grid, maps)
+
+
+def reference_rk4_step(gen, dt):
+    """exp(gen dt) by classical 4th-order substeps of x' = gen x.
+
+    The row-sum norm bounds the spectrum; substeps h with h ||gen|| <= 0.08,
+    and at least 10 of them, keep the local error near 1e-9 per step.
+    """
+    bound = float(np.abs(gen).sum(axis=1).max())
+    substeps = max(10, math.ceil(dt * bound / 0.08))
+    m = (dt / substeps) * gen
+    eye = np.eye(gen.shape[0], dtype=complex)
+    r = eye + m / 4.0
+    r = eye + (m @ r) / 3.0
+    r = eye + (m @ r) / 2.0
+    return np.linalg.matrix_power(eye + m @ r, substeps)
 
 
 def reference_dephasing_exponent(t, lam, gamma, beta):

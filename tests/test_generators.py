@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.special import polygamma
 
 from ttmkit import (
@@ -13,13 +14,15 @@ from ttmkit import (
     gen_lindblad,
     gen_unitary,
     lindblad_superop,
+    tls_hamiltonian,
     vectorize,
 )
 from ttmkit.errors import ConfigurationError
-from ttmkit.liouville import SIGMA_X, SIGMA_Z
+from ttmkit.heom import _stability_substeps
+from ttmkit.liouville import SIGMA_X, SIGMA_Z, unitary_superop
 from ttmkit.models import bath_correlation_modes, lineshape
 
-from oracles import reference_dephasing_exponent
+from oracles import reference_dephasing_exponent, reference_rk4_step
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -86,6 +89,50 @@ def test_lindblad_superop_preserves_trace_and_hermiticity():
     # trace functional is a left null vector of any Lindblad generator
     tr = vectorize(np.eye(2, dtype=complex))
     assert np.abs(tr @ gen).max() < 1e-14
+
+
+def _random_d3_case():
+    rng = np.random.default_rng(7)
+    h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    ops = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2)]
+    return h + h.conj().T, ops, [0.3, 0.2], TimeGrid(dt=0.05, n_steps=40)
+
+
+# (h, jump operators, rates, grid): C1's case, the amplitude-damping and
+# dephasing cases above, a random D = 3 case and a coarse step with substeps
+LINDBLAD_CASES = {
+    "c1": lambda: (tls_hamiltonian(1.0, 0.4), [SIGMA_MINUS, SIGMA_Z], [0.2, 0.1],
+                   TimeGrid(dt=0.05, n_steps=50)),
+    "amplitude-damping": lambda: (np.zeros((2, 2)), [SIGMA_MINUS], [0.3],
+                                  TimeGrid(dt=0.02, n_steps=200)),
+    "dephasing": lambda: (np.zeros((2, 2)), [SIGMA_Z], [0.4],
+                          TimeGrid(dt=0.02, n_steps=150)),
+    "random-d3": _random_d3_case,
+    "coarse": lambda: (tls_hamiltonian(1.0, 0.4), [SIGMA_MINUS, SIGMA_Z],
+                       [50.0, 30.0], TimeGrid(dt=2.0, n_steps=5)),
+}
+
+
+@pytest.mark.parametrize("case", LINDBLAD_CASES)
+def test_lindblad_maps_match_the_matrix_exponential(case):
+    h, ops, rates, grid = LINDBLAD_CASES[case]()
+    gen = lindblad_superop(h, ops, rates)
+    assert (_stability_substeps(gen, grid.dt) > 1) == (case == "coarse")
+    exact = np.array([expm(gen * t) for t in grid.times])
+    maps = gen_lindblad(h, ops, rates, grid).maps
+    assert np.abs(maps - exact).max() <= 1e-12
+
+
+def test_lindblad_maps_agree_with_rk4_within_its_error():
+    h, ops, rates, grid = LINDBLAD_CASES["c1"]()
+    gen = lindblad_superop(h, ops, rates)
+    exact = np.array([expm(gen * t) for t in grid.times])
+    step = reference_rk4_step(gen, grid.dt)
+    rk4 = np.array([np.linalg.matrix_power(step, k) for k in range(grid.n_steps + 1)])
+    rk4_error = np.abs(rk4 - exact).max()
+    assert 1e-12 < rk4_error < 2e-11  # 1.0e-11 measured
+    maps = gen_lindblad(h, ops, rates, grid).maps
+    assert np.abs(maps - rk4).max() <= rk4_error + 1e-12
 
 
 def _series_exponent(t, lam, gamma, beta, n_modes=20000):
@@ -197,3 +244,16 @@ def test_analytic_dephasing_rejects_noncommuting_hamiltonian():
                              beta=1.0)
     with pytest.raises(ConfigurationError):
         gen_dephasing_analytic(params, TimeGrid(dt=0.1, n_steps=4))
+
+
+def test_degenerate_dephasing_is_the_sigma_z_case_rotated():
+    # H = 0 commutes with sigma_x; the Hadamard gate takes sigma_z to it
+    grid = TimeGrid(dt=0.1, n_steps=50)
+    maps = {}
+    for name, q_op in (("x", SIGMA_X), ("z", SIGMA_Z)):
+        params = SpinBosonParams(omega0=0.0, j_coupling=0.0, lam=0.1, gamma=1.0,
+                                 beta=1.0, coupling_op=q_op)
+        maps[name] = gen_dephasing_analytic(params, grid).maps
+    hadamard = unitary_superop((SIGMA_X + SIGMA_Z) / np.sqrt(2.0))
+    rotated = hadamard @ maps["z"] @ hadamard.conj().T
+    assert np.abs(maps["x"] - rotated).max() <= 1e-12

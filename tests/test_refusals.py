@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from ttmkit import (
-    SpinBosonParams,
-    TimeGrid,
     TransferTensorSequence,
     detect_equilibrium,
-    gen_dephasing_analytic,
     lindblad_superop,
     propagate,
 )
@@ -21,20 +18,16 @@ TENSORS = TransferTensorSequence(dim=2, dt=0.1, tensors=np.eye(4)[None])
 RHO = np.diag([1.0, 0.0]).astype(complex)
 
 
-def dephasing_without_an_eigenbasis():
-    # H = 0 commutes with sigma_x, but its eigenbasis does not diagonalize it
-    params = SpinBosonParams(omega0=0.0, j_coupling=0.0, lam=0.1, gamma=1.0,
-                             beta=1.0, coupling_op=SIGMA_X)
-    gen_dephasing_analytic(params, TimeGrid(dt=0.1, n_steps=5))
-
-
 @pytest.mark.parametrize("call,error,match", [
     (lambda: lindblad_superop(H, [SIGMA_X], []), ConfigurationError, "0 rates"),
     (lambda: lindblad_superop(H, [np.eye(3)], [1.0]), DimensionError,
      "jump operator shape"),
     (lambda: lindblad_superop(H, [SIGMA_X], [-1.0]), ConfigurationError,
      "negative rate"),
-    (dephasing_without_an_eigenbasis, ConfigurationError, "not diagonal"),
+    (lambda: lindblad_superop(np.ones((2, 3)), [SIGMA_X], [1.0]), DimensionError,
+     "must be square"),
+    (lambda: lindblad_superop(H + SIGMA_X * 1j, [SIGMA_X], [1.0]), DimensionError,
+     "must be Hermitian"),
     (lambda: detect_equilibrium(np.tile(RHO, (10, 1, 1)), 1e-6, 1), ValueError,
      "window must be at least 2"),
     (lambda: bath_correlation_modes(0.1, 1.0, 1.0, -1), ConfigurationError,
@@ -45,7 +38,8 @@ def dephasing_without_an_eigenbasis():
     (lambda: propagate(TENSORS, 1, np.tile(RHO, (7, 1, 1)), 5), DimensionError,
      "seed supplies 7"),
 ], ids=["lindblad-rate-count", "lindblad-operator-shape", "lindblad-negative-rate",
-        "dephasing-not-diagonal", "equilibrium-window-1",
+        "lindblad-hamiltonian-shape", "lindblad-hamiltonian-hermitian",
+        "equilibrium-window-1",
         "matsubara-negative", "lineshape-time-0", "propagate-cutoff",
         "propagate-seed-shape", "propagate-seed-length"])
 def test_refusal_raises_its_documented_error(call, error, match):
