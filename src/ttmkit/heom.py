@@ -24,10 +24,12 @@ converted by an exact congruence that refuses any nonzero imaginary
 part; ``gen_heom`` steps it and maps the physical block back to the
 |a><b| basis once, for all frames.
 The frames exp(k G dt) come from one Chebyshev series of the sparse
-G dt (``ChebyshevPlan``), planned once per hierarchy. Gershgorin discs
-of its symmetric and skew parts, summed on the CSR arrays by scipy's
-compiled kernels, bound the numerical range to a box; the series' foci
-lie on the box's real axis, symmetric about its centre; the degree is
+G dt (``ChebyshevPlan``), planned once per hierarchy. The Gershgorin
+discs of its symmetric part and the discs of its skew part weighted by
+a few power steps toward their Perron vector (Collatz-Wielandt), formed
+on the CSR arrays by scipy's compiled kernels, bound the numerical
+range to a box; the series' foci lie on the box's real axis, symmetric
+about its centre; the degree is
 the least whose tail on the Bernstein ellipse around the box is below
 double precision by the Crouzeix-Palencia bound (its terms from one
 Bessel function and a recurrence for the ratios of the rest), and the
@@ -106,6 +108,13 @@ LOG_TAIL = -53 * math.log(2.0) - math.log1p(math.sqrt(2.0))
 # The most log(rho^degree) a series may reach: its vectors grow like rho^j,
 # and e^600 = 3.8e260 times a state within DIVERGENCE_GUARD stays finite.
 MAX_LOG_GROWTH = 600.0
+
+# Iterates of the weighted discs that bound the box's imaginary extent
+# (``_box``), d = 1 the first. Over the benchmark hierarchies and C7a, the
+# sparse products of their plans are 19822 with the discs alone, 18463
+# with 3 iterates, 17591 with 10 and 17521 with 30; C4 alone takes 15400,
+# 14175, 13664 and 13671. 10 iterates cost C4 0.2 ms of planning.
+SKEW_STEPS = 10
 
 # Entries of the stacked state a window may span over all its frames
 # (32 MB): this bounds the full frames a window is formed in when the
@@ -293,12 +302,24 @@ def _box(matrix):
     """(lo, hi, eta): a box holding the numerical range of a real sparse matrix.
 
     Re z in [lo, hi] from the Gershgorin discs of the symmetric part
-    (A + A^T)/2, |Im z| <= eta from those of the skew part, in O(nnz).
+    (A + A^T)/2, in O(nnz). |Im z| <= eta from weighted discs of the skew
+    part S = (A - A^T)/2: Im x^H A x = x^H S x / i for a unit x, so
+    |Im z| <= rho(S), as S is normal; rho(S) <= rho(|S|) by Wielandt's
+    theorem; and for every positive d, rho(|S|) <= max_i (|S| d)_i / d_i
+    by Collatz-Wielandt. d = 1 gives the discs of S, and eta is the least
+    of these bounds over d = 1 and the SKEW_STEPS - 1 power steps
+    d <- (|S| + I) d / max (|S| + I) d after it, which tend to the Perron
+    vector of |S|. The added d keeps every d_i > 0, also on the rows |S|
+    leaves empty (13 of C4's), and the shift by I keeps the steps from
+    alternating where |S| is bipartite. Every iterate gives a bound, so
+    the least is one, and no larger than the discs'; without rounding
+    the bounds do not rise from one step to the next, since |S| + I >= 0.
     The sums are taken on the CSR arrays by the compiled kernels scipy's
     sparse operators end in: A^T by ``csr_tocsc`` (A's CSC arrays are
-    its transpose's CSR arrays), A +- A^T by ``_csr_binop``, and each
+    its transpose's CSR arrays), A +- A^T by ``_csr_binop``, each
     row's sum of magnitudes by one ``np.add.reduceat``, as scipy's row
-    sums reduce, so the box is the one those operators give.
+    sums reduce, so the discs are the ones those operators give, and
+    |S| d by one ``csr_matvecs`` on the magnitudes of A - A^T, halved.
     """
     n, index = matrix.shape[0], matrix.indices.dtype
     a = (matrix.indptr.astype(index, copy=False), matrix.indices, matrix.data)
@@ -307,15 +328,24 @@ def _box(matrix):
     csr_tocsc(n, n, *a, *transposed)
     sums = []
     for kernel in (csr_plus_csr, csr_minus_csr):
-        indptr, _, data = _csr_binop(kernel, n, a, transposed)
+        indptr, indices, data = _csr_binop(kernel, n, a, transposed)
         rows, total = np.flatnonzero(np.diff(indptr)), np.zeros(n)
         if len(rows):
             total[rows] = np.add.reduceat(np.abs(data), indptr[rows])
         sums.append(total)
     diagonal = matrix.diagonal()
     sym_radius = sums[0] / 2 - abs(diagonal)
+    # (|S| d)_i / d_i from d = 1, on the last kernel's triple A - A^T
+    magnitudes, weights = 0.5 * np.abs(data), np.ones(n)
+    eta = float(sums[1].max() / 2)
+    for _ in range(SKEW_STEPS):
+        image = np.zeros(n)
+        csr_matvecs(n, n, 1, indptr, indices, magnitudes, weights, image)
+        eta = min(eta, float((image / weights).max()))
+        weights += image
+        weights /= weights.max()
     return (float((diagonal - sym_radius).min()), float((diagonal + sym_radius).max()),
-            float(sums[1].max() / 2))
+            eta)
 
 
 @dataclass(frozen=True)
@@ -327,8 +357,10 @@ class ChebyshevPlan:
     amplification bound below (s = 1 unless the step is coarse). Every
     attribute and method describes A; only the caller that steps a grid
     s times finer reads s. The numerical range W(A) of a real sparse A
-    lies in a box (``_box``): Re z in [lo, hi], |Im z| <= eta. With the
-    box's centre c, foci c -+ h' on its real axis, X = (A - c) / h' and
+    lies in a box (``_box``: the Gershgorin discs of the symmetric part
+    and Perron-weighted discs of the skew part): Re z in [lo, hi],
+    |Im z| <= eta. With the box's centre c, foci c -+ h' on its real
+    axis, X = (A - c) / h' and
     exp(z x) = I_0(z) + 2 sum_j I_j(z) T_j(x) (Tal-Ezer & Kosloff,
     J. Chem. Phys. 81, 3967, 1984), step k is sum_j a_j(k) T_j(X) b with
     a_j(k) = 2 e^(k (c + h')) ive(j, k h'), a_0 halved. The vectors
@@ -403,8 +435,9 @@ class ChebyshevPlan:
     substeps: int
     window: int
     dense: bool = False
-    # log terms by substep, shared by every window of the same plan
+    # log terms and degrees by substep, shared by every window of the same plan
     _terms: dict = field(default_factory=dict, repr=False, compare=False)
+    _degrees: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def of(cls, gen_dt, n_steps, window=None):
@@ -415,8 +448,11 @@ class ChebyshevPlan:
         finds no cheaper than the one before it, whose vectors could grow
         past e^MAX_LOG_GROWTH, or whose degree falls short of -L c over
         its window of L steps; it keeps the one before, with the way the
-        estimate took for it (``dense``). 2 X is formed for that focus
-        alone.
+        estimate took for it (``dense``). The windows divide the frames
+        unevenly, so the work need not fall to its least before it first
+        rises; over the benchmark's hierarchies and C7a's it does, and
+        the stop spares the dense-step hierarchies the foci past it. 2 X
+        is formed for the focus kept alone.
         """
         lo, hi, eta = _box(gen_dt)
         window = n_steps if window is None else min(window, n_steps)
@@ -521,8 +557,10 @@ class ChebyshevPlan:
 
     def degree(self, count):
         """The series degree n for a window of ``count`` steps."""
-        tails = np.logaddexp.accumulate(self._log_terms(count)[::-1])[::-1]
-        return int(np.argmax(tails[1:] < LOG_TAIL))
+        if count not in self._degrees:
+            tails = np.logaddexp.accumulate(self._log_terms(count)[::-1])[::-1]
+            self._degrees[count] = int(np.argmax(tails[1:] < LOG_TAIL))
+        return self._degrees[count]
 
     def bound(self, count):
         """The amplification bound M for a window of ``count`` steps."""

@@ -112,7 +112,11 @@ STEPPING_CASES = pytest.mark.parametrize(
         (8.0, 5.0, 0.01, 40, 6, 2, False),  # stiff, like the top C6 point
         (2.0, 1.0, 0.05, 10, 6, 2, False),
         (8.0, 5.0, 0.01, 10, 6, 2, False),
-        (2.0, 1.0, 0.05, 200, 6, 2, True),  # enough frames to form the step
+        # enough frames to form the step: 13.9 ms against 21.8 ms for
+        # windowed frames (minimum of 15 alternating runs, faster in 15);
+        # over 200 frames the rule takes windowed frames, 13.7 ms against
+        # 12.4 ms for the dense step
+        (2.0, 1.0, 0.05, 300, 6, 2, True),
         # windowed frames at foci 0.71 h: 19.6 ms against 22.2 ms for the
         # dense step (minimum of 15 alternating runs, faster in 14)
         (8.0, 5.0, 0.01, 400, 6, 2, False),
@@ -352,15 +356,16 @@ def test_no_dense_step_above_dense_rows(params, depth, n_matsubara, dt, n_steps,
 
 
 @pytest.mark.parametrize("dt,n_steps,dense", [
-    (0.5, 40, False), (0.5, 400, True), (2.0, 40, True), (2.0, 400, True),
-], ids=["dt0.5-40", "dt0.5-400", "dt2-40", "dt2-400"])
+    (0.75, 40, False), (0.75, 400, True), (2.0, 40, True), (2.0, 400, True),
+], ids=["dt0.75-40", "dt0.75-400", "dt2-40", "dt2-400"])
 def test_coarse_step_above_dense_rows_takes_the_faster_way(dt, n_steps, dense):
     # C4's coupling at depth 8 (N = 660): one substep is the whole window,
     # and the work estimate decides. Whole gen_heom runs, dense step
-    # against windowed frames (s, minimum of 5 alternating runs, one Xeon
-    # vCPU, one BLAS thread): dt = 0.5 (2 substeps) 0.119/0.077 over 40
-    # frames and 0.403/0.785 over 400; dt = 2 (5 and 4 substeps at foci
-    # 0.84 h and 0.71 h) 0.202/0.268 and 0.715/2.783
+    # against windowed frames (s, minimum of 15 alternating runs over 40
+    # frames and of 5 over 400, one Xeon vCPU, one BLAS thread): dt = 0.75
+    # (2 substeps at foci 0.84 h) 0.116/0.079 over 40 frames and
+    # 0.371/0.918 over 400; dt = 2 (6 and 3 substeps at foci 1.0 h and
+    # 0.71 h) 0.152/0.219 and 0.486/1.873
     gen_dt = pauli_step_generator(spin_boson(2.0, 1.0, 0.5), 8, 2, dt)
     plan = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
     assert plan.doubled.shape[0] == 660 > heom_module.DENSE_ROWS
@@ -369,9 +374,9 @@ def test_coarse_step_above_dense_rows_takes_the_faster_way(dt, n_steps, dense):
 
 
 def test_generation_ignores_the_global_random_state():
-    # the Chebyshev plan takes a Gershgorin box and draws no random numbers,
-    # so reruns of `ttm generate` are byte-identical whatever the global
-    # generator's state
+    # the Chebyshev plan's box takes its power steps from d = 1 and draws
+    # no random numbers, so reruns of `ttm generate` are byte-identical
+    # whatever the global generator's state
     params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=8.0, gamma=5.0,
                              beta=0.5)
     runs = []
@@ -547,6 +552,23 @@ def test_first_two_windows_match_the_exponential(params, depth, n_matsubara,
     assert np.abs(frames - exact).max() <= 1e-13
 
 
+def focus_candidates(gen_dt, n_steps):
+    """(plans, estimates, refused) of the foci c -+ h 2^(-i/4), i = 0..4.
+
+    ``estimates`` holds each plan's (work, dense) by ``_step_work``, and
+    ``refused`` whether its growth or its degree would stop the search.
+    """
+    box = heom_module._box(gen_dt)
+    candidates = [heom_module.ChebyshevPlan._focused(*box, 2.0 ** (-i / 4), n_steps)
+                  for i in range(5)]
+    estimates = [heom_module._step_work(gen_dt, c, n_steps * c.substeps)
+                 for c in candidates]
+    refused = [c.degree(c.window) * np.log(c.rho) > heom_module.MAX_LOG_GROWTH
+               or c.degree(c.window) < -c.shift * c.half * c.window
+               for c in candidates]
+    return candidates, estimates, refused
+
+
 @PLAN_CASES
 def test_plan_keeps_the_cheapest_focus_whose_ellipse_holds_the_box(
         params, depth, n_matsubara, dt, n_steps):
@@ -557,15 +579,8 @@ def test_plan_keeps_the_cheapest_focus_whose_ellipse_holds_the_box(
     # box
     gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
     plan = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
-    box = heom_module._box(gen_dt)
-    candidates = [heom_module.ChebyshevPlan._focused(*box, 2.0 ** (-i / 4), n_steps)
-                  for i in range(5)]
-    estimates = [heom_module._step_work(gen_dt, c, n_steps * c.substeps)
-                 for c in candidates]
+    candidates, estimates, refused = focus_candidates(gen_dt, n_steps)
     works = [work for work, _ in estimates]
-    refused = [c.degree(c.window) * np.log(c.rho) > heom_module.MAX_LOG_GROWTH
-               or c.degree(c.window) < -c.shift * c.half * c.window
-               for c in candidates]
     chosen = [c.focus for c in candidates].index(plan.focus)
     fields = ("half", "shift", "lo", "hi", "eta", "rho", "substeps", "window")
     assert all(getattr(plan, f) == getattr(candidates[chosen], f) for f in fields)
@@ -601,6 +616,44 @@ def test_every_step_is_one_at_the_trace_row(params, depth, n_matsubara, dt,
     steps = plan.apply(state, coefficients)
     assert np.abs(steps[:, 0, 0] - 1.0).max() <= 4 * eps
     assert not steps[:, 0, 1:].any()
+
+
+@PLAN_CASES
+def test_focus_search_keeps_the_cheapest_candidate(params, depth, n_matsubara,
+                                                   dt, n_steps):
+    # the search stops at the first focus no cheaper than the one before
+    # it, though the windows divide the frames unevenly; here that is the
+    # cheapest of every focus tried before the first refused one (with the
+    # discs alone, C4 stopped at 0.71 h while 0.5 h was cheaper)
+    gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
+    plan = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
+    candidates, estimates, refused = focus_candidates(gen_dt, n_steps)
+    tried = len(candidates) if not any(refused[1:]) else refused.index(True, 1)
+    cheapest = min(range(tried), key=lambda i: estimates[i][0])
+    assert (plan.focus, plan.dense) == (candidates[cheapest].focus,
+                                        estimates[cheapest][1])
+
+
+@pytest.mark.parametrize("hierarchy,ceiling", [
+    *((case[:4], 2.0 if name == "c4" else np.inf)
+      for case, name in zip(PLAN_CASES.args[1], PLAN_CASES.kwargs["ids"])),
+    # the first three stepping cases: the rest repeat their hierarchies
+    *(((spin_boson(lam, gamma, 0.5), depth, n_matsubara, dt), np.inf)
+      for lam, gamma, dt, _, depth, n_matsubara, _ in STEPPING_CASES.args[1][:3]),
+], ids=[*PLAN_CASES.kwargs["ids"], *STEPPING_CASES.kwargs["ids"][:3]])
+def test_weighted_skew_bound_holds_the_numerical_range(hierarchy, ceiling):
+    # ||S||_2 of the skew part S = (A - A^T) / 2, the most |Im z| over
+    # W(A) can reach, from a dense eigvalsh of S^T S, against the box's
+    # eta and the Gershgorin discs of S it improves on. C4's discs read
+    # 2.291 and its ||S||_2 1.862: an eta of the discs alone fails there
+    gen_dt = pauli_step_generator(*hierarchy)
+    skew = (gen_dt - gen_dt.T) / 2
+    full = skew.toarray()
+    exact = np.sqrt(np.linalg.eigvalsh(full.T @ full)[-1])
+    discs = abs(skew).sum(axis=1).max()
+    eta = heom_module._box(gen_dt)[2]
+    assert exact <= eta <= discs
+    assert eta < ceiling
 
 
 def test_a_focus_past_the_growth_cap_is_refused(monkeypatch):
@@ -980,7 +1033,7 @@ def test_multi_indices_match_brute_force_filter(n_modes):
 
 
 @pytest.mark.parametrize("dense,dt,substeps", [
-    (True, 0.1, 1), (False, 0.1, 1), (True, 2.0, 2), (False, 2.0, 2),
+    (True, 0.1, 1), (False, 0.1, 1), (True, 3.0, 2), (False, 3.0, 2),
 ], ids=["dense", "frames", "dense-coarse", "frames-coarse"])
 def test_divergence_guard_reports_step(monkeypatch, dense, dt, substeps):
     # the guard itself is exercised by lowering the threshold below the
