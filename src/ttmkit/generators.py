@@ -4,13 +4,14 @@ Each generator builds the stack of dynamical maps E_k (E_0 = identity)
 and stores it with :meth:`~ttmkit.trajectories.BasisTrajectorySet.from_maps`,
 which lays it out as the evolved operator basis. The
 hierarchy integrator for the non-perturbative bath lives in
-:mod:`ttmkit.heom`; its Chebyshev step also steps the Lindblad equation.
+:mod:`ttmkit.heom`; the Chebyshev integrator it steps through
+(:mod:`ttmkit.chebyshev`) also steps the Lindblad equation.
 """
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .heom import _stability_substeps, step_matrix
+from .chebyshev import evolve, real_form
 from .liouville import is_hermitian, spre, spost, unitary_superop
 from .models import lineshape
 from .trajectories import BasisTrajectorySet
@@ -79,17 +80,16 @@ def lindblad_superop(h, jump_ops, rates):
 def gen_lindblad(h, jump_ops, rates, grid):
     """Basis trajectories of a Lindblad equation on ``grid``.
 
-    Each frame is the one before times exp(gen dt) of the vectorized
-    generator, exact to double precision by the bound of the hierarchy's
-    Chebyshev plan (:func:`~ttmkit.heom.step_matrix`).
+    The real form [[Re G, -Im G], [Im G, Re G]] dt of the vectorized
+    generator G is stepped from [I; 0] by :func:`~ttmkit.chebyshev.evolve`,
+    one plan for every frame, exact to double precision by its bound;
+    each frame's two halves are the real and imaginary parts of E_k.
     """
     gen = lindblad_superop(h, jump_ops, rates)
-    step = step_matrix(gen, grid.dt, _stability_substeps(gen, grid.dt))
-    maps = np.empty((grid.n_steps + 1,) + gen.shape, dtype=complex)
-    maps[0] = np.eye(gen.shape[0])
-    for k in range(1, grid.n_steps + 1):
-        maps[k] = step @ maps[k - 1]
-    return BasisTrajectorySet.from_maps(grid, maps)
+    size = gen.shape[0]
+    frames = evolve(real_form(gen * grid.dt), grid.n_steps, np.eye(2 * size, size),
+                    2 * size, grid.dt)[0]
+    return BasisTrajectorySet.from_maps(grid, frames[:, :size] + 1j * frames[:, size:])
 
 
 def gen_dephasing_analytic(params, grid):

@@ -13,8 +13,8 @@ the Pauli basis, behind the block assembly of
 ``ttmkit.heom.hierarchy_generator``, and that function as it was before
 it formed each distinct block once (``reference_batched_generator``);
 the one ``ive`` per order behind the ratio recurrence of
-``ttmkit.heom.ChebyshevPlan._log_terms``, the bisection behind the
-window search of ``ttmkit.heom.ChebyshevPlan._focused``; the
+``ttmkit.chebyshev.ChebyshevPlan._log_terms``, the bisection behind the
+window search of ``ttmkit.chebyshev.ChebyshevPlan._focused``; the
 nested-loop memory recursion (one 4x4 product per lag and step) behind
 ``ttmkit.tensors``, the per-superoperator diagnostics behind
 ``ttmkit.maps.validate_maps`` and
@@ -23,9 +23,9 @@ checks behind ``BasisTrajectorySet.initial_defect``/``dagger_defect``,
 and the least
 squares over the generalized Pauli basis behind the fitted
 ``ttmkit.kernels.extract_liouvillian``, and scipy's ``expm_multiply``
-over blocks of identity columns behind the dense hierarchy step of
-``ttmkit.heom``, the Chebyshev recurrence through scipy's sparse ``@``
-behind the compiled kernel calls of ``ttmkit.heom.ChebyshevPlan``, the
+over blocks of identity columns behind the dense step of
+``ttmkit.chebyshev``, the Chebyshev recurrence through scipy's sparse ``@``
+behind the compiled kernel calls of ``ttmkit.chebyshev.ChebyshevPlan``, the
 complex stepping of the |a><b| basis, with the
 truncated Taylor series ``TaylorPlan`` the hierarchy was stepped with
 before its Chebyshev plan, behind the real Pauli form that
@@ -33,7 +33,7 @@ before its Chebyshev plan, behind the real Pauli form that
 quadrature of the dephasing exponent behind the mode sum of
 ``ttmkit.models.lineshape``, and the classical 4th-order step
 ``reference_rk4_step`` that ``ttmkit.generators.gen_lindblad`` stepped
-with before the Chebyshev step of ``ttmkit.heom.step_matrix``.
+with before its Chebyshev step (``ttmkit.chebyshev.evolve``).
 ``projected_tensors``
 gives a hierarchy's transfer tensors in Nakajima-Zwanzig form, with no
 peel.
@@ -49,7 +49,8 @@ from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln, ive
 
 from ttmkit.errors import ConfigurationError, DimensionError
-from ttmkit.heom import LOG_TAIL, MAX_AMPLIFICATION, PAULI_BASIS, ChebyshevPlan
+from ttmkit.chebyshev import LOG_TAIL, MAX_AMPLIFICATION, ChebyshevPlan
+from ttmkit.heom import PAULI_BASIS
 from ttmkit.liouville import (
     PAULI,
     liouvillian_superop,
@@ -311,7 +312,7 @@ THETA = {
 class TaylorPlan:
     """exp(A + mu I) as s substeps of the degree-m Taylor series of A / s.
 
-    The hierarchy's exponential before ``ttmkit.heom.ChebyshevPlan``
+    The hierarchy's exponential before ``ttmkit.chebyshev.ChebyshevPlan``
     (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011), kept as the
     oracle of the complex stepping and of the projected tensors.
 
@@ -548,7 +549,7 @@ def reference_log_terms(plan, k):
 def reference_focused(lo, hi, eta, focus, window):
     """(substeps, window) of ``ChebyshevPlan._focused`` by bisection.
 
-    ``ttmkit.heom.ChebyshevPlan._focused`` as it was before it stepped
+    ``ttmkit.chebyshev.ChebyshevPlan._focused`` as it was before it stepped
     its window up from the floor of its bound: the same substeps, and the
     window bisected over the steps L between the floors of
     log(MAX_AMPLIFICATION / 2) / g and log(MAX_AMPLIFICATION) / g, which
@@ -599,7 +600,7 @@ def reference_chebyshev_series(doubled, b, degree):
 
     The three-term recurrence T_j = 2 X T_(j-1) - T_(j-2) through
     scipy's sparse ``@`` and a separate subtraction, as
-    ``ttmkit.heom.ChebyshevPlan`` ran it before it called the compiled
+    ``ttmkit.chebyshev.ChebyshevPlan`` ran it before it called the compiled
     CSR kernel itself.
     """
     vectors = np.empty((degree + 1,) + b.shape)

@@ -13,8 +13,8 @@ import pytest
 from payloads import edit_payload, read_payload
 from ttmkit import (
     TransferTensorSequence,
+    chebyshev,
     cli,
-    heom,
     load_state_trajectory,
     load_tensors,
     save_state_trajectory,
@@ -604,11 +604,11 @@ def test_hierarchy_divergence_is_exit_3_naming_the_step(tmp_path, caplog,
     # stiff, like the top C6 point (N = 336): the hierarchy takes windowed
     # frames, and a guard below the entries of the inputs trips at step 1
     windows = []
-    heads = heom.ChebyshevPlan.apply_heads
-    monkeypatch.setattr(heom.ChebyshevPlan, "apply_heads",
+    heads = chebyshev.ChebyshevPlan.apply_heads
+    monkeypatch.setattr(chebyshev.ChebyshevPlan, "apply_heads",
                         lambda self, b, c, rows: windows.append(rows)
                         or heads(self, b, c, rows))
-    monkeypatch.setattr(heom, "DIVERGENCE_GUARD", 1e-3)
+    monkeypatch.setattr(chebyshev, "DIVERGENCE_GUARD", 1e-3)
     out = tmp_path / "h.json"
     assert run(["generate", "--model", "heom", "--dt", "0.01", "--steps", "10",
                 "--lambda", "8", "--gamma", "5", "--beta", "0.5",

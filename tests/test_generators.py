@@ -9,6 +9,7 @@ from scipy.special import polygamma
 
 from ttmkit import (
     SpinBosonParams,
+    chebyshev,
     TimeGrid,
     gen_dephasing_analytic,
     gen_lindblad,
@@ -121,6 +122,19 @@ def test_lindblad_maps_match_the_matrix_exponential(case):
     exact = np.array([expm(gen * t) for t in grid.times])
     maps = gen_lindblad(h, ops, rates, grid).maps
     assert np.abs(maps - exact).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", LINDBLAD_CASES)
+def test_lindblad_makes_one_plan_per_call(monkeypatch, case):
+    # every frame, substeps included, comes from the one plan evolve makes
+    plans = []
+    of = chebyshev.ChebyshevPlan.of
+    monkeypatch.setattr(chebyshev.ChebyshevPlan, "of",
+                        lambda *args: plans.append(of(*args)) or plans[-1])
+    h, ops, rates, grid = LINDBLAD_CASES[case]()
+    gen_lindblad(h, ops, rates, grid)
+    assert len(plans) == 1
+    assert (plans[0].substeps > 1) == (case == "coarse")
 
 
 def test_lindblad_maps_agree_with_rk4_within_its_error():

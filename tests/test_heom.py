@@ -1,5 +1,6 @@
 """Hierarchy integrator checks against closed-form limits."""
 
+import ast
 import json
 import logging
 import re
@@ -28,6 +29,7 @@ from ttmkit import (
     truncation_error,
 )
 from ttmkit.errors import ConfigurationError, DivergenceError
+from ttmkit import chebyshev
 from ttmkit import heom as heom_module
 from ttmkit.liouville import SIGMA_X, superop_norm
 from ttmkit.models import bath_correlation_modes, matsubara_tail
@@ -98,8 +100,8 @@ def pauli_step_generator(params, depth, n_matsubara, dt):
 
 def force_way(monkeypatch, dense):
     """Make gen_heom step the dense way or not; the estimate still picks the focus."""
-    work = heom_module._step_work
-    monkeypatch.setattr(heom_module, "_step_work", lambda matrix, plan, n_steps: (
+    work = chebyshev._step_work
+    monkeypatch.setattr(chebyshev, "_step_work", lambda matrix, plan, n_steps: (
         work(matrix, plan, n_steps)[0], dense))
 
 
@@ -162,7 +164,7 @@ def test_stepping_matches_exact_exponential(lam, gamma, dt, n_steps, depth,
                              beta=0.5)
     grid = TimeGrid(dt=dt, n_steps=n_steps)
     pauli = pauli_step_generator(params, depth, n_matsubara, dt)
-    assert heom_module.ChebyshevPlan.of(pauli, n_steps).dense == dense
+    assert chebyshev.ChebyshevPlan.of(pauli, n_steps).dense == dense
     gen_dt = sparse_step_generator(params, depth, n_matsubara, dt)
     trajs = gen_heom(params, HeomConfig(depth=depth, n_matsubara=n_matsubara),
                      grid)
@@ -243,7 +245,7 @@ def test_dense_step_matches_expm_multiply(lam, gamma, dt, n_steps, depth,
     params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=lam, gamma=gamma,
                              beta=0.5)
     gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
-    step = heom_module._dense_step(heom_module.ChebyshevPlan.of(gen_dt, 1))
+    step = chebyshev._dense_step(chebyshev.ChebyshevPlan.of(gen_dt, 1))
     assert step.dtype == float
     assert np.abs(step - reference_step_propagator(gen_dt)).max() <= 1e-14
 
@@ -325,7 +327,7 @@ BENCHMARK_WAYS = [(1000, False)] + [(200, i in (0, 1, 7, 8))
 def test_cost_rule_picks_the_way(params, depth, n_matsubara, dt, n_steps,
                                  dense):
     gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
-    assert heom_module.ChebyshevPlan.of(gen_dt, n_steps).dense == dense
+    assert chebyshev.ChebyshevPlan.of(gen_dt, n_steps).dense == dense
 
 
 @pytest.mark.parametrize("params,depth,n_matsubara,dt,n_steps,rows", [
@@ -349,8 +351,8 @@ def test_no_dense_step_above_dense_rows(params, depth, n_matsubara, dt, n_steps,
     # in-cache DENSE_WORK it would form the dense step over c4-depth8-long's
     # 10^4 frames
     gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
-    plan = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
-    assert plan.doubled.shape[0] == rows > heom_module.DENSE_ROWS
+    plan = chebyshev.ChebyshevPlan.of(gen_dt, n_steps)
+    assert plan.doubled.shape[0] == rows > chebyshev.DENSE_ROWS
     assert plan.window > 1
     assert not plan.dense
 
@@ -367,8 +369,8 @@ def test_coarse_step_above_dense_rows_takes_the_faster_way(dt, n_steps, dense):
     # 0.371/0.918 over 400; dt = 2 (6 and 3 substeps at foci 1.0 h and
     # 0.71 h) 0.152/0.219 and 0.486/1.873
     gen_dt = pauli_step_generator(spin_boson(2.0, 1.0, 0.5), 8, 2, dt)
-    plan = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
-    assert plan.doubled.shape[0] == 660 > heom_module.DENSE_ROWS
+    plan = chebyshev.ChebyshevPlan.of(gen_dt, n_steps)
+    assert plan.doubled.shape[0] == 660 > chebyshev.DENSE_ROWS
     assert plan.substeps > 1 and plan.window == 1
     assert plan.dense == dense
 
@@ -392,7 +394,7 @@ def test_generation_logs_size_cost_and_peak(monkeypatch, caplog):
                              beta=0.5)
     nnz = pauli_step_generator(params, 3, 1, 0.1).nnz
     assert nnz < sparse_step_generator(params, 3, 1, 0.1).nnz
-    plan = heom_module.ChebyshevPlan.of(pauli_step_generator(params, 3, 1, 0.1), 10)
+    plan = chebyshev.ChebyshevPlan.of(pauli_step_generator(params, 3, 1, 0.1), 10)
     # C(3 + 2, 2) = 10 ADOs of 2 x 2 blocks; a small hierarchy forms the
     # dense step from ceil(40 / COLUMN_BLOCK) = 1 block of columns by the
     # one-frame series, and the frames way runs ceil(10 / L) windows
@@ -422,7 +424,7 @@ def test_generation_logs_size_cost_and_peak(monkeypatch, caplog):
         lo, hi, eta, focus, bound = map(float, match.groups()[2:7])
         assert lo < 0 < hi and eta > 0
         assert focus == float(f"{plan.focus:.3g}")
-        assert 1.0 <= bound <= heom_module.MAX_AMPLIFICATION
+        assert 1.0 <= bound <= chebyshev.MAX_AMPLIFICATION
         assert int(match[8]) == products > 0
         build_s, plan_s, form_s, step_s, peak, product_us = map(float,
                                                                 match.groups()[8:])
@@ -438,9 +440,9 @@ def test_coarse_step_is_split_into_substeps(monkeypatch, dense):
     # amplify rounding by 4.7e16, and its error reached 3e-10 unsplit
     params = spin_boson(2.0, 1.0, 0.5)
     gen_dt = pauli_step_generator(params, 6, 2, 2.0)
-    plan = heom_module.ChebyshevPlan.of(gen_dt, 5)
+    plan = chebyshev.ChebyshevPlan.of(gen_dt, 5)
     assert plan.substeps > 1
-    assert plan.bound(plan.window) <= heom_module.MAX_AMPLIFICATION
+    assert plan.bound(plan.window) <= chebyshev.MAX_AMPLIFICATION
     force_way(monkeypatch, dense)
     trajs = gen_heom(params, HeomConfig(depth=6, n_matsubara=2),
                      TimeGrid(dt=2.0, n_steps=5))
@@ -460,7 +462,7 @@ def test_window_holds_at_most_window_entries(monkeypatch, caplog):
     cfg, grid = HeomConfig(depth=3, n_matsubara=1), TimeGrid(dt=0.1, n_steps=10)
     force_way(monkeypatch, False)
     wide = gen_heom(params, cfg, grid)
-    monkeypatch.setattr(heom_module, "WINDOW_ENTRIES", 40 * 4 * 3)
+    monkeypatch.setattr(chebyshev, "WINDOW_ENTRIES", 40 * 4 * 3)
     with caplog.at_level(logging.DEBUG, logger="ttmkit.heom"):
         narrow = gen_heom(params, cfg, grid)
     assert "frames, window 3," in caplog.text
@@ -489,7 +491,7 @@ def test_chebyshev_plan_matches_rotation_blocks():
     blocks = np.stack([np.stack([a, -b], -1), np.stack([b, a], -1)], -2)
     matrix = sparse.csr_array(sparse.block_diag(blocks))
     for window, bound in [(4, 1e-14), (50, 2.0 ** -43)]:
-        plan = heom_module.ChebyshevPlan.of(matrix, window)
+        plan = chebyshev.ChebyshevPlan.of(matrix, window)
         assert (plan.lo, plan.hi, plan.eta) == (-1.0, 0.0, 1.0)
         assert plan.window == min(window, 8)
         frames = plan.apply(np.eye(8), plan.coefficients(plan.window))
@@ -514,7 +516,7 @@ def test_chebyshev_degree_is_the_least_meeting_the_tail_bound(
         params, depth, n_matsubara, dt, n_steps):
     # (1 + sqrt 2) sum_{j > n} |a_j(k)| rho^j < 2^-53 at every frame of the
     # window, and not at n - 1
-    plan = heom_module.ChebyshevPlan.of(
+    plan = chebyshev.ChebyshevPlan.of(
         pauli_step_generator(params, depth, n_matsubara, dt), n_steps)
     n = plan.degree(plan.window)
     tails = [(1 + np.sqrt(2)) * np.array([series_terms(plan, k)[m + 1:].sum()
@@ -527,11 +529,11 @@ def test_chebyshev_degree_is_the_least_meeting_the_tail_bound(
 @PLAN_CASES
 def test_chebyshev_window_is_the_widest_within_the_amplification_bound(
         params, depth, n_matsubara, dt, n_steps):
-    plan = heom_module.ChebyshevPlan.of(
+    plan = chebyshev.ChebyshevPlan.of(
         pauli_step_generator(params, depth, n_matsubara, dt), n_steps)
     bounds = [series_terms(plan, k).sum() for k in range(1, plan.window + 2)]
-    assert max(bounds[:-1]) <= heom_module.MAX_AMPLIFICATION
-    assert plan.window == n_steps or bounds[-1] > heom_module.MAX_AMPLIFICATION
+    assert max(bounds[:-1]) <= chebyshev.MAX_AMPLIFICATION
+    assert plan.window == n_steps or bounds[-1] > chebyshev.MAX_AMPLIFICATION
     assert plan.bound(plan.window) == pytest.approx(max(bounds[:-1]), rel=1e-12)
 
 
@@ -541,7 +543,7 @@ def test_first_two_windows_match_the_exponential(params, depth, n_matsubara,
     # every frame k of two windows against scipy's expm_multiply of
     # k G dt, from the inputs I, sigma_x, sigma_y, sigma_z
     gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
-    plan = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
+    plan = chebyshev.ChebyshevPlan.of(gen_dt, n_steps)
     state = np.zeros((gen_dt.shape[0], 4))
     state[:4] = np.eye(4)
     coefficients = plan.coefficients(plan.window)
@@ -558,12 +560,12 @@ def focus_candidates(gen_dt, n_steps):
     ``estimates`` holds each plan's (work, dense) by ``_step_work``, and
     ``refused`` whether its growth or its degree would stop the search.
     """
-    box = heom_module._box(gen_dt)
-    candidates = [heom_module.ChebyshevPlan._focused(*box, 2.0 ** (-i / 4), n_steps)
+    box = chebyshev._box(gen_dt)
+    candidates = [chebyshev.ChebyshevPlan._focused(*box, 2.0 ** (-i / 4), n_steps)
                   for i in range(5)]
-    estimates = [heom_module._step_work(gen_dt, c, n_steps * c.substeps)
+    estimates = [chebyshev._step_work(gen_dt, c, n_steps * c.substeps)
                  for c in candidates]
-    refused = [c.degree(c.window) * np.log(c.rho) > heom_module.MAX_LOG_GROWTH
+    refused = [c.degree(c.window) * np.log(c.rho) > chebyshev.MAX_LOG_GROWTH
                or c.degree(c.window) < -c.shift * c.half * c.window
                for c in candidates]
     return candidates, estimates, refused
@@ -578,7 +580,7 @@ def test_plan_keeps_the_cheapest_focus_whose_ellipse_holds_the_box(
     # -L c); the ellipse through (hi, eta) holds all four corners of the
     # box
     gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
-    plan = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
+    plan = chebyshev.ChebyshevPlan.of(gen_dt, n_steps)
     candidates, estimates, refused = focus_candidates(gen_dt, n_steps)
     works = [work for work, _ in estimates]
     chosen = [c.focus for c in candidates].index(plan.focus)
@@ -603,14 +605,14 @@ def test_every_step_is_one_at_the_trace_row(params, depth, n_matsubara, dt,
     # formed as the kernel's recurrence forms that row; so does that row
     # of every step the kernel forms
     gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
-    plan = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
+    plan = chebyshev.ChebyshevPlan.of(gen_dt, n_steps)
     assert gen_dt[[0]].nnz == 0
     coefficients = plan.coefficients(plan.window)
-    chebyshev = [1.0, -plan.shift]
-    while len(chebyshev) < coefficients.shape[1]:
-        chebyshev.append(-chebyshev[-2] + (-2.0 * plan.shift) * chebyshev[-1])
+    at_x0 = [1.0, -plan.shift]
+    while len(at_x0) < coefficients.shape[1]:
+        at_x0.append(-at_x0[-2] + (-2.0 * plan.shift) * at_x0[-1])
     eps = np.finfo(float).eps
-    assert np.abs(coefficients @ np.array(chebyshev) - 1.0).max() <= 4 * eps
+    assert np.abs(coefficients @ np.array(at_x0) - 1.0).max() <= 4 * eps
     state = np.zeros((gen_dt.shape[0], 4))
     state[:4] = np.eye(4)
     steps = plan.apply(state, coefficients)
@@ -626,7 +628,7 @@ def test_focus_search_keeps_the_cheapest_candidate(params, depth, n_matsubara,
     # cheapest of every focus tried before the first refused one (with the
     # discs alone, C4 stopped at 0.71 h while 0.5 h was cheaper)
     gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
-    plan = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
+    plan = chebyshev.ChebyshevPlan.of(gen_dt, n_steps)
     candidates, estimates, refused = focus_candidates(gen_dt, n_steps)
     tried = len(candidates) if not any(refused[1:]) else refused.index(True, 1)
     cheapest = min(range(tried), key=lambda i: estimates[i][0])
@@ -651,7 +653,7 @@ def test_weighted_skew_bound_holds_the_numerical_range(hierarchy, ceiling):
     full = skew.toarray()
     exact = np.sqrt(np.linalg.eigvalsh(full.T @ full)[-1])
     discs = abs(skew).sum(axis=1).max()
-    eta = heom_module._box(gen_dt)[2]
+    eta = chebyshev._box(gen_dt)[2]
     assert exact <= eta <= discs
     assert eta < ceiling
 
@@ -665,11 +667,11 @@ def test_a_focus_past_the_growth_cap_is_refused(monkeypatch):
     blocks = np.stack([np.stack([a, np.full(300, -0.2)], -1),
                        np.stack([np.full(300, 0.2), a], -1)], -2)
     matrix = sparse.csr_array(sparse.block_diag(blocks))
-    plan = heom_module.ChebyshevPlan.of(matrix, 3000)
+    plan = chebyshev.ChebyshevPlan.of(matrix, 3000)
     growth = plan.degree(plan.window) * np.log(plan.rho)
-    assert plan.focus < 1.0 and growth <= heom_module.MAX_LOG_GROWTH
-    monkeypatch.setattr(heom_module, "MAX_LOG_GROWTH", growth - 1.0)
-    capped = heom_module.ChebyshevPlan.of(matrix, 3000)
+    assert plan.focus < 1.0 and growth <= chebyshev.MAX_LOG_GROWTH
+    monkeypatch.setattr(chebyshev, "MAX_LOG_GROWTH", growth - 1.0)
+    capped = chebyshev.ChebyshevPlan.of(matrix, 3000)
     assert capped.focus == pytest.approx(plan.focus * 2.0 ** 0.25, rel=1e-15)
     assert capped.degree(capped.window) * np.log(capped.rho) <= growth - 1.0
 
@@ -680,7 +682,7 @@ def oracle_log_terms(monkeypatch):
         if k not in self._terms:
             self._terms[k] = reference_log_terms(self, k)[0]
         return self._terms[k]
-    monkeypatch.setattr(heom_module.ChebyshevPlan, "_log_terms", log_terms)
+    monkeypatch.setattr(chebyshev.ChebyshevPlan, "_log_terms", log_terms)
 
 
 # The box Re [-4, 0], |Im| <= 0.1 over 2000 steps at foci 0.59 h, where ive
@@ -695,7 +697,7 @@ def test_series_terms_past_the_underflow_of_ive_are_bounded_not_dropped(
     # the power series of I_j gives. The oracle, which took that bound
     # where ive underflows, gives the same window; its degree is higher
     # (3209 against 3139), as its bound lies above the terms there
-    plan = heom_module.ChebyshevPlan._focused(*UNDERFLOW_BOX)
+    plan = chebyshev.ChebyshevPlan._focused(*UNDERFLOW_BOX)
     z = plan.window * plan.half
     terms = plan._log_terms(plan.window)
     oracle, bounded = reference_log_terms(plan, plan.window)
@@ -707,7 +709,7 @@ def test_series_terms_past_the_underflow_of_ive_are_bounded_not_dropped(
     assert np.abs(terms[normal] - oracle[normal]).max() <= 1e-11
     assert plan.degree(plan.window) > z
     oracle_log_terms(monkeypatch)
-    reference = heom_module.ChebyshevPlan._focused(*UNDERFLOW_BOX)
+    reference = chebyshev.ChebyshevPlan._focused(*UNDERFLOW_BOX)
     assert reference.window == plan.window
     assert reference.degree(reference.window) >= plan.degree(plan.window)
 
@@ -725,10 +727,10 @@ def test_window_search_matches_the_bisection_oracle(hierarchy, n_steps):
     # stepping up from the floor of the bound finds the window the
     # bisection between the two bounds found, at every focus
     box = (UNDERFLOW_BOX[:3] if hierarchy is None
-           else heom_module._box(pauli_step_generator(*hierarchy)))
+           else chebyshev._box(pauli_step_generator(*hierarchy)))
     for i in range(5):
         focus = 2.0 ** (-i / 4)
-        plan = heom_module.ChebyshevPlan._focused(*box, focus, n_steps)
+        plan = chebyshev.ChebyshevPlan._focused(*box, focus, n_steps)
         assert (plan.substeps, plan.window) == reference_focused(*box, focus,
                                                                  n_steps), i
 
@@ -739,13 +741,13 @@ def test_log_terms_match_the_ive_oracle(monkeypatch, params, depth, n_matsubara,
     # within 1e-11 in the log at one step and at the window, and the plan
     # the oracle's terms give is the same plan
     gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
-    plan = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
+    plan = chebyshev.ChebyshevPlan.of(gen_dt, n_steps)
     for k in (1, plan.window):
         terms, (oracle, bounded) = plan._log_terms(k), reference_log_terms(plan, k)
         assert len(terms) == len(oracle) and not bounded.any()
         assert np.abs(terms - oracle).max() <= 1e-11
     oracle_log_terms(monkeypatch)
-    reference = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
+    reference = chebyshev.ChebyshevPlan.of(gen_dt, n_steps)
     fields = ("half", "shift", "lo", "hi", "eta", "rho", "focus", "substeps",
               "window", "dense")
     assert [getattr(reference, f) for f in fields] == [getattr(plan, f) for f in fields]
@@ -766,7 +768,7 @@ def test_csr_kernel_adds_the_product_in_place():
     indptr, indices = np.array([0, 2, 3, 5]), np.array([0, 2, 1, 0, 2])
     data = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     x, y = np.arange(6.0).reshape(3, 2), np.ones((3, 2))
-    heom_module.csr_matvecs(3, 3, 2, indptr.astype(np.int32),
+    chebyshev.csr_matvecs(3, 3, 2, indptr.astype(np.int32),
                             indices.astype(np.int32), data, x.ravel(), y.ravel())
     assert np.array_equal(y, [[9.0, 12.0], [7.0, 10.0], [21.0, 30.0]])
 
@@ -783,7 +785,7 @@ def test_series_matches_the_dispatching_recurrence(params, depth, n_matsubara,
     # |a_j(k)|, whose sum with rho^j is the bound M, so vectors within
     # 1e-15 rho^j max |b| of the oracle keep the steps within 1e-15 M;
     # the eleven hierarchies and C7a read at most 1.02e-16 rho^j.
-    plan = heom_module.ChebyshevPlan.of(
+    plan = chebyshev.ChebyshevPlan.of(
         pauli_step_generator(params, depth, n_matsubara, dt), n_steps)
     state = np.zeros((plan.doubled.shape[0], 4))
     state[:4] = np.eye(4)
@@ -802,7 +804,7 @@ def test_series_reads_any_index_width_and_layout():
     # vectors: the kernel reads and writes flat buffers, so the series
     # must hand it C-contiguous float64 ones
     params, depth, n_matsubara, dt = BENCHMARK_HIERARCHIES[-1]  # cli_pipeline
-    plan = heom_module.ChebyshevPlan.of(
+    plan = chebyshev.ChebyshevPlan.of(
         pauli_step_generator(params, depth, n_matsubara, dt), 800)
     state = np.random.default_rng(5).standard_normal((plan.doubled.shape[0], 4))
     expected = series_vectors(plan, state, 40)
@@ -836,11 +838,11 @@ def test_window_heads_and_last_step_match_the_full_frames(
     # step against the full frames, whose inner steps keep the guard's
     # certificate max |x_k| <= (1 + sqrt 2) M max_c ||b_c||_2
     gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
-    plan = heom_module.ChebyshevPlan.of(gen_dt, n_steps)
+    plan = chebyshev.ChebyshevPlan.of(gen_dt, n_steps)
     assert not plan.dense
     assert plan.window > 1
     bound = plan.bound(plan.window)
-    assert bound <= heom_module.MAX_AMPLIFICATION
+    assert bound <= chebyshev.MAX_AMPLIFICATION
     coefficients = plan.coefficients(plan.window)
     state = np.zeros((gen_dt.shape[0], 4))
     state[:4] = np.eye(4)
@@ -862,7 +864,7 @@ def test_no_benchmark_window_falls_back_to_full_frames(
     # full-frame series runs
     def spy(self, b, coefficients):
         raise AssertionError("a window fell back to full frames")
-    monkeypatch.setattr(heom_module.ChebyshevPlan, "apply", spy)
+    monkeypatch.setattr(chebyshev.ChebyshevPlan, "apply", spy)
     gen_heom(params, HeomConfig(depth=depth, n_matsubara=n_matsubara),
              TimeGrid(dt=dt, n_steps=n_steps))
 
@@ -876,12 +878,12 @@ def test_guard_the_certificate_cannot_cover_recomputes_each_window(monkeypatch):
     force_way(monkeypatch, False)
     certified = gen_heom(params, cfg, grid)
     calls = []
-    full = heom_module.ChebyshevPlan.apply
-    monkeypatch.setattr(heom_module.ChebyshevPlan, "apply",
+    full = chebyshev.ChebyshevPlan.apply
+    monkeypatch.setattr(chebyshev.ChebyshevPlan, "apply",
                         lambda self, b, c: calls.append(len(c)) or full(self, b, c))
-    monkeypatch.setattr(heom_module, "DIVERGENCE_GUARD", 100.0)
+    monkeypatch.setattr(chebyshev, "DIVERGENCE_GUARD", 100.0)
     recomputed = gen_heom(params, cfg, grid)
-    window = heom_module.ChebyshevPlan.of(
+    window = chebyshev.ChebyshevPlan.of(
         pauli_step_generator(params, 6, 2, 0.01), 40).window
     assert 1 < window < 40
     counts = [min(window, 40 - start) for start in range(0, 40, window)]
@@ -1040,11 +1042,11 @@ def test_divergence_guard_reports_step(monkeypatch, dense, dt, substeps):
     # physical entry scale, which every healthy run exceeds immediately;
     # a coarse step is split into substeps, and the guard names the first
     # step of the finer grid stepped
-    monkeypatch.setattr(heom_module, "DIVERGENCE_GUARD", 1e-3)
+    monkeypatch.setattr(chebyshev, "DIVERGENCE_GUARD", 1e-3)
     force_way(monkeypatch, dense)
     params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=0.1, gamma=1.0,
                              beta=0.5)
-    assert heom_module.ChebyshevPlan.of(
+    assert chebyshev.ChebyshevPlan.of(
         pauli_step_generator(params, 2, 1, dt), 10).substeps == substeps
     with pytest.raises(DivergenceError) as info:
         gen_heom(params, HeomConfig(depth=2, n_matsubara=1),
@@ -1061,7 +1063,7 @@ def test_divergence_mid_window_names_the_first_frame_over_the_guard(
     # must name that frame, not the window's end
     params = spin_boson(8.0, 5.0, 0.5)
     gen_dt = pauli_step_generator(params, 6, 2, 0.01)
-    window = heom_module.ChebyshevPlan.of(gen_dt, 20).window
+    window = chebyshev.ChebyshevPlan.of(gen_dt, 20).window
     step = expm(gen_dt.toarray())
     state = np.zeros((gen_dt.shape[0], 4))
     state[:4] = np.eye(4)
@@ -1071,7 +1073,7 @@ def test_divergence_mid_window_names_the_first_frame_over_the_guard(
         peaks.append(np.abs(state).max())
     first = next(k for k in range(2, 21) if peaks[k - 1] > max(peaks[:k - 1]) + 1e-3)
     assert first % window != 0
-    monkeypatch.setattr(heom_module, "DIVERGENCE_GUARD",
+    monkeypatch.setattr(chebyshev, "DIVERGENCE_GUARD",
                         0.5 * (max(peaks[:first - 1]) + peaks[first - 1]))
     force_way(monkeypatch, False)
     with pytest.raises(DivergenceError) as info:
@@ -1088,3 +1090,31 @@ def test_divergence_mid_window_names_the_first_frame_over_the_guard(
 def test_config_validation(kwargs):
     with pytest.raises(ConfigurationError):
         HeomConfig(**kwargs)
+
+
+def imported_modules(module):
+    """Every module a module's import statements name, relative ones resolved."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, [
+                module.__package__ if node.level else None, node.module]))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_the_integrator_knows_no_model_and_heom_no_integrator():
+    # chebyshev steps any real sparse generator; heom only builds the
+    # hierarchy and keeps none of the integrator's names or kernels
+    assert not imported_modules(chebyshev) & {
+        f"ttmkit.{name}" for name in ("heom", "models", "liouville",
+                                      "trajectories", "generators")}
+    heom_imports = imported_modules(heom_module)
+    assert "ttmkit.chebyshev" in heom_imports
+    assert not {"scipy.sparse._sparsetools", "scipy.special"} & heom_imports
+    for name in ("ChebyshevPlan", "_box", "_csr_binop", "_step_work",
+                 "_dense_step", "DIVERGENCE_GUARD", "MAX_AMPLIFICATION"):
+        assert not hasattr(heom_module, name)
