@@ -31,14 +31,19 @@ keeps every s-th frame.
 The stepping. The vectors T_j(X) b of the series do not depend on
 time, so one recurrence on the state gives every step of a window as a
 small combination of them. Each vector is one call of scipy's compiled
-CSR kernel, which adds 2 X T_(j-1) in place to the slot holding
--T_(j-2); it reads and writes flat buffers, so the slots are
-C-contiguous float64 rows of one stack. Only what is kept is combined:
-the caller's rows of every step, which become a frame, and the whole
-last step, which the next window starts from. The one-step series
-either forms the dense step, acting on blocks of identity columns,
-after which the state rides through one dense product per step, or
-the windowed series acts on the N x m state with no dense step at all.
+CSC kernel on the columns of 2 X, which adds 2 X T_(j-1) in place to
+the slot holding -T_(j-2); it reads and writes flat buffers, so the
+slots are C-contiguous float64 rows of one stack. The CSC kernel
+scatters each column's products to different rows, where the CSR
+kernel adds a row's products into the same entries one after another,
+each add waiting for the last; every entry still takes its terms in
+ascending column order, so both give the same bits. Only what is kept
+is combined: the caller's rows of every step, which become a frame,
+and the whole last step, which the next window starts from. The
+one-step series either forms the dense step, acting on blocks of
+identity columns, after which the state rides through one dense product
+per step, or the windowed series acts on the N x m state with no dense
+step at all.
 The work estimate (``_step_work``: in N, the nonzeros, the window, the
 degrees and the number of steps) that picks the plan's focus also
 picks the way, once, and the plan keeps it.
@@ -59,10 +64,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
-# scipy's compiled CSR kernels, which its sparse operators end in: y += A x
-# over the m columns of flat x and y (`@`), the transpose, sum and difference
-from scipy.sparse._sparsetools import (csr_matvecs, csr_minus_csr, csr_plus_csr,
-                                       csr_tocsc)
+# scipy's compiled CSR and CSC kernels, which its sparse operators end in:
+# y += A x over the m columns of flat x and y (`@`), the transpose (CSR to
+# CSC arrays), sum and difference
+from scipy.sparse._sparsetools import (csc_matvecs, csr_matvecs, csr_minus_csr,
+                                       csr_plus_csr, csr_tocsc)
 from scipy.special import ive
 
 from .errors import DivergenceError
@@ -127,7 +133,9 @@ DENSE_ROWS = 512
 # and the kernel's call per block of identity columns are left out: over
 # the benchmark hierarchies, the stepping tests' cases and a grid of
 # couplings, depths, steps and frame counts, neither changes a focus or
-# a way the estimate picks.
+# a way the estimate picks. The units were fitted with the CSR kernel. The
+# CSC kernel the series calls takes 0.8-1.0 of its time on 4 and on 64
+# columns; the units stay as fitted, so every focus and way stays the same.
 CALL_OVERHEAD = 3000
 BLOCK_WORK = 0.75
 DENSE_WORK = 0.3
@@ -150,6 +158,18 @@ def _csr_binop(kernel, n, a, b):
     return indptr, indices[:indptr[-1]], data[:indptr[-1]]
 
 
+def _csc_arrays(n, a):
+    """The CSC arrays of the n x n CSR triple ``a``, by scipy's ``csr_tocsc``.
+
+    The CSC arrays of A are the CSR arrays of A^T, with the row indices
+    of each column in ascending order.
+    """
+    index, nnz = a[1].dtype, a[0][-1]
+    csc = (np.empty(n + 1, index), np.empty(nnz, index), np.empty(nnz))
+    csr_tocsc(n, n, *a, *csc)
+    return csc
+
+
 def _box(matrix):
     """(lo, hi, eta): a box holding the numerical range of a real sparse matrix.
 
@@ -167,17 +187,15 @@ def _box(matrix):
     the least is one, and no larger than the discs'; without rounding
     the bounds do not rise from one step to the next, since |S| + I >= 0.
     The sums are taken on the CSR arrays by the compiled kernels scipy's
-    sparse operators end in: A^T by ``csr_tocsc`` (A's CSC arrays are
-    its transpose's CSR arrays), A +- A^T by ``_csr_binop``, each
-    row's sum of magnitudes by one ``np.add.reduceat``, as scipy's row
-    sums reduce, so the discs are the ones those operators give, and
-    |S| d by one ``csr_matvecs`` on the magnitudes of A - A^T, halved.
+    sparse operators end in: A^T by ``_csc_arrays``, A +- A^T by
+    ``_csr_binop``, each row's sum of magnitudes by one
+    ``np.add.reduceat``, as scipy's row sums reduce, so the discs are the
+    ones those operators give, and |S| d by one ``csr_matvecs`` on the
+    magnitudes of A - A^T, halved.
     """
     n, index = matrix.shape[0], matrix.indices.dtype
     a = (matrix.indptr.astype(index, copy=False), matrix.indices, matrix.data)
-    nnz = a[0][-1]
-    transposed = (np.empty(n + 1, index), np.empty(nnz, index), np.empty(nnz))
-    csr_tocsc(n, n, *a, *transposed)
+    transposed = _csc_arrays(n, a)
     sums = []
     for kernel in (csr_plus_csr, csr_minus_csr):
         indptr, indices, data = _csr_binop(kernel, n, a, transposed)
@@ -250,9 +268,10 @@ class ChebyshevPlan:
 
     Attributes
     ----------
-    doubled : scipy.sparse.csr_array
-        2 X, formed as (2 / h') A - 2 (c / h') I: a zero row of A keeps
-        the exact diagonal -2 c / h'.
+    doubled : scipy.sparse.csc_array
+        2 X, formed as (2 / h') A - 2 (c / h') I on the CSR arrays and
+        held as CSC arrays, which ``_series`` steps through: a zero row
+        of A keeps the exact diagonal -2 c / h'.
     half : float
         h', the focal half-width.
     shift : float
@@ -276,7 +295,7 @@ class ChebyshevPlan:
         ``n_steps`` given to ``of``: the way ``evolve`` steps.
     """
 
-    doubled: sparse.csr_array
+    doubled: sparse.csc_array
     half: float
     shift: float
     lo: float
@@ -304,7 +323,7 @@ class ChebyshevPlan:
         unevenly, so the work need not fall to its least before it first
         rises; over the benchmark's hierarchies and C7a's it does, and
         the stop spares the dense-step hierarchies the foci past it. 2 X
-        is formed for the focus kept alone.
+        is formed for the focus kept alone, and kept as CSC arrays.
         """
         lo, hi, eta = _box(gen_dt)
         window = n_steps if window is None else min(window, n_steps)
@@ -319,14 +338,16 @@ class ChebyshevPlan:
             if work >= least:
                 break
             best, least = replace(plan, dense=dense), work
-        # (2 / h') A - 2 (c / h') I on the CSR arrays, as scipy's operators form it
+        # (2 / h') A - 2 (c / h') I on the CSR arrays, as scipy's operators
+        # form it, then its CSC arrays; the CSR ones are freed on return
         n, index = gen_dt.shape[0], gen_dt.indices.dtype
         scaled = (gen_dt.indptr.astype(index, copy=False), gen_dt.indices,
                   gen_dt.data * (2.0 / (best.half * best.substeps)))
         diagonal = (np.arange(n + 1, dtype=index), np.arange(n, dtype=index),
                     np.full(n, 2.0 * best.shift))
-        indptr, indices, data = _csr_binop(csr_minus_csr, n, scaled, diagonal)
-        return replace(best, doubled=sparse.csr_array((data, indices, indptr),
+        indptr, indices, data = _csc_arrays(
+            n, _csr_binop(csr_minus_csr, n, scaled, diagonal))
+        return replace(best, doubled=sparse.csc_array((data, indices, indptr),
                                                       shape=gen_dt.shape))
 
     @classmethod
@@ -450,16 +471,20 @@ class ChebyshevPlan:
 
         Yields (j, chunk): the chunk's vectors from T_j(X) b on, stacked
         in one array that the next chunk overwrites. Each vector past
-        T_0 is one call of scipy's compiled CSR kernel ``csr_matvecs``,
-        which ``@`` itself ends in and which adds A x to y in place, here
-        with A = 2 X: for j >= 2 the slot first holds -T_(j-2) and the
-        kernel adds 2 X T_(j-1) to it, with no zeroed result and no
-        subtract pass; T_1 is the kernel's product into a zeroed slot,
-        halved exactly. The kernel reads and writes its buffers flat, so
-        they must be C-contiguous float64: ``b`` is copied into the first
-        slot, whatever its order or strides, and every slot is a
-        contiguous row of the stack. The kernel does not check sizes, so
-        ``b`` must have N rows.
+        T_0 is one call of scipy's compiled CSC kernel ``csc_matvecs``,
+        which ``@`` on CSC arrays ends in and which adds A x to y in
+        place, here with A = 2 X: for j >= 2 the slot first holds
+        -T_(j-2) and the kernel adds 2 X T_(j-1) to it, with no zeroed
+        result and no subtract pass; T_1 is the kernel's product into a
+        zeroed slot, halved exactly. Column by column, the kernel adds
+        each product to its row's entries, so every entry takes its
+        terms in ascending column order, as the CSR kernel adds them
+        row by row: the same bits, without the chain of dependent adds
+        into one row's entries that slows the CSR kernel. The kernel
+        reads and writes its buffers flat, so they must be C-contiguous
+        float64: ``b`` is copied into the first slot, whatever its order
+        or strides, and every slot is a contiguous row of the stack. The
+        kernel does not check sizes, so ``b`` must have N rows.
         """
         a, n = self.doubled, self.doubled.shape[0]
         if b.shape[0] != n:
@@ -473,12 +498,12 @@ class ChebyshevPlan:
                 vectors[0] = b
             elif j == 1:
                 flat[1] = 0.0
-                csr_matvecs(n, n, columns, a.indptr, a.indices, a.data,
+                csc_matvecs(n, n, columns, a.indptr, a.indices, a.data,
                             flat[0], flat[1])
                 flat[1] *= 0.5
             else:  # T_j = 2 X T_(j-1) - T_(j-2); slot - 1 and - 2 wrap
                 np.negative(flat[slot - 2], out=flat[slot])
-                csr_matvecs(n, n, columns, a.indptr, a.indices, a.data,
+                csc_matvecs(n, n, columns, a.indptr, a.indices, a.data,
                             flat[slot - 1], flat[slot])
             if slot == COMBINE_CHUNK - 1 or j == degree:
                 yield j - slot, vectors[:slot + 1]

@@ -70,17 +70,22 @@ class TransferTensorSequence:
 def _recurse(kernel, frames, start):
     """Fill ``frames[m] = sum_{s=1}^{min(m, K)} kernel[s-1] @ frames[m-s]``.
 
-    ``frames`` has shape (n, D^2, B) and is filled in place for
+    ``frames`` is a C-contiguous (n, D^2, B) array, filled in place for
     m >= ``start``, so B columns move through the recursion together.
     Each step is one matmul of the stacked [K_K ... K_1] against the
-    contiguous history ``frames[m - depth:m]``.
+    history, rows (m - K) D^2 .. m D^2 of one flat (n D^2, B) view of
+    ``frames``, written straight into ``frames[m]``. While m < K (the
+    warm-up) only frames 0 .. m - 1 exist, and the last m D^2 columns of
+    the stack, [K_m ... K_1], meet them.
     """
     k, d2, _ = kernel.shape
+    n = frames.shape[0]
     stacked = kernel[::-1].transpose(1, 0, 2).reshape(d2, k * d2)
-    for m in range(start, frames.shape[0]):
-        depth = min(m, k)
-        history = frames[m - depth:m].reshape(depth * d2, -1)
-        frames[m] = stacked[:, (k - depth) * d2:] @ history
+    flat = frames.reshape(n * d2, -1)  # a view: frames is C-ordered
+    for m in range(start, min(k, n)):
+        np.matmul(stacked[:, (k - m) * d2:], flat[:m * d2], out=frames[m])
+    for m in range(max(start, k), n):
+        np.matmul(stacked, flat[(m - k) * d2:m * d2], out=frames[m])
 
 
 def maps_to_tensors(seq):

@@ -213,6 +213,22 @@ def reference_propagate(tensors, k_cutoff, seed, n_total):
     return out
 
 
+def reference_recurse(kernel, frames, start):
+    """Fill ``frames[m] = sum_{s=1}^{min(m, K)} kernel[s-1] @ frames[m-s]``.
+
+    ``ttmkit.tensors._recurse`` as it ran before it wrote each step into
+    ``frames[m]`` through one flat view: per step, the depth min(m, K),
+    the history ``frames[m - depth:m]`` reshaped, and a product copied
+    into place.
+    """
+    k, d2, _ = kernel.shape
+    stacked = kernel[::-1].transpose(1, 0, 2).reshape(d2, k * d2)
+    for m in range(start, frames.shape[0]):
+        depth = min(m, k)
+        history = frames[m - depth:m].reshape(depth * d2, -1)
+        frames[m] = stacked[:, (k - depth) * d2:] @ history
+
+
 def reference_superop_diagnostics(s):
     """Trace defect, Hermiticity defect and Choi matrix of one superoperator.
 

@@ -116,8 +116,9 @@ STEPPING_CASES = pytest.mark.parametrize(
         (8.0, 5.0, 0.01, 10, 6, 2, False),
         # enough frames to form the step: 13.9 ms against 21.8 ms for
         # windowed frames (minimum of 15 alternating runs, faster in 15);
-        # over 200 frames the rule takes windowed frames, 13.7 ms against
-        # 12.4 ms for the dense step
+        # over 200 frames the rule takes windowed frames, which the CSC
+        # kernel steps in 15.9-16.6 ms against 17.4-18.3 ms for the dense
+        # step (medians of 40 alternating runs, faster in 40, three times)
         (2.0, 1.0, 0.05, 300, 6, 2, True),
         # windowed frames at foci 0.71 h: 19.6 ms against 22.2 ms for the
         # dense step (minimum of 15 alternating runs, faster in 14)
@@ -763,14 +764,57 @@ def series_vectors(plan, b, degree):
 
 
 def test_csr_kernel_adds_the_product_in_place():
-    # the compiled kernel the series calls: y += A x over the columns of a
-    # C-ordered x and y, A = [[1, 0, 2], [0, 3, 0], [4, 0, 5]]
+    # the compiled kernel the box's power steps call: y += A x over the
+    # columns of a C-ordered x and y, A = [[1, 0, 2], [0, 3, 0], [4, 0, 5]]
     indptr, indices = np.array([0, 2, 3, 5]), np.array([0, 2, 1, 0, 2])
     data = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     x, y = np.arange(6.0).reshape(3, 2), np.ones((3, 2))
     chebyshev.csr_matvecs(3, 3, 2, indptr.astype(np.int32),
                             indices.astype(np.int32), data, x.ravel(), y.ravel())
     assert np.array_equal(y, [[9.0, 12.0], [7.0, 10.0], [21.0, 30.0]])
+
+
+def test_csc_kernel_adds_the_product_in_place():
+    # the compiled kernel the series calls, on the CSC arrays of the same A
+    indptr, indices = np.array([0, 2, 3, 5]), np.array([0, 2, 1, 0, 2])
+    data = np.array([1.0, 4.0, 3.0, 2.0, 5.0])
+    x, y = np.arange(6.0).reshape(3, 2), np.ones((3, 2))
+    chebyshev.csc_matvecs(3, 3, 2, indptr.astype(np.int32),
+                          indices.astype(np.int32), data, x.ravel(), y.ravel())
+    assert np.array_equal(y, [[9.0, 12.0], [7.0, 10.0], [21.0, 30.0]])
+
+
+def csr_series(doubled, b, degree):
+    """The series' in-place recurrence through ``csr_matvecs`` on CSR ``doubled``."""
+    n, columns = doubled.shape[0], b.shape[1]
+    vectors = np.zeros((degree + 1, n, columns))
+    flat = vectors.reshape(degree + 1, -1)
+    vectors[0] = b
+    chebyshev.csr_matvecs(n, n, columns, doubled.indptr, doubled.indices,
+                          doubled.data, flat[0], flat[1])
+    flat[1] *= 0.5
+    for j in range(2, degree + 1):
+        np.negative(flat[j - 2], out=flat[j])
+        chebyshev.csr_matvecs(n, n, columns, doubled.indptr, doubled.indices,
+                              doubled.data, flat[j - 1], flat[j])
+    return vectors
+
+
+@PLAN_CASES
+def test_series_gives_the_bits_of_the_csr_kernel(params, depth, n_matsubara,
+                                                 dt, n_steps):
+    # every entry takes its terms in ascending column order in both
+    # kernels, so the CSC series is the CSR one bit for bit: on the N x 4
+    # state of the windowed frames and on a block of identity columns of
+    # the dense step
+    plan = chebyshev.ChebyshevPlan.of(
+        pauli_step_generator(params, depth, n_matsubara, dt), n_steps)
+    n, degree = plan.doubled.shape[0], plan.degree(plan.window)
+    assert plan.doubled.format == "csc"
+    csr = plan.doubled.tocsr()
+    for b in (np.eye(n, 4), np.eye(n, chebyshev.COLUMN_BLOCK)):
+        assert np.array_equal(series_vectors(plan, b, degree),
+                              csr_series(csr, b, degree))
 
 
 @PLAN_CASES

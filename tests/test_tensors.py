@@ -6,9 +6,11 @@ import pytest
 from oracles import (
     reference_maps_to_tensors,
     reference_propagate,
+    reference_recurse,
     reference_tensors_to_maps,
 )
 
+from ttmkit import tensors as tensors_module
 from ttmkit import (
     SIGMA_X,
     SIGMA_Z,
@@ -164,6 +166,45 @@ def test_batched_recursion_matches_reference_loops(make_maps):
         frames = propagate(ref, cutoff, seed, 3 * n)
         expected = reference_propagate(ref, cutoff, seed, 3 * n)
         assert np.abs(frames - expected).max() <= 1e-10
+
+
+def _c4_peel(heom_run):
+    """The tensors peeled from C4's first 100 maps (B = D^2 = 4 columns)."""
+    params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=2.0, gamma=1.0,
+                             beta=0.5)
+    trajs = heom_run(params, HeomConfig(depth=12, n_matsubara=2),
+                     TimeGrid(dt=0.05, n_steps=100))
+    return maps_to_tensors(extract_maps(trajs)).tensors
+
+
+def _propagation(n_seed, n_total):
+    """propagate with K = 20 of the 30 dephasing tensors from a random history."""
+    def run(_):
+        rng = np.random.default_rng(11)
+        shape = (n_seed, 2, 2)
+        seed = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return propagate(maps_to_tensors(_memory_tensors()), 20, seed, n_total)
+    return run
+
+
+# Every way the memory recursion is entered, by name
+RECURSIONS = {
+    "propagate-one-seed": _propagation(1, 200),
+    "propagate-long-seed": _propagation(25, 200),  # K + 5 seed frames
+    "propagate-short": _propagation(1, 10),  # n_total + 1 < K
+    "peel-c4": _c4_peel,
+    "maps-past-tensors": lambda _: tensors_to_maps(maps_to_tensors(_memory_tensors()),
+                                                   90).maps,
+}
+
+
+@pytest.mark.parametrize("case", RECURSIONS)
+def test_recursion_matches_the_oracle_bit_for_bit(monkeypatch, heom_run, case):
+    # each step written through one flat view of the frames gives the
+    # same bits as the per-step history view and copied product
+    ours = RECURSIONS[case](heom_run)
+    monkeypatch.setattr(tensors_module, "_recurse", reference_recurse)
+    assert np.array_equal(RECURSIONS[case](heom_run), ours)
 
 
 def _synthetic_tail(norms):
