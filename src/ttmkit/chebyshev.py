@@ -9,15 +9,19 @@ planned once per call. Nothing here knows what G models: the hierarchy
 The plan. The Gershgorin discs of the symmetric part of A and the
 discs of its skew part weighted by a few power steps toward their
 Perron vector (Collatz-Wielandt), formed on the CSR arrays by scipy's
-compiled kernels, bound the numerical range to a box (``_box``). The
-series' foci lie on the box's real axis, symmetric about its centre.
-The degree is the least whose tail on the Bernstein ellipse around the
-box is below double precision by the Crouzeix-Palencia bound (its terms
-from one Bessel function and a recurrence for the ratios of the rest),
-and the window of steps one series serves is the widest whose bound on
-the series' rounding amplification stays within MAX_AMPLIFICATION.
-Foci closer than the box's ends fit the ellipse to the box where the
-exponential grows, so windows span more steps; the plan searches five
+compiled kernels, bound the numerical range to a box. The Gershgorin
+discs of the Hermitian part of e^(-i t) A bound its support in
+RANGE_DIRECTIONS directions t between the box's sides, and those
+half-planes cut the box's corners to a polygon (``_polygon``). The
+series' foci lie on the box's real axis, symmetric about its centre. The
+degree is the least whose tail on the Bernstein ellipse through the
+polygon's outermost vertex is below double precision by the
+Crouzeix-Palencia bound (its terms from one Bessel function and a
+recurrence for the ratios of the rest), and the window of steps one
+series serves is the widest whose bound on the series' rounding
+amplification stays within MAX_AMPLIFICATION. Foci closer than the
+box's ends fit the ellipse to the polygon where the exponential grows,
+so windows span more steps; the plan searches five
 focal half-widths, from the box's half-width down to half of it, for
 the one the work estimate finds cheapest, and takes none whose vectors
 could grow past e^MAX_LOG_GROWTH. Where the box holds 0, the series'
@@ -93,11 +97,20 @@ LOG_TAIL = -53 * math.log(2.0) - math.log1p(math.sqrt(2.0))
 MAX_LOG_GROWTH = 600.0
 
 # Iterates of the weighted discs that bound the box's imaginary extent
-# (``_box``), d = 1 the first. Over the benchmark hierarchies and C7a, the
+# (``_polygon``), d = 1 the first. Over the benchmark hierarchies and C7a, the
 # sparse products of their plans are 19822 with the discs alone, 18463
 # with 3 iterates, 17591 with 10 and 17521 with 30; C4 alone takes 15400,
 # 14175, 13664 and 13671. 10 iterates cost C4 0.2 ms of planning.
 SKEW_STEPS = 10
+
+# Directions t = k pi / RANGE_DIRECTIONS in which ``_polygon`` bounds the
+# numerical range besides the box's sides. Over the benchmark hierarchies
+# and C7a, the sparse products of their plans are 17591 with the box alone,
+# 12590 with 8 directions, 11992 with 12, 11941 with 16 and 11608 with 32;
+# C4 alone takes 13664, 9798, 9177, 9146 and 8790. 16 directions take 7
+# passes over the nonzeros: C4's polygon takes 1.34 ms against 0.63 ms
+# for its box (minimum of 400 interleaved calls, one Xeon vCPU).
+RANGE_DIRECTIONS = 16
 
 # Entries of the stacked state a window may span over all its frames
 # (32 MB): this bounds the full frames a window is formed in when the
@@ -116,8 +129,12 @@ COMBINE_CHUNK = 16
 # MEMORY_DENSE_WORK; so costed, the estimate takes windowed frames in
 # every case with a window of more than one step timed at N = 660 and
 # 880, where they were the faster way, and forms the dense step at
-# N = 660, dt = 0.2 over 10^4 frames (window 9), where that was: 3.4 s
-# against 4.0 s (whole gen_heom runs, minimum of 3, one BLAS thread).
+# N = 660, dt = 2 over 400 frames (one-step windows), where that is:
+# 0.50 s against 1.81 s (whole gen_heom runs, minimum of 5, one BLAS
+# thread). At dt = 0.2 over 10^4 frames it formed the dense step with
+# the ellipse through the box's corners (3.4 s against 4.0 s); with the
+# polygon it takes windows of 12, and the two ways tie (3.52 against
+# 3.73 s, minimum of 3, the dense step faster in 2 of 3 pairs).
 DENSE_ROWS = 512
 
 # Work units of the estimate that picks the plan's focus and the way to
@@ -153,7 +170,7 @@ def _csr_binop(kernel, n, a, b):
     """
     index, size = a[1].dtype, a[0][-1] + b[0][-1]
     indptr, indices = np.empty(n + 1, index), np.empty(size, index)
-    data = np.empty(size)
+    data = np.empty(size, np.result_type(a[2], b[2]))
     kernel(n, n, *a, *b, indptr, indices, data)
     return indptr, indices[:indptr[-1]], data[:indptr[-1]]
 
@@ -170,28 +187,48 @@ def _csc_arrays(n, a):
     return csc
 
 
-def _box(matrix):
-    """(lo, hi, eta): a box holding the numerical range of a real sparse matrix.
+def _polygon(matrix):
+    """(lo, hi, eta, vertices): a polygon holding the numerical range of a real sparse matrix.
 
-    Re z in [lo, hi] from the Gershgorin discs of the symmetric part
-    (A + A^T)/2, in O(nnz). |Im z| <= eta from weighted discs of the skew
-    part S = (A - A^T)/2: Im x^H A x = x^H S x / i for a unit x, so
-    |Im z| <= rho(S), as S is normal; rho(S) <= rho(|S|) by Wielandt's
-    theorem; and for every positive d, rho(|S|) <= max_i (|S| d)_i / d_i
-    by Collatz-Wielandt. d = 1 gives the discs of S, and eta is the least
-    of these bounds over d = 1 and the SKEW_STEPS - 1 power steps
-    d <- (|S| + I) d / max (|S| + I) d after it, which tend to the Perron
-    vector of |S|. The added d keeps every d_i > 0, also on the rows |S|
-    leaves empty (13 of C4's), and the shift by I keeps the steps from
-    alternating where |S| is bipartite. Every iterate gives a bound, so
-    the least is one, and no larger than the discs'; without rounding
-    the bounds do not rise from one step to the next, since |S| + I >= 0.
+    Its sides are those of a box and the half-planes of RANGE_DIRECTIONS
+    directions between them; ``vertices`` (complex) are those of its
+    upper half, Im z >= 0. Re z in [lo, hi] from the Gershgorin discs
+    of the symmetric part H = (A + A^T)/2, in O(nnz). |Im z| <= eta from
+    weighted discs of the skew part S = (A - A^T)/2: Im x^H A x =
+    x^H S x / i for a unit x, so |Im z| <= rho(S), as S is normal;
+    rho(S) <= rho(|S|) by Wielandt's theorem; and for every positive d,
+    rho(|S|) <= max_i (|S| d)_i / d_i by Collatz-Wielandt. d = 1 gives the
+    discs of S, and eta is the least of these bounds over d = 1 and the
+    SKEW_STEPS - 1 power steps d <- (|S| + I) d / max (|S| + I) d after
+    it, which tend to the Perron vector of |S|. The added d keeps every
+    d_i > 0, also on the rows |S| leaves empty (13 of C4's), and the
+    shift by I keeps the steps from alternating where |S| is bipartite.
+    Every iterate gives a bound, so the least is one, and no larger than
+    the discs'; without rounding the bounds do not rise from one step to
+    the next, since |S| + I >= 0.
+
+    The other sides bound the support of W(A) in the directions
+    t = k pi / RANGE_DIRECTIONS off the axes: Re(e^(-i t) x^H A x) =
+    x^H (cos t H - i sin t S) x for a unit x, with cos t H - i sin t S
+    the Hermitian part of e^(-i t) A; that is at most its largest
+    eigenvalue, so at most its Gershgorin bound
+    max_i (cos t a_ii + sum_(j != i) sqrt(cos^2 t H_ij^2 + sin^2 t S_ij^2)).
+    The radii do not change from t to -t or to pi - t, so one pass over
+    the off-diagonal entries serves four sides. W(A), as A is real, and
+    so the polygon lie symmetric about the real axis, and the sides of
+    t <= 0 only mirror those of t >= 0: the upper half is cut by those
+    and Im z >= 0. Its vertices are the crossings of two of these sides'
+    lines that no side excludes, to 1e-12 of the polygon's extent (a
+    point so near it only widens the polygon).
+
     The sums are taken on the CSR arrays by the compiled kernels scipy's
     sparse operators end in: A^T by ``_csc_arrays``, A +- A^T by
     ``_csr_binop``, each row's sum of magnitudes by one
     ``np.add.reduceat``, as scipy's row sums reduce, so the discs are the
     ones those operators give, and |S| d by one ``csr_matvecs`` on the
-    magnitudes of A - A^T, halved.
+    magnitudes of A - A^T, halved. (a_ij, a_ji) come on the union of
+    both patterns from one ``_csr_binop`` of A and i A^T, and each pass's
+    radii from one ``np.bincount``.
     """
     n, index = matrix.shape[0], matrix.indices.dtype
     a = (matrix.indptr.astype(index, copy=False), matrix.indices, matrix.data)
@@ -214,8 +251,42 @@ def _box(matrix):
         eta = min(eta, float((image / weights).max()))
         weights += image
         weights /= weights.max()
-    return (float((diagonal - sym_radius).min()), float((diagonal + sym_radius).max()),
-            eta)
+    lo, hi = float((diagonal - sym_radius).min()), float((diagonal + sym_radius).max())
+
+    # H_ij^2 and S_ij^2 off the diagonal, from a_ij + i a_ji on the union pattern
+    indptr, indices, data = _csr_binop(csr_plus_csr, n, a[:2] + (a[2].astype(complex),),
+                                       transposed[:2] + (1j * transposed[2],))
+    rows = np.repeat(np.arange(n, dtype=index), np.diff(indptr))
+    data[indices == rows] = 0.0  # adds exact zeros to the radii
+    sym = (0.5 * (data.real + data.imag)) ** 2
+    excess = (0.5 * (data.real - data.imag)) ** 2 - sym
+    # the upper sides x cos t + y sin t <= b, t in [0, pi]: the box's three,
+    # those of t and pi - t, and y >= 0, which cuts off the mirror image
+    cosines, sines, bounds = [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0], [hi, -lo, eta, 0.0]
+    radii = np.empty(len(data))
+    for k in range(1, (RANGE_DIRECTIONS + 1) // 2):
+        t = k * math.pi / RANGE_DIRECTIONS
+        cos, sin = math.cos(t), math.sin(t)
+        # sqrt(cos^2 H_ij^2 + sin^2 S_ij^2), in place
+        np.multiply(excess, sin * sin, out=radii)
+        radii += sym
+        np.sqrt(radii, out=radii)
+        radius = np.bincount(rows, weights=radii, minlength=n)
+        cosines += [cos, -cos]
+        sines += [sin, sin]
+        bounds += [float((cos * diagonal + radius).max()),
+                   float((radius - cos * diagonal).max())]
+    cosines, sines, bounds = np.array(cosines), np.array(sines), np.array(bounds)
+    # where the lines of sides p < q cross, by Cramer's rule
+    p, q = np.triu_indices(len(bounds), 1)
+    det = cosines[p] * sines[q] - sines[p] * cosines[q]
+    crossing = det != 0  # parallel sides do not cross
+    p, q, det = p[crossing], q[crossing], det[crossing]
+    x = (bounds[p] * sines[q] - bounds[q] * sines[p]) / det
+    y = (cosines[p] * bounds[q] - cosines[q] * bounds[p]) / det
+    slack = cosines[:, None] * x + sines[:, None] * y - bounds[:, None]
+    inside = (slack <= 1e-12 * np.abs(bounds).max()).all(axis=0)
+    return lo, hi, eta, x[inside] + 1j * y[inside]
 
 
 @dataclass(frozen=True)
@@ -227,10 +298,12 @@ class ChebyshevPlan:
     amplification bound below (s = 1 unless the step is coarse). Every
     attribute and method describes A; only the caller that steps a grid
     s times finer reads s. The numerical range W(A) of a real sparse A
-    lies in a box (``_box``: the Gershgorin discs of the symmetric part
-    and Perron-weighted discs of the skew part): Re z in [lo, hi],
-    |Im z| <= eta. With the box's centre c, foci c -+ h' on its real
-    axis, X = (A - c) / h' and
+    lies in a polygon (``_polygon``): a box, Re z in [lo, hi] and
+    |Im z| <= eta (the Gershgorin discs of the symmetric part and
+    Perron-weighted discs of the skew part), with its corners cut by
+    Gershgorin bounds on the support of W(A) in RANGE_DIRECTIONS
+    directions. With the box's centre c, foci c -+ h' on its real axis,
+    X = (A - c) / h' and
     exp(z x) = I_0(z) + 2 sum_j I_j(z) T_j(x) (Tal-Ezer & Kosloff,
     J. Chem. Phys. 81, 3967, 1984), step k is sum_j a_j(k) T_j(X) b with
     a_j(k) = 2 e^(k (c + h')) ive(j, k h'), a_0 halved. The vectors
@@ -238,22 +311,25 @@ class ChebyshevPlan:
     every step of a window. By Crouzeix & Palencia (SIAM J. Matrix Anal.
     Appl. 38, 649, 2017), ||p(A) - f(A)||_2 <= (1 + sqrt 2) max over
     W(A) of |p - f|, and |T_j| <= rho^j on the Bernstein ellipse E_rho
-    with those foci through the box's corners (hi, +-eta), which holds
-    the whole box: it is symmetric about c. So step k is exact to double
+    with those foci through the polygon's outermost vertex, which holds
+    every vertex and, as it is symmetric about the real axis, their
+    mirror images, and so the whole polygon, as both are convex. So step
+    k is exact to double
     precision at the least degree n with
     (1 + sqrt 2) sum_{j > n} |a_j(k)| rho^j < 2^-53, and the sum
     M = sum_j |a_j(k)| rho^j bounds how much the series amplifies the
     rounding of its vectors. As I_j'(z) / I_j(z) >= j / z,
     d/dk log |a_j(k)| >= c + j / k: beyond j = -k c every term grows with
-    k. M grows with k as e^(k g) does, g >= hi >= 0 when A has a zero
-    eigenvalue (the hierarchy's conserved trace). So a window's last step
+    k. M grows with k as e^(k g) does, g >= 0 when A has a zero
+    eigenvalue (the hierarchy's conserved trace), which W(A) and so
+    E_rho hold. So a window's last step
     L sets its M, and its degree too where that degree passes -L c.
 
     The focal half-width h' is h 2^(-i/4), i = 0..4, of the box's
     half-width h. Foci at the box's ends (h' = h) give a thin ellipse
-    that reaches about eta / 2 past hi; closer foci fit the box more
-    tightly on the right, where the growth of e^(k z) sets M, so a
-    window spans more steps, at a larger rho and degree. ``of`` keeps
+    that reaches past hi; closer foci fit the polygon more tightly on
+    the right, where the growth of e^(k z) sets M and W(A) is narrow,
+    so a window spans more steps, at a larger rho and degree. ``of`` keeps
     the focus the work estimate ``_step_work`` finds cheapest, and the
     way to step it finds cheaper there (``dense``). The vectors grow
     like rho^j, so no focus inside the box's ends is taken whose degree
@@ -281,7 +357,8 @@ class ChebyshevPlan:
     eta : float
         The box's imaginary extent: |Im z| <= eta over W(A).
     rho : float
-        The Bernstein ellipse through the corners of the box scaled to X.
+        The Bernstein ellipse through the polygon's outermost vertex
+        scaled to X.
     focus : float
         h' / h.
     substeps : int
@@ -315,29 +392,28 @@ class ChebyshevPlan:
         """Plan ``n_steps`` steps of exp(gen_dt), up to ``window`` per series.
 
         ``window`` defaults to ``n_steps``. Tries the foci h' = h 2^(-i/4)
-        for i = 0, 1, ..., 4 and stops at the first that ``_step_work``
-        finds no cheaper than the one before it, whose vectors could grow
-        past e^MAX_LOG_GROWTH, or whose degree falls short of -L c over
-        its window of L steps; it keeps the one before, with the way the
-        estimate took for it (``dense``). The windows divide the frames
-        unevenly, so the work need not fall to its least before it first
-        rises; over the benchmark's hierarchies and C7a's it does, and
-        the stop spares the dense-step hierarchies the foci past it. 2 X
-        is formed for the focus kept alone, and kept as CSC arrays.
+        for i = 0, 1, ..., 4 up to the first whose vectors could grow past
+        e^MAX_LOG_GROWTH or whose degree falls short of -L c over its
+        window of L steps, and keeps the one ``_step_work`` finds
+        cheapest, with the way the estimate took for it (``dense``). The
+        windows divide the frames unevenly, so the work need not fall to
+        its least before it first rises: on one of the benchmark's
+        hierarchies it rises from h to 0.84 h and falls below both at
+        0.71 h. 2 X is formed for the focus kept alone, and kept as CSC
+        arrays.
         """
-        lo, hi, eta = _box(gen_dt)
+        polygon = _polygon(gen_dt)
         window = n_steps if window is None else min(window, n_steps)
         best, least = None, math.inf
         for i in range(5):
-            plan = cls._focused(lo, hi, eta, 2.0 ** (-i / 4), window)
+            plan = cls._focused(*polygon, 2.0 ** (-i / 4), window)
             degree = plan.degree(plan.window)
             if i and (degree * math.log(plan.rho) > MAX_LOG_GROWTH
                       or degree < -plan.shift * plan.half * plan.window):
                 break
             work, dense = _step_work(gen_dt, plan, n_steps * plan.substeps)
-            if work >= least:
-                break
-            best, least = replace(plan, dense=dense), work
+            if work < least:
+                best, least = replace(plan, dense=dense), work
         # (2 / h') A - 2 (c / h') I on the CSR arrays, as scipy's operators
         # form it, then its CSC arrays; the CSR ones are freed on return
         n, index = gen_dt.shape[0], gen_dt.indices.dtype
@@ -351,8 +427,13 @@ class ChebyshevPlan:
                                                       shape=gen_dt.shape))
 
     @classmethod
-    def _focused(cls, lo, hi, eta, focus, window):
-        """The plan, without ``doubled``, of foci c -+ ``focus`` h on the box.
+    def _focused(cls, lo, hi, eta, vertices, focus, window):
+        """The plan, without ``doubled``, of foci c -+ ``focus`` h on the polygon.
+
+        The polygon is ``_polygon``'s: its box Re z in [lo, hi],
+        |Im z| <= eta sets c and h, and rho is the largest parameter of
+        the ellipse with those foci over its ``vertices``, so the ellipse
+        holds the polygon, which is convex.
 
         s is 1 unless the bound M of one step would exceed
         MAX_AMPLIFICATION; then it is the fewest substeps that keep it.
@@ -365,9 +446,9 @@ class ChebyshevPlan:
         # a box of no width keeps a valid, wider one: the series needs h > 0
         half = (0.5 * (hi - lo) or eta or 1.0) * focus
         shift = 0.5 * (lo + hi) / half
-        # the ellipse with foci -1, 1 through the corner (1 + i eta / h) / focus
-        x, y = 1.0 / focus, eta / half
-        axis = 0.5 * (math.hypot(x - 1.0, y) + math.hypot(x + 1.0, y))
+        # the ellipses with foci -1, 1 through the vertices scaled to X
+        x, y = vertices.real / half - shift, vertices.imag / half
+        axis = max(1.0, 0.5 * float((np.hypot(x - 1.0, y) + np.hypot(x + 1.0, y)).max()))
         rho = axis + math.sqrt(axis * axis - 1.0)
         # e^(L g) <= M <= 2 e^(L g), g = c + h' (rho + 1/rho) / 2: the series
         # summed to every order at the ellipse's right vertex. So substeps
@@ -452,8 +533,10 @@ class ChebyshevPlan:
         """
         j = np.arange(self.degree(count) + 1)
         z = self.half * np.arange(1, count + 1)[:, None]
-        series = (np.where(j == 0, 1.0, 2.0) * np.exp(z * (self.shift + 1.0))
-                  * ive(j, z))
+        # in place, one count x (degree + 1) array; doubling is exact
+        series = ive(j, z)
+        series *= np.exp(z * (self.shift + 1.0))
+        series[:, 1:] *= 2.0
         if self.lo <= 0.0 <= self.hi:
             diagonal, chebyshev = -2.0 * self.shift, np.empty(len(j))
             chebyshev[0], chebyshev[1:2] = 1.0, -self.shift

@@ -46,7 +46,7 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import quad
 from scipy.sparse.linalg import expm_multiply
-from scipy.special import gammaln, ive
+from scipy.special import gammaln, ive, logsumexp
 
 from ttmkit.errors import ConfigurationError, DimensionError
 from ttmkit.chebyshev import LOG_TAIL, MAX_AMPLIFICATION, ChebyshevPlan
@@ -62,6 +62,12 @@ from ttmkit.maps import MapValidationReport
 from ttmkit.models import bath_correlation_modes, matsubara_tail
 from ttmkit.tensors import TransferTensorSequence
 from ttmkit.trajectories import BasisTrajectorySet, TimeGrid
+
+# Terms of the power series of I_j that ``reference_log_terms`` sums
+# where ive underflows: they reach C4's 61-step window (z = 326), where
+# 237 orders underflow, and not the 2000-step window of a box
+# Re [-4, 0] (z = 2378), where the bound stands.
+SERIES_TERMS = 256
 
 # Relative accuracy of the dephasing-exponent quadrature.
 QUAD_EPSREL = 1e-10
@@ -540,11 +546,15 @@ def reference_log_terms(plan, k):
     """log(|a_j(k)| rho^j) of a ``ChebyshevPlan``, one ``ive`` per order.
 
     ``ChebyshevPlan._log_terms`` as it was before its ratio recurrence,
-    over the same orders: log ive(j, z), z = k h', for every j at once,
-    and where ive underflows to 0 the bound
+    over the same orders: log ive(j, z), z = k h', for every j at once.
+    Where ive underflows to 0, log ive(j, z) comes from the power series
+    I_j(z) = (z / 2)^j / j! sum_m (z^2 / 4)^m j! / (m! (j + m)!), its
+    first SERIES_TERMS terms summed in logs, wherever the ratio of its
+    terms past them, below (z^2 / 4) / ((m + 1) (j + m + 1)), bounds the
+    rest below 2^-60 of the sum; elsewhere the bound
     j log(z / 2) - log j! + z^2 / (4 (j + 1)) - z above it, from the
-    power series of I_j. Returns (terms, bounded): ``bounded`` marks the
-    orders that took the bound.
+    same series. Returns (terms, bounded): ``bounded`` marks the orders
+    that took the bound.
     """
     z = k * plan.half
     size = 64 + int(z * (plan.rho + 1.0 / plan.rho))
@@ -552,9 +562,20 @@ def reference_log_terms(plan, k):
         j = np.arange(size)
         with np.errstate(divide="ignore"):
             scaled = np.log(ive(j, z))
-        bounded = scaled == -np.inf
-        scaled[bounded] = (j[bounded] * math.log(z / 2) - gammaln(j[bounded] + 1.0)
-                           + z * z / (4.0 * (j[bounded] + 1.0)) - z)
+        under = j[scaled == -np.inf]
+        power = under * math.log(z / 2) - gammaln(under + 1.0) - z
+        m = np.arange(SERIES_TERMS + 1)[:, None]
+        logs = (m * math.log(z * z / 4) - gammaln(m + 1.0)
+                - (gammaln(under + m + 1.0) - gammaln(under + 1.0)))
+        series = logsumexp(logs[:-1], axis=0)
+        ratio = z * z / 4 / ((SERIES_TERMS + 1) * (under + SERIES_TERMS + 1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            summed = (ratio < 1) & (logs[-1] - np.log1p(-ratio) - series
+                                    < -60 * math.log(2.0))
+        scaled[under] = np.where(summed, power + series,
+                                 power + z * z / (4.0 * (under + 1.0)))
+        bounded = np.zeros(size, bool)
+        bounded[under[~summed]] = True
         terms = (np.log(np.where(j == 0, 1.0, 2.0)) + z * (plan.shift + 1.0)
                  + scaled + j * math.log(plan.rho))
         if terms[-1] < LOG_TAIL - 40.0:
@@ -562,7 +583,7 @@ def reference_log_terms(plan, k):
         size *= 2
 
 
-def reference_focused(lo, hi, eta, focus, window):
+def reference_focused(lo, hi, eta, vertices, focus, window):
     """(substeps, window) of ``ChebyshevPlan._focused`` by bisection.
 
     ``ttmkit.chebyshev.ChebyshevPlan._focused`` as it was before it stepped
@@ -570,11 +591,12 @@ def reference_focused(lo, hi, eta, focus, window):
     window bisected over the steps L between the floors of
     log(MAX_AMPLIFICATION / 2) / g and log(MAX_AMPLIFICATION) / g, which
     e^(L g) <= M <= 2 e^(L g) leave open, by the plan's own log terms.
+    rho is the plan's: the largest over the polygon's ``vertices``.
     """
     half = (0.5 * (hi - lo) or eta or 1.0) * focus
     shift = 0.5 * (lo + hi) / half
-    x, y = 1.0 / focus, eta / half
-    axis = 0.5 * (math.hypot(x - 1.0, y) + math.hypot(x + 1.0, y))
+    x, y = vertices.real / half - shift, vertices.imag / half
+    axis = max(1.0, 0.5 * float((np.hypot(x - 1.0, y) + np.hypot(x + 1.0, y)).max()))
     rho = axis + math.sqrt(axis * axis - 1.0)
     growth = half * (shift + 0.5 * (rho + 1.0 / rho))
     most, least = math.log(MAX_AMPLIFICATION), math.log(MAX_AMPLIFICATION / 2)

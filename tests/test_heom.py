@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply, spsolve
+from scipy.sparse.linalg import expm_multiply, spsolve, splu
 from scipy.special import ive
 
 from ttmkit import (
@@ -114,14 +114,14 @@ STEPPING_CASES = pytest.mark.parametrize(
         (8.0, 5.0, 0.01, 40, 6, 2, False),  # stiff, like the top C6 point
         (2.0, 1.0, 0.05, 10, 6, 2, False),
         (8.0, 5.0, 0.01, 10, 6, 2, False),
-        # enough frames to form the step: 13.9 ms against 21.8 ms for
-        # windowed frames (minimum of 15 alternating runs, faster in 15);
-        # over 200 frames the rule takes windowed frames, which the CSC
-        # kernel steps in 15.9-16.6 ms against 17.4-18.3 ms for the dense
-        # step (medians of 40 alternating runs, faster in 40, three times)
+        # enough frames to form the step: 22.3 ms against 26.8 ms for
+        # windowed frames (whole gen_heom runs, minimum of 15 alternating,
+        # dense faster in 15, one BLAS thread, pinned to one CPU); over 200
+        # frames the rule takes windowed frames at foci 0.71 h (window 23),
+        # 29.8 ms against 33.2 ms for the dense step (faster in 14 of 15)
         (2.0, 1.0, 0.05, 300, 6, 2, True),
-        # windowed frames at foci 0.71 h: 19.6 ms against 22.2 ms for the
-        # dense step (minimum of 15 alternating runs, faster in 14)
+        # windowed frames at foci 0.5 h (window 40): 11.5 ms against 20.5 ms
+        # for the dense step (minimum of 15 alternating runs, faster in 15)
         (8.0, 5.0, 0.01, 400, 6, 2, False),
     ], ids=["weak", "stiff-c4", "stiff-c6", "stiff-c4-short", "stiff-c6-short",
             "stiff-c4-long", "stiff-c6-long"])
@@ -332,12 +332,12 @@ def test_cost_rule_picks_the_way(params, depth, n_matsubara, dt, n_steps,
 
 
 @pytest.mark.parametrize("params,depth,n_matsubara,dt,n_steps,rows", [
-    # C4's lambda = 0.5 point (N = 660) over 1000 frames: 0.385 s with the
-    # dense step, 0.109 s with windowed frames (whole gen_heom runs,
-    # minimum of 5, one Xeon vCPU, one BLAS thread)
+    # C4's lambda = 0.5 point (N = 660) over 1000 frames: 0.440 s with the
+    # dense step, 0.107 s with windowed frames (whole gen_heom runs,
+    # minimum of 5 alternating, one Xeon vCPU, one BLAS thread)
     (spin_boson(0.5, 1.0, 0.5), 8, 2, 0.05, 1000, 660),
-    # C4's coupling at depth 8 (N = 660) over 10^4 frames: 3.51 s against
-    # 2.91 s (minimum of 2, with the foci at the box's ends)
+    # C4's coupling at depth 8 (N = 660) over 10^4 frames: 3.85 s against
+    # 1.10 s (minimum of 2, windowed at foci 0.59 h, window 48)
     (spin_boson(2.0, 1.0, 0.5), 8, 2, 0.05, 10 ** 4, 660),
     # the benchmark hierarchies above DENSE_ROWS and C7a, over their frames
     *((*BENCHMARK_HIERARCHIES[i], BENCHMARK_WAYS[i][0], rows)
@@ -349,8 +349,10 @@ def test_no_dense_step_above_dense_rows(params, depth, n_matsubara, dt, n_steps,
                                         rows):
     # the work estimate, costing the dense product at MEMORY_DENSE_WORK per
     # entry above DENSE_ROWS rows, picks windowed frames here; with the
-    # in-cache DENSE_WORK it would form the dense step over c4-depth8-long's
-    # 10^4 frames
+    # in-cache DENSE_WORK it formed the dense step over c4-depth8-long's
+    # 10^4 frames when the ellipse went through the box's corners (window
+    # 9 at foci h), and picks windowed frames there too since it fits
+    # the polygon
     gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
     plan = chebyshev.ChebyshevPlan.of(gen_dt, n_steps)
     assert plan.doubled.shape[0] == rows > chebyshev.DENSE_ROWS
@@ -359,16 +361,19 @@ def test_no_dense_step_above_dense_rows(params, depth, n_matsubara, dt, n_steps,
 
 
 @pytest.mark.parametrize("dt,n_steps,dense", [
-    (0.75, 40, False), (0.75, 400, True), (2.0, 40, True), (2.0, 400, True),
-], ids=["dt0.75-40", "dt0.75-400", "dt2-40", "dt2-400"])
+    (4.0, 20, False), (4.0, 400, True), (2.0, 100, True), (2.0, 400, True),
+], ids=["dt4-20", "dt4-400", "dt2-100", "dt2-400"])
 def test_coarse_step_above_dense_rows_takes_the_faster_way(dt, n_steps, dense):
     # C4's coupling at depth 8 (N = 660): one substep is the whole window,
-    # and the work estimate decides. Whole gen_heom runs, dense step
-    # against windowed frames (s, minimum of 15 alternating runs over 40
-    # frames and of 5 over 400, one Xeon vCPU, one BLAS thread): dt = 0.75
-    # (2 substeps at foci 0.84 h) 0.116/0.079 over 40 frames and
-    # 0.371/0.918 over 400; dt = 2 (6 and 3 substeps at foci 1.0 h and
-    # 0.71 h) 0.152/0.219 and 0.486/1.873
+    # and the work estimate decides. The polygon keeps dt = 2 over 40
+    # frames and every dt up to 3 over 20 to one substep (foci 0.5-0.59 h,
+    # degree 308-436), so these steps are where the plan still splits.
+    # Whole gen_heom runs, dense step against windowed frames (s, minimum
+    # of 15 alternating runs over 20 frames, 7 over 100 and 5 over 400,
+    # one Xeon vCPU, one BLAS thread, slow host phase): dt = 4 (2 substeps
+    # at foci 0.59 h) 0.366/0.143 over 20 frames and 0.686/3.30 over 400;
+    # dt = 2 (3 and 2 substeps at foci 0.84 h and 0.71 h) 0.266/0.481
+    # over 100 and 0.498/1.81 over 400
     gen_dt = pauli_step_generator(spin_boson(2.0, 1.0, 0.5), 8, 2, dt)
     plan = chebyshev.ChebyshevPlan.of(gen_dt, n_steps)
     assert plan.doubled.shape[0] == 660 > chebyshev.DENSE_ROWS
@@ -471,8 +476,8 @@ def test_window_holds_at_most_window_entries(monkeypatch, caplog):
 
 
 def series_terms(plan, k):
-    """|a_j(k)| rho^j of a plan's series for substep k, j = 0..511, by ive."""
-    j = np.arange(512)
+    """|a_j(k)| rho^j of a plan's series for substep k by ive, 256 orders past its window's degree."""
+    j = np.arange(plan.degree(plan.window) + 256)
     z = k * plan.half
     with np.errstate(divide="ignore"):
         terms = np.exp(np.log(np.where(j == 0, 1.0, 2.0)) + z * (plan.shift + 1.0)
@@ -481,16 +486,26 @@ def series_terms(plan, k):
     return terms
 
 
-def test_chebyshev_plan_matches_rotation_blocks():
-    # a real matrix of blocks [[a, -b], [b, a]], whose exponential is
-    # e^(k a) times a rotation by k b: the box is Re [-1, 0], |Im| <= 1.
-    # Rounding grows with the bound M of the window: every frame is within
-    # 1e-14 of the exact one over 4 frames (M = 33), and within the plan's
-    # 2^-43 = MAX_AMPLIFICATION * 2^-53 over the widest window (M = 572)
-    a = np.array([0.0, -0.25, -0.5, -1.0])
-    b = np.array([1.0, 0.5, -0.25, 0.0])
+# The real matrix of blocks [[a, -b], [b, a]]: normal, so its numerical
+# range is the hull of its eigenvalues a +- i b.
+ROTATION_A = np.array([0.0, -0.25, -0.5, -1.0])
+ROTATION_B = np.array([1.0, 0.5, -0.25, 0.0])
+
+
+def rotation_blocks():
+    """The CSR block matrix of ROTATION_A and ROTATION_B."""
+    a, b = ROTATION_A, ROTATION_B
     blocks = np.stack([np.stack([a, -b], -1), np.stack([b, a], -1)], -2)
-    matrix = sparse.csr_array(sparse.block_diag(blocks))
+    return sparse.csr_array(sparse.block_diag(blocks))
+
+
+def test_chebyshev_plan_matches_rotation_blocks():
+    # the blocks' exponential is e^(k a) times a rotation by k b: the box
+    # is Re [-1, 0], |Im| <= 1. Rounding grows with the bound M of the
+    # window: every frame is within 1e-14 of the exact one over 4 frames
+    # (M = 33), and within the plan's 2^-43 = MAX_AMPLIFICATION * 2^-53
+    # over the widest window (M = 572)
+    a, b, matrix = ROTATION_A, ROTATION_B, rotation_blocks()
     for window, bound in [(4, 1e-14), (50, 2.0 ** -43)]:
         plan = chebyshev.ChebyshevPlan.of(matrix, window)
         assert (plan.lo, plan.hi, plan.eta) == (-1.0, 0.0, 1.0)
@@ -561,8 +576,8 @@ def focus_candidates(gen_dt, n_steps):
     ``estimates`` holds each plan's (work, dense) by ``_step_work``, and
     ``refused`` whether its growth or its degree would stop the search.
     """
-    box = chebyshev._box(gen_dt)
-    candidates = [chebyshev.ChebyshevPlan._focused(*box, 2.0 ** (-i / 4), n_steps)
+    polygon = chebyshev._polygon(gen_dt)
+    candidates = [chebyshev.ChebyshevPlan._focused(*polygon, 2.0 ** (-i / 4), n_steps)
                   for i in range(5)]
     estimates = [chebyshev._step_work(gen_dt, c, n_steps * c.substeps)
                  for c in candidates]
@@ -575,11 +590,12 @@ def focus_candidates(gen_dt, n_steps):
 @PLAN_CASES
 def test_plan_keeps_the_cheapest_focus_whose_ellipse_holds_the_box(
         params, depth, n_matsubara, dt, n_steps):
-    # the foci c -+ h 2^(-i/4): each focus the search passes is cheaper by
-    # the work estimate than the one before it, and the next is not (or
-    # its vectors would grow past the cap, or its degree falls short of
-    # -L c); the ellipse through (hi, eta) holds all four corners of the
-    # box
+    # the foci c -+ h 2^(-i/4) up to the first refused one (its vectors
+    # would grow past the cap, or its degree falls short of -L c): the
+    # plan is, field for field, the one the work estimate finds cheapest
+    # among them, with the way the estimate took for it; its ellipse holds
+    # every vertex of the polygon the box's corners are cut to (the name
+    # keeps its ids from when the ellipse went through the box's corners)
     gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
     plan = chebyshev.ChebyshevPlan.of(gen_dt, n_steps)
     candidates, estimates, refused = focus_candidates(gen_dt, n_steps)
@@ -588,14 +604,11 @@ def test_plan_keeps_the_cheapest_focus_whose_ellipse_holds_the_box(
     fields = ("half", "shift", "lo", "hi", "eta", "rho", "substeps", "window")
     assert all(getattr(plan, f) == getattr(candidates[chosen], f) for f in fields)
     assert plan.dense == estimates[chosen][1]
-    assert all(works[i + 1] < works[i] for i in range(chosen))
+    tried = len(candidates) if not any(refused[1:]) else refused.index(True, 1)
+    assert chosen == min(range(tried), key=works.__getitem__)
     assert not refused[chosen]
-    assert chosen == 4 or works[chosen + 1] >= works[chosen] or refused[chosen + 1]
-    centre = plan.shift * plan.half
-    for corner in [plan.lo + 1j * plan.eta, plan.lo - 1j * plan.eta,
-                   plan.hi + 1j * plan.eta, plan.hi - 1j * plan.eta]:
-        x = (corner - centre) / plan.half
-        assert abs(x + np.sqrt(x - 1) * np.sqrt(x + 1)) <= plan.rho * (1 + 1e-12)
+    assert ellipse_parameters(plan, chebyshev._polygon(gen_dt)[3]).max() <= (
+        plan.rho * (1 + 1e-12))
 
 
 @PLAN_CASES
@@ -624,10 +637,12 @@ def test_every_step_is_one_at_the_trace_row(params, depth, n_matsubara, dt,
 @PLAN_CASES
 def test_focus_search_keeps_the_cheapest_candidate(params, depth, n_matsubara,
                                                    dt, n_steps):
-    # the search stops at the first focus no cheaper than the one before
-    # it, though the windows divide the frames unevenly; here that is the
-    # cheapest of every focus tried before the first refused one (with the
-    # discs alone, C4 stopped at 0.71 h while 0.5 h was cheaper)
+    # the windows divide the frames unevenly, so the work need not fall
+    # to its least before it first rises: sweep-5's rises from h to 0.84 h
+    # and falls below both at 0.71 h, which a search stopping at the first
+    # rise missed (as C4's did at 0.71 h with the discs alone, where 0.5 h
+    # was cheaper). The plan is the cheapest of every focus tried before
+    # the first refused one
     gen_dt = pauli_step_generator(params, depth, n_matsubara, dt)
     plan = chebyshev.ChebyshevPlan.of(gen_dt, n_steps)
     candidates, estimates, refused = focus_candidates(gen_dt, n_steps)
@@ -654,9 +669,118 @@ def test_weighted_skew_bound_holds_the_numerical_range(hierarchy, ceiling):
     full = skew.toarray()
     exact = np.sqrt(np.linalg.eigvalsh(full.T @ full)[-1])
     discs = abs(skew).sum(axis=1).max()
-    eta = chebyshev._box(gen_dt)[2]
+    eta = chebyshev._polygon(gen_dt)[2]
     assert exact <= eta <= discs
     assert eta < ceiling
+
+
+# The matrices whose polygons are checked against their numerical range:
+# the plan cases, the distinct hierarchies of the stepping cases and the
+# rotation blocks.
+ENCLOSURE_CASES = pytest.mark.parametrize("case", [
+    *(case[:4] for case in PLAN_CASES.args[1]),
+    *((spin_boson(lam, gamma, 0.5), depth, n_matsubara, dt)
+      for lam, gamma, dt, _, depth, n_matsubara, _ in STEPPING_CASES.args[1][:3]),
+    None,
+], ids=[*PLAN_CASES.kwargs["ids"], *STEPPING_CASES.kwargs["ids"][:3], "rotation-blocks"])
+
+
+def enclosure_matrix(case):
+    """G dt of a hierarchy case, or the rotation blocks for None."""
+    return rotation_blocks() if case is None else pauli_step_generator(*case)
+
+
+def hermitian_part(matrix, t):
+    """The Hermitian part of e^(-i t) A, as a CSC array: cos t H - i sin t S."""
+    return sparse.csc_array(np.exp(-1j * t) * matrix + np.exp(1j * t) * matrix.T) / 2
+
+
+def support_below(matrix, t, bound):
+    """Whether W(A) lies in Re(e^(-i t) z) < ``bound``.
+
+    The support of W(A) in the direction t is the largest eigenvalue of
+    the Hermitian part of e^(-i t) A. It lies below ``bound`` exactly
+    when ``bound`` I minus that part is positive definite, so when the
+    pivots of its LDL^H factorization are positive (Sylvester's law of
+    inertia). SuperLU gives that factorization with a symmetric ordering
+    and diagonal pivots: U = D L^H.
+    """
+    shifted = bound * sparse.identity(matrix.shape[0], format="csc") - hermitian_part(
+        matrix, t)
+    lu = splu(sparse.csc_array(shifted), permc_spec="MMD_AT_PLUS_A",
+              diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    return bool((lu.U.diagonal().real > 0).all())
+
+
+def ellipse_parameters(plan, points):
+    """rho of the Bernstein ellipse with the plan's foci through each point."""
+    x = (points - plan.shift * plan.half) / plan.half
+    return np.abs(x + np.sqrt(x - 1) * np.sqrt(x + 1))
+
+
+@pytest.mark.parametrize("case", ENCLOSURE_CASES.args[1][-4:],
+                         ids=ENCLOSURE_CASES.kwargs["ids"][-4:])
+def test_support_test_matches_the_largest_eigenvalue(case):
+    # the inertia test against a dense eigvalsh, on the last four
+    # enclosure cases (the stepping hierarchies, N <= 336, and the
+    # rotation blocks): the support lies below the largest eigenvalue
+    # plus 1e-9 and not below it minus 1e-9, in every direction of a side
+    matrix = enclosure_matrix(case)
+    for t in np.arange(2 * chebyshev.RANGE_DIRECTIONS) * np.pi / chebyshev.RANGE_DIRECTIONS:
+        largest = np.linalg.eigvalsh(hermitian_part(matrix, t).toarray())[-1]
+        margin = 1e-9 * (1.0 + abs(largest))
+        assert support_below(matrix, t, largest + margin)
+        assert not support_below(matrix, t, largest - margin)
+
+
+@ENCLOSURE_CASES
+def test_polygon_holds_the_numerical_range(case):
+    # the polygon's support, its largest Re(e^(-i t) v) over the vertices
+    # v, is no less than W(A)'s in every direction t of its sides, and at
+    # the midpoints between them (W(A) and the polygon are symmetric about
+    # the real axis, so t in [0, pi])
+    matrix = enclosure_matrix(case)
+    vertices = chebyshev._polygon(matrix)[3]
+    slack = 1e-12 * np.abs(vertices).max()
+    for t in np.arange(2 * chebyshev.RANGE_DIRECTIONS + 1) * np.pi / (
+            2 * chebyshev.RANGE_DIRECTIONS):
+        support = (np.exp(-1j * t) * vertices).real.max()
+        assert support_below(matrix, t, support + slack), t
+
+
+@ENCLOSURE_CASES
+def test_polygon_vertices_keep_every_side(case):
+    # every vertex lies in the box and, in every direction t = k pi / D,
+    # within the Gershgorin bound of the Hermitian part of e^(-i t) A,
+    # formed by scipy's sparse operators: no side is dropped
+    matrix = enclosure_matrix(case)
+    lo, hi, eta, vertices = chebyshev._polygon(matrix)
+    slack = 1e-12 * np.abs(vertices).max()
+    assert len(vertices) >= 3
+    assert (vertices.real <= hi + slack).all() and (vertices.real >= lo - slack).all()
+    assert (np.abs(vertices.imag) <= eta + slack).all()
+    for k in range(2 * chebyshev.RANGE_DIRECTIONS):
+        t = k * np.pi / chebyshev.RANGE_DIRECTIONS
+        part = hermitian_part(matrix, t)
+        diagonal = part.diagonal().real
+        radius = np.abs(part).sum(axis=1) - np.abs(part.diagonal())
+        bound = (diagonal + radius).max()
+        assert (np.exp(-1j * t) * vertices).real.max() <= bound + slack, k
+
+
+@ENCLOSURE_CASES
+def test_every_focus_fits_an_ellipse_no_wider_than_the_box_corners(case):
+    # at each focus the search tries, the ellipse holds every vertex of
+    # the polygon to 1e-12, and its rho is no larger than that of the
+    # ellipse through the box's corners (hi, +-eta) it replaces
+    polygon = chebyshev._polygon(enclosure_matrix(case))
+    lo, hi, eta, vertices = polygon
+    for i in range(5):
+        plan = chebyshev.ChebyshevPlan._focused(*polygon, 2.0 ** (-i / 4), 1000)
+        assert ellipse_parameters(plan, vertices).max() <= plan.rho * (1 + 1e-12), i
+        corner = ellipse_parameters(plan, np.array([hi + 1j * eta]))[0]
+        assert plan.rho <= corner * (1 + 1e-12), i
 
 
 def test_a_focus_past_the_growth_cap_is_refused(monkeypatch):
@@ -686,9 +810,11 @@ def oracle_log_terms(monkeypatch):
     monkeypatch.setattr(chebyshev.ChebyshevPlan, "_log_terms", log_terms)
 
 
-# The box Re [-4, 0], |Im| <= 0.1 over 2000 steps at foci 0.59 h, where ive
-# underflows to 0 while rho^j still lifts the terms.
-UNDERFLOW_BOX = (-4.0, 0.0, 0.1, 2.0 ** -0.75, 2000)
+# The box Re [-4, 0], |Im| <= 0.1 (a polygon of its four corners) over 2000
+# steps at foci 0.59 h, where ive underflows to 0 while rho^j still lifts
+# the terms.
+UNDERFLOW_BOX = (-4.0, 0.0, 0.1, np.array([0.1j, -0.1j, -4 + 0.1j, -4 - 0.1j]),
+                 2.0 ** -0.75, 2000)
 
 
 def test_series_terms_past_the_underflow_of_ive_are_bounded_not_dropped(
@@ -727,12 +853,12 @@ def test_series_terms_past_the_underflow_of_ive_are_bounded_not_dropped(
 def test_window_search_matches_the_bisection_oracle(hierarchy, n_steps):
     # stepping up from the floor of the bound finds the window the
     # bisection between the two bounds found, at every focus
-    box = (UNDERFLOW_BOX[:3] if hierarchy is None
-           else chebyshev._box(pauli_step_generator(*hierarchy)))
+    polygon = (UNDERFLOW_BOX[:4] if hierarchy is None
+               else chebyshev._polygon(pauli_step_generator(*hierarchy)))
     for i in range(5):
         focus = 2.0 ** (-i / 4)
-        plan = chebyshev.ChebyshevPlan._focused(*box, focus, n_steps)
-        assert (plan.substeps, plan.window) == reference_focused(*box, focus,
+        plan = chebyshev.ChebyshevPlan._focused(*polygon, focus, n_steps)
+        assert (plan.substeps, plan.window) == reference_focused(*polygon, focus,
                                                                  n_steps), i
 
 
@@ -1079,13 +1205,14 @@ def test_multi_indices_match_brute_force_filter(n_modes):
 
 
 @pytest.mark.parametrize("dense,dt,substeps", [
-    (True, 0.1, 1), (False, 0.1, 1), (True, 3.0, 2), (False, 3.0, 2),
+    (True, 0.1, 1), (False, 0.1, 1), (True, 4.0, 2), (False, 4.0, 2),
 ], ids=["dense", "frames", "dense-coarse", "frames-coarse"])
 def test_divergence_guard_reports_step(monkeypatch, dense, dt, substeps):
     # the guard itself is exercised by lowering the threshold below the
     # physical entry scale, which every healthy run exceeds immediately;
     # a coarse step is split into substeps, and the guard names the first
-    # step of the finer grid stepped
+    # step of the finer grid stepped (dt = 4 plans 2 substeps; the polygon
+    # keeps dt = 3 to one)
     monkeypatch.setattr(chebyshev, "DIVERGENCE_GUARD", 1e-3)
     force_way(monkeypatch, dense)
     params = SpinBosonParams(omega0=1.0, j_coupling=1.0, lam=0.1, gamma=1.0,
@@ -1159,6 +1286,6 @@ def test_the_integrator_knows_no_model_and_heom_no_integrator():
     heom_imports = imported_modules(heom_module)
     assert "ttmkit.chebyshev" in heom_imports
     assert not {"scipy.sparse._sparsetools", "scipy.special"} & heom_imports
-    for name in ("ChebyshevPlan", "_box", "_csr_binop", "_step_work",
+    for name in ("ChebyshevPlan", "_polygon", "_csr_binop", "_step_work",
                  "_dense_step", "DIVERGENCE_GUARD", "MAX_AMPLIFICATION"):
         assert not hasattr(heom_module, name)

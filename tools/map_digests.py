@@ -2,7 +2,10 @@
 
 One line per case: the ``gen_heom`` maps of the eleven benchmark
 hierarchies over their benchmark frames and of C7a (depth 8, 2
-Matsubara modes, dt 0.0025, 1600 frames), then the ``gen_lindblad``
+Matsubara modes, dt 0.0025, 1600 frames), each followed by the plan
+its stepping took (the way, focal half-width as a fraction of the
+box's, window, degree, substeps and sparse products, as
+``chebyshev.evolve`` reports them), then the ``gen_lindblad``
 maps of every ``LINDBLAD_CASES`` entry. The cases come from
 ``tests/test_heom.py`` and ``tests/test_generators.py``, so each is
 defined in one place. Then the memory recursion as the benchmark's
@@ -29,14 +32,35 @@ from test_generators import LINDBLAD_CASES  # noqa: E402
 from test_heom import (BENCHMARK_HIERARCHIES, BENCHMARK_IDS,  # noqa: E402
                        BENCHMARK_WAYS, C7A)
 from ttmkit import (BasisTrajectorySet, HeomConfig, TimeGrid,  # noqa: E402
-                    extract_maps, gen_heom, gen_lindblad, maps_to_tensors,
-                    propagate)
+                    chebyshev, extract_maps, gen_heom, gen_lindblad,
+                    maps_to_tensors, propagate)
 from workloads import Extrapolate  # noqa: E402
 
 
 def digest(array):
     """sha256 of the bytes of an array, C-ordered."""
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def stepped(params, cfg, grid):
+    """gen_heom's trajectories and the plan ``chebyshev.evolve`` reported for them."""
+    evolve, reports = chebyshev.evolve, []
+
+    def reporting(*args):
+        frames, report = evolve(*args)
+        reports.append(report)
+        return frames, report
+
+    chebyshev.evolve = reporting
+    try:
+        trajs = gen_heom(params, cfg, grid)
+    finally:
+        chebyshev.evolve = evolve
+    (report,) = reports
+    plan, window = report["plan"], report["window"]
+    return trajs, (f"{'dense step' if plan.dense else 'frames'} focus {plan.focus:.3g} "
+                   f"window {window} degree {plan.degree(window)} substeps "
+                   f"{plan.substeps} products {report['products']}")
 
 
 def recursions(trajs):
@@ -61,9 +85,9 @@ def hierarchies():
 
 if __name__ == "__main__":
     for name, params, depth, n_matsubara, dt, n_steps in hierarchies():
-        trajs = gen_heom(params, HeomConfig(depth=depth, n_matsubara=n_matsubara),
-                         TimeGrid(dt=dt, n_steps=n_steps))
-        print(name, digest(trajs.maps), flush=True)
+        trajs, plan = stepped(params, HeomConfig(depth=depth, n_matsubara=n_matsubara),
+                              TimeGrid(dt=dt, n_steps=n_steps))
+        print(name, digest(trajs.maps), plan, flush=True)
         if name == "heom c4":
             c4 = trajs
     for case, make in LINDBLAD_CASES.items():
